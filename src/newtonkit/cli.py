@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import hecke, kottwitz, muordinary, oracles, rootdata
-from .rationals import rat, rat_str
+from .rationals import rat, rat_str, vec_str
 
 SCHEMA = "newtonkit/1"
 
@@ -76,13 +76,13 @@ def _cmd_datum(args):
         {
             "ambient_dim": datum.ambient_dim,
             "cartan": [list(r) for r in datum.cartan],
-            "simple_roots": [rootdata.vector_to_json(r) for r in datum.simple_roots],
-            "simple_coroots": [rootdata.vector_to_json(r) for r in datum.simple_coroots],
+            "simple_roots": [vec_str(r) for r in datum.simple_roots],
+            "simple_coroots": [vec_str(r) for r in datum.simple_coroots],
             "fundamental_weights": [
-                rootdata.vector_to_json(w) for w in rootdata.fundamental_weights(datum)
+                vec_str(w) for w in rootdata.fundamental_weights(datum)
             ],
             "fundamental_coweights": [
-                rootdata.vector_to_json(w) for w in rootdata.fundamental_coweights(datum)
+                vec_str(w) for w in rootdata.fundamental_coweights(datum)
             ],
             "special_roots": sorted(rootdata.special_roots(datum)),
             "labeling": _labeling_payload(datum, args.labeling),
@@ -123,7 +123,7 @@ def _cmd_maximal(args):
     mx = kottwitz.maximal_elements(ks, exclude_top=args.exclude_top)
     return {
         "maximal": [
-            rootdata.vector_to_json(e.nu.coords)
+            vec_str(e.nu.coords)
             for e in sorted(mx, key=lambda e: e.nu.coords)
         ]
     }
@@ -409,6 +409,16 @@ def run(argv) -> int:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             _emit_error(args, f"cannot read --in file: {exc}")
+            return 2
+        if not isinstance(overrides, dict):
+            _emit_error(args, "cannot read --in file: expected a JSON object, got "
+                              f"{type(overrides).__name__}")
+            return 2
+        known = (set(vars(args)) | {"table"}) - {"command", "infile"}
+        unknown = sorted(k for k in overrides if k.replace("-", "_") not in known)
+        if unknown:
+            _emit_error(args, f"cannot read --in file: unknown keys {unknown} for "
+                              f"{args.command}")
             return 2
         for key, value in overrides.items():
             attr = key.replace("-", "_")

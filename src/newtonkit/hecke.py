@@ -195,11 +195,50 @@ def c_constant(profile_data: Sequence[tuple[int, Fraction]],
     return max(vals)
 
 
+# Miller-Rabin with every prime base up to 41 is exact below this bound: it is
+# the least odd composite that is a strong probable prime to all those bases
+# (Sorenson and Webster, Math. Comp. 86 (2017); OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+HASSE_P_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for 0 <= p < HASSE_P_BOUND."""
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def hasse_number(w: int, p: int) -> int:
-    """Exponent of the unit group of the field with p^w elements: p^w - 1."""
+    """Exponent of the unit group of the field with p^w elements: p^w - 1.
+
+    p must be a prime with 3 <= p < HASSE_P_BOUND (about 3.3e24), the
+    range in which the primality test is exact.
+    """
     if not isinstance(w, int) or w < 1:
         raise ValueError("w must be a positive integer")
-    if not isinstance(p, int) or p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if not isinstance(p, int) or p < 3:
+        raise ValueError("p must be a prime >= 3")
+    if p >= HASSE_P_BOUND:
+        raise ValueError(f"p must be below {HASSE_P_BOUND}, where the primality "
+                         "test is exact")
+    if not _is_prime(p):
         raise ValueError("p must be a prime >= 3")
     return p ** w - 1
 

@@ -16,11 +16,12 @@ roots pairing to zero against nu, where integrality is not required.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import solve_exact
-from .rationals import dot, vsub
+from .linalg import invert
+from .rationals import dot, lincomb, vec_parse, vec_str, vsub
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
@@ -30,8 +31,6 @@ from .rootdata import (
     is_dominant,
     sigma_apply,
     special_roots,
-    vector_from_json,
-    vector_to_json,
 )
 
 
@@ -126,10 +125,27 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     """The complete finite set attached to a dominant mu (split case only).
 
     Iterates over subsets J of simple roots and non-negative integer coroot
-    coefficients outside J (each bounded by <mubar, w_a> for the root-span
-    fundamental weight w_a, since the remaining pairing against a dominant
-    point is non-negative), then solves the exact linear system forcing the
-    pairings inside J to vanish.
+    coefficients c_a outside J (each bounded by <mubar, w_a> for the
+    root-span fundamental weight w_a, since the remaining pairing against a
+    dominant point is non-negative); the coefficients inside J are then
+    forced by making the pairings <nu, alpha_g>, g in J, vanish:
+
+        c_J = B (<mubar, alpha_J> - cartan[J][free] c_free),
+
+    with B the inverse of the principal Cartan block on J, computed once
+    per J.  The scan runs in integers: with D the lcm of the denominators
+    of the <mubar, alpha_g> and q the common denominator of B, every
+    candidate's C = c D q and its pairings
+
+        <nu, alpha_g> D q = q D <mubar, alpha_g> - sum_b cartan[g][b] C_b
+
+    are integers.  Candidates with a negative C, or with a pairing outside
+    J that is negative (not dominant) or zero, are dropped there: a zero
+    pairing at a free node gives the same nu as the candidate with that
+    node moved into J, so each nu is reached once, with J its zero set.
+    Only the survivors become exact points nu = mubar - sum_a c_a coroot_a,
+    and each of them must still pass is_in_bgmu, whose certificate is the
+    one recorded.
     """
     datum = mu.datum
     if datum.sigma != tuple(range(1, datum.rank + 1)):
@@ -147,43 +163,36 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
             raise AssertionError("dominant mubar pairs negatively with a weight")
         bounds.append(int(b))  # floor for non-negative rationals
     cartan = datum.cartan  # cartan[i][j] = <coroot_j, root_i>
-    found: dict[tuple[Fraction, ...], KottwitzElement] = {}
+    pairings = [dot(mubar.coords, alpha) for alpha in datum.simple_roots]
+    D = math.lcm(*(x.denominator for x in pairings))
+    M = [int(x * D) for x in pairings]  # D <mubar, alpha_g>
+    elements = []
     for j_mask in range(1 << n):
         J = [i for i in range(n) if j_mask >> i & 1]
         free = [i for i in range(n) if not (j_mask >> i & 1)]
-        ranges = [range(bounds[i] + 1) for i in free]
-        sub = [[Fraction(cartan[g][a]) for a in J] for g in J]
-        for choice in itertools.product(*ranges):
-            c = [Fraction(0)] * n
-            for i, v in zip(free, choice):
-                c[i] = Fraction(v)
-            if J:
-                rhs = [
-                    dot(mubar.coords, datum.simple_roots[g])
-                    - sum(c[b] * cartan[g][b] for b in free)
-                    for g in J
-                ]
-                sol = solve_exact(sub, rhs)
-                if sol is None:
-                    continue
-                for i, v in zip(J, sol):
-                    c[i] = v
-            if any(x < 0 for x in c):
+        Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
+        Dq = D * q
+        qM = [q * m for m in M]
+        for choice in itertools.product(*(range(bounds[a] + 1) for a in free)):
+            C = [0] * n
+            for a, v in zip(free, choice):
+                C[a] = v * Dq
+            # D (<mubar, alpha_g> - sum over free b of cartan[g][b] c_b)
+            rhs = [M[g] - D * sum(cartan[g][a] * v for a, v in zip(free, choice))
+                   for g in J]
+            for a, row in zip(J, Q):
+                C[a] = sum(x * r for x, r in zip(row, rhs))
+            if any(C[a] < 0 for a in J):
                 continue
-            coords = list(mubar.coords)
-            for ci, av in zip(c, datum.simple_coroots):
-                if ci:
-                    for t, x in enumerate(av):
-                        coords[t] -= ci * x
-            nu = RationalCocharacter(tuple(coords), datum)
-            if nu.coords in found:
+            if any(qM[g] - sum(x * y for x, y in zip(cartan[g], C)) <= 0 for g in free):
                 continue
+            c = [Fraction(x, Dq) for x in C]
+            nu = RationalCocharacter(vsub(mubar.coords, lincomb(c, datum.simple_coroots)),
+                                     datum)
             ok, cert = is_in_bgmu(nu, mubar)
             if ok:
-                coeffs, zero = cert
-                found[nu.coords] = KottwitzElement(nu, coeffs, zero)
-    elements = tuple(sorted(found.values(), key=KottwitzElement.sort_key))
-    return KottwitzSet(mu, mubar, elements)
+                elements.append(KottwitzElement(nu, *cert))
+    return KottwitzSet(mu, mubar, tuple(sorted(elements, key=KottwitzElement.sort_key)))
 
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
@@ -200,15 +209,23 @@ def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
 
 
 def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[KottwitzElement]:
-    """The dominance-maximal elements, optionally with the top point removed."""
+    """The dominance-maximal elements, optionally with the top point removed.
+
+    The coroot-span decomposition is linear, so e <= f (newton_leq) exactly
+    when e and f have the same orthogonal part and every coroot coefficient
+    of f is at least that of e: each element is decomposed once.
+    """
     pool = list(ks.elements)
     if exclude_top:
         pool = [e for e in pool if e.nu.coords != ks.mubar.coords]
     if not pool:
         raise ValueError("empty element set")
+    datum = ks.mubar.datum
+    parts = [(e, *coroot_span_decomposition(datum, e.nu.coords)) for e in pool]
     out = set()
-    for e in pool:
-        if all(f is e or not newton_leq(e.nu, f.nu) for f in pool):
+    for e, ce, pe in parts:
+        if all(f is e or pf != pe or any(x < y for x, y in zip(cf, ce))
+               for f, cf, pf in parts):
             out.add(e)
     return out
 
@@ -226,12 +243,12 @@ def minuscule_coweights(datum: RootDatum) -> set[RationalCocharacter]:
 
 def kottwitz_set_to_json(ks: KottwitzSet) -> dict:
     return {
-        "mu": vector_to_json(ks.mu.coords),
-        "mubar": vector_to_json(ks.mubar.coords),
+        "mu": vec_str(ks.mu.coords),
+        "mubar": vec_str(ks.mubar.coords),
         "elements": [
             {
-                "nu": vector_to_json(e.nu.coords),
-                "c": vector_to_json(e.c),
+                "nu": vec_str(e.nu.coords),
+                "c": vec_str(e.c),
                 "J": sorted(e.J),
             }
             for e in ks.elements
@@ -240,12 +257,12 @@ def kottwitz_set_to_json(ks: KottwitzSet) -> dict:
 
 
 def kottwitz_set_from_json(doc: dict, datum: RootDatum) -> KottwitzSet:
-    mu = RationalCocharacter(vector_from_json(doc["mu"]), datum)
-    mubar = RationalCocharacter(vector_from_json(doc["mubar"]), datum)
+    mu = RationalCocharacter(vec_parse(doc["mu"]), datum)
+    mubar = RationalCocharacter(vec_parse(doc["mubar"]), datum)
     elements = tuple(
         KottwitzElement(
-            RationalCocharacter(vector_from_json(e["nu"]), datum),
-            vector_from_json(e["c"]),
+            RationalCocharacter(vec_parse(e["nu"]), datum),
+            vec_parse(e["c"]),
             frozenset(int(j) for j in e["J"]),
         )
         for e in doc["elements"]

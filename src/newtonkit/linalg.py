@@ -1,86 +1,47 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Small dense systems only (rank <= 8 throughout the library), so plain
-fraction-free-ish Gaussian elimination is entirely adequate.
+Small dense matrices only (rank <= 8 throughout the library).  Nothing
+here solves a linear system per call: every root datum inverts its Cartan
+matrix once, lazily, as ``RootDatum.cartan_inverse``, and coroot and root
+coefficients, fundamental (co)weights and the dominance order are exact
+matrix-vector products with that inverse.  The Kottwitz enumeration
+inverts each principal Cartan block once and scans its candidates in
+integer numerators (see ``kottwitz.enumerate_bgmu``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
 
+def invert(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of an invertible integer matrix as (Q, q): a^-1 = Q / q, with
+    q > 0 the least common denominator of the entries of a^-1.
 
-def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve A x = b exactly.
-
-    Returns one solution, or None if the system is inconsistent.  When the
-    solution space is positive-dimensional the free variables are set to 0;
-    all callers in this package only solve systems with independent columns,
-    where the solution is unique.
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [a | I]: every
+    division by the previous pivot is exact, and the left block ends as
+    d * I and the right block as d * a^-1, with d = +-det(a).
     """
-    m = _as_matrix(a)
-    rhs = [Fraction(x) for x in b]
-    nrows = len(m)
-    if nrows == 0:
-        return tuple()
-    ncols = len(m[0])
-    piv_cols: list[int] = []
-    piv_r = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(piv_r, nrows):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[piv_r], m[pivot] = m[pivot], m[piv_r]
-        rhs[piv_r], rhs[pivot] = rhs[pivot], rhs[piv_r]
-        fp = m[piv_r][c]
-        for r in range(nrows):
-            if r == piv_r or m[r][c] == 0:
-                continue
-            f = m[r][c] / fp
-            for cc in range(c, ncols):
-                m[r][cc] -= f * m[piv_r][cc]
-            rhs[r] -= f * rhs[piv_r]
-        piv_cols.append(c)
-        piv_r += 1
-        if piv_r == nrows:
-            break
-    for r in range(piv_r, nrows):
-        if rhs[r] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(piv_cols):
-        sol[c] = rhs[r] / m[r][c]
-    return tuple(sol)
-
-
-def invert(a: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Inverse of a square rational matrix."""
     n = len(a)
-    m = _as_matrix(a)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
     for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        fp = aug[c][c]
-        aug[c] = [x / fp for x in aug[c]]
+        m[c], m[pivot] = m[pivot], m[c]
+        p = m[c][c]
         for r in range(n):
-            if r == c or aug[r][c] == 0:
-                continue
-            f = aug[r][c]
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [tuple(row[n:]) for row in aug]
+            if r != c:
+                f = m[r][c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[c])]
+        prev = p
+    g = math.gcd(prev, *(x for row in m for x in row[n:]))
+    if prev < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in m], prev // g
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
@@ -88,7 +49,7 @@ def det(a: Sequence[Sequence]) -> Fraction:
     n = len(a)
     if n == 0:
         return Fraction(1)
-    m = _as_matrix(a)
+    m = [[Fraction(x) for x in row] for row in a]
     sign = 1
     result = Fraction(1)
     for c in range(n):
@@ -106,15 +67,3 @@ def det(a: Sequence[Sequence]) -> Fraction:
             for cc in range(c, n):
                 m[r][cc] -= f * m[c][cc]
     return sign * result
-
-
-def in_cone(generators: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...] | None:
-    """Express target as a combination of linearly independent generators.
-
-    Returns the coefficient vector, or None when target is outside the span.
-    Non-negativity is the caller's business.
-    """
-    if not generators:
-        return tuple() if all(Fraction(x) == 0 for x in target) else None
-    cols = list(zip(*generators))
-    return solve_exact(cols, target)

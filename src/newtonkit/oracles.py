@@ -242,7 +242,7 @@ def siegel_shape(n: int, lower: bool = True) -> UnipotentShape:
     return UnipotentShape(size, tuple(groups))
 
 
-def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
@@ -251,14 +251,20 @@ def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fract
 
 
 def _conjugate(eps_entries: Sequence[Fraction], m: list[list[int]]) -> list[list[Fraction]]:
-    """diag(eps) * m * diag(eps)^-1 with genuine matrix products."""
+    """diag(eps) * m * diag(eps)^-1 with genuine matrix products.
+
+    The products are taken in integers: diag(eps) = E / d and
+    diag(eps)^-1 = F / f with E and F integral, so the conjugate is
+    (E m F) / (d f).
+    """
     n = len(m)
-    e = [[Fraction(0)] * n for _ in range(n)]
-    e_inv = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(eps_entries):
-        e[i][i] = Fraction(v)
-        e_inv[i][i] = 1 / Fraction(v)
-    return _matmul(_matmul(e, [[Fraction(x) for x in row] for row in m]), e_inv)
+    eps = [Fraction(v) for v in eps_entries]
+    inv = [1 / x for x in eps]
+    d = lcm(*(x.denominator for x in eps))
+    f = lcm(*(x.denominator for x in inv))
+    e = [[int(eps[i] * d) if i == j else 0 for j in range(n)] for i in range(n)]
+    e_inv = [[int(inv[i] * f) if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[Fraction(x, d * f) for x in row] for row in _matmul(_matmul(e, m), e_inv)]
 
 
 ENUMERATION_LIMIT = 100_000
@@ -357,17 +363,9 @@ def _coset_count_marking(shape: UnipotentShape, eps_entries: list[Fraction],
             continue
         count += 1
         for v in members:
-            prod = _int_matmul(u, v, mod)
-            seen.add(tuple(x for row in prod for x in row))
+            prod = _matmul(u, v)
+            seen.add(tuple(x % mod for row in prod for x in row))
     return count
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]], mod: int) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) % mod for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def polygon_leq(pa: SlopeProfile, pb: SlopeProfile) -> bool:

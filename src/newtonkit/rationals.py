@@ -8,7 +8,7 @@ identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def rat(x) -> Fraction:
@@ -27,10 +27,6 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vec(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in xs)
-
-
 def vec_str(xs: Sequence[Fraction]) -> list[str]:
     return [rat_str(x) for x in xs]
 
@@ -45,10 +41,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -56,3 +48,14 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def vscale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
     c = rat(c)
     return tuple(c * x for x in a)
+
+
+def lincomb(coeffs: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
+            ) -> tuple[Fraction, ...]:
+    """The combination sum_k coeffs[k] * basis[k] of equal-length vectors."""
+    out = [Fraction(0)] * len(basis[0])
+    for c, v in zip(coeffs, basis):
+        if c:
+            for t, x in enumerate(v):
+                out[t] += c * x
+    return tuple(out)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
-from .linalg import in_cone, invert, solve_exact
-from .rationals import dot, rat, rat_str, vec, vec_parse, vsub, vscale
+from .linalg import invert
+from .rationals import dot, lincomb, rat, vec_parse, vsub, vscale
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -68,6 +69,16 @@ class RootDatum:
     @property
     def is_product(self) -> bool:
         return bool(self.factors)
+
+    @cached_property
+    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact inverse of the Cartan matrix, computed on first use.
+
+        Every coefficient solve of the datum is a product with it: the
+        Gram matrix of <coroot_i, root_j> is cartan[j][i].
+        """
+        Q, q = invert(self.cartan)
+        return tuple(tuple(Fraction(x, q) for x in row) for row in Q)
 
     def cochar(self, coords) -> "RationalCocharacter":
         return RationalCocharacter(vec_parse(coords), self)
@@ -267,33 +278,23 @@ def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
                 v[j] = Fraction(1)
             out.append(tuple(v))
         return out
-    return _span_duals(datum.simple_roots, datum.simple_coroots)
+    return fundamental_weights_semisimple(datum)
 
 
 def fundamental_weights_semisimple(datum: RootDatum) -> list[tuple[Fraction, ...]]:
-    """Root-span representatives of the fundamental weights (traceless in type A)."""
-    return _span_duals(datum.simple_roots, datum.simple_coroots)
+    """Root-span representatives of the fundamental weights (traceless in type A).
+
+    w_i = sum_k inv[i][k] root_k pairs with coroot_j to (inv . cartan)[i][j].
+    """
+    return [lincomb(row, datum.simple_roots) for row in datum.cartan_inverse]
 
 
 def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
-    """Vectors w_i in the coroot span with <w_i, root_j> = delta_ij."""
-    return _span_duals(datum.simple_coroots, datum.simple_roots)
+    """Vectors w_i in the coroot span with <w_i, root_j> = delta_ij.
 
-
-def _span_duals(span_basis, test_basis) -> list[tuple[Fraction, ...]]:
-    n = len(span_basis)
-    gram = [[dot(span_basis[k], test_basis[j]) for k in range(n)] for j in range(n)]
-    inv = invert(gram)
-    out = []
-    for i in range(n):
-        w = [Fraction(0)] * len(span_basis[0])
-        for k in range(n):
-            c = inv[k][i]
-            if c:
-                for t, x in enumerate(span_basis[k]):
-                    w[t] += c * x
-        out.append(tuple(w))
-    return out
+    w_i = sum_k inv[k][i] coroot_k pairs with root_j to (cartan . inv)[j][i].
+    """
+    return [lincomb(col, datum.simple_coroots) for col in zip(*datum.cartan_inverse)]
 
 
 def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
@@ -314,20 +315,16 @@ def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
 
 
 def root_coefficients(datum: RootDatum, root: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    coeffs = in_cone(datum.simple_roots, root)
-    if coeffs is None:
+    """Coefficients c with root = sum_k c_k root_k.
+
+    Pairing with coroot_j gives sum_k c_k cartan[k][j], so c is the
+    transposed inverse applied to the coroot pairings.
+    """
+    pairings = [dot(root, av) for av in datum.simple_coroots]
+    coeffs = tuple(dot(col, pairings) for col in zip(*datum.cartan_inverse))
+    if lincomb(coeffs, datum.simple_roots) != tuple(root):
         raise ValueError("vector is not in the root span")
     return coeffs
-
-
-def positive_roots(datum: RootDatum) -> list[tuple[Fraction, ...]]:
-    pos = []
-    for r in all_roots(datum):
-        coeffs = root_coefficients(datum, r)
-        if all(c >= 0 for c in coeffs):
-            pos.append(r)
-    pos.sort(key=lambda r: (sum(root_coefficients(datum, r)), r))
-    return pos
 
 
 def highest_root(datum: RootDatum) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -393,19 +390,13 @@ def coroot_span_decomposition(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Split a cocharacter vector as (coroot-span coefficients, orthogonal part).
 
-    The orthogonal part pairs to zero with every root.
+    The orthogonal part pairs to zero with every root.  The coefficients
+    solve cartan . c = (<coords, root_j>)_j, so they are the cached inverse
+    applied to the root pairings; both parts are linear in coords.
     """
-    n = datum.rank
-    gram = [[dot(datum.simple_coroots[i], datum.simple_roots[j]) for i in range(n)]
-            for j in range(n)]
-    rhs = [dot(coords, datum.simple_roots[j]) for j in range(n)]
-    coeffs = solve_exact(gram, rhs)
-    assert coeffs is not None
-    span_part = [Fraction(0)] * datum.ambient_dim
-    for c, av in zip(coeffs, datum.simple_coroots):
-        if c:
-            for t, x in enumerate(av):
-                span_part[t] += c * x
+    pairings = [dot(coords, alpha) for alpha in datum.simple_roots]
+    coeffs = tuple(dot(row, pairings) for row in datum.cartan_inverse)
+    span_part = lincomb(coeffs, datum.simple_coroots)
     perp = tuple(a - b for a, b in zip(coords, span_part))
     return coeffs, perp
 
@@ -414,13 +405,9 @@ def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
     """Apply the diagram automorphism: permute coroot coefficients, fix the rest."""
     datum = v.datum
     coeffs, perp = coroot_span_decomposition(datum, v.coords)
-    out = list(perp)
-    for i, c in enumerate(coeffs, start=1):
-        if c:
-            target = datum.simple_coroots[datum.sigma[i - 1] - 1]
-            for t, x in enumerate(target):
-                out[t] += c * x
-    return RationalCocharacter(tuple(out), datum)
+    targets = [datum.simple_coroots[s - 1] for s in datum.sigma]
+    moved = lincomb(coeffs, targets)
+    return RationalCocharacter(tuple(a + b for a, b in zip(perp, moved)), datum)
 
 
 def datum_to_json(datum: RootDatum) -> dict:
@@ -442,10 +429,3 @@ def datum_from_json(doc: dict) -> RootDatum:
     sigma = doc.get("sigma")
     return build_datum(doc["type"], int(doc["rank"]), sigma)
 
-
-def vector_to_json(coords: Iterable[Fraction]) -> list[str]:
-    return [rat_str(x) for x in coords]
-
-
-def vector_from_json(items: Sequence) -> tuple[Fraction, ...]:
-    return vec(items)

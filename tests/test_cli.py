@@ -113,6 +113,23 @@ def test_input_file(tmp_path, capsys):
     assert len(payload["elements"]) == 3
 
 
+def test_input_file_not_an_object_or_with_unknown_keys(tmp_path, capsys):
+    for doc in ([2, 3], {"w": 2, "p": 3, "bogus": 1}):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = _capture(capsys, ["hasse", "--in", str(path)])
+        assert code == 2
+        status, payload = _payload(out)
+        assert status == "error" and "--in file" in payload["error"]
+
+
+def test_hasse_huge_p_is_a_domain_error(capsys):
+    code, out = _capture(capsys, ["hasse", "--w", "1", "--p", "1" + "0" * 399 + "7"])
+    assert code == 2
+    status, payload = _payload(out)
+    assert status == "error" and "p must be below" in payload["error"]
+
+
 def test_datum_output_labels_and_tables(capsys):
     code, out = _capture(capsys, ["datum", "--type", "E7", "--rank", "7"])
     assert code == 0

@@ -172,6 +172,38 @@ def test_hasse_number_values():
         hasse_number(2, 2)
 
 
+def _accepts_p(p):
+    try:
+        hasse_number(1, p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_hasse_primality_matches_sympy_below_1e5():
+    sympy = pytest.importorskip("sympy")
+    wrong = [p for p in range(100000) if _accepts_p(p) != (p >= 3 and sympy.isprime(p))]
+    assert wrong == []
+
+
+def test_hasse_primality_large_and_pseudoprimes():
+    from newtonkit.hecke import HASSE_P_BOUND
+
+    sympy = pytest.importorskip("sympy")
+    primes = [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, sympy.prevprime(HASSE_P_BOUND)]
+    for p in primes:
+        assert sympy.isprime(p) and hasse_number(1, p) == p - 1
+    # Carmichael numbers, and strong pseudoprimes to every prime base up to
+    # 23 and up to 37 (the second needs base 41 to be caught)
+    composites = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  3825123056546413051, 318665857834031151167461]
+    for n in composites:
+        assert not sympy.isprime(n) and not _accepts_p(n)
+    for p in (HASSE_P_BOUND, sympy.nextprime(HASSE_P_BOUND), 10 ** 400 + 267):
+        with pytest.raises(ValueError, match="below"):
+            hasse_number(1, p)
+
+
 def test_valuation_json_roundtrip():
     from newtonkit.hecke import valuation_from_json, valuation_to_json
 

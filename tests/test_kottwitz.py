@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from newtonkit.kottwitz import (
+    KottwitzElement,
+    KottwitzSet,
     enumerate_bgmu,
     galois_average,
     is_in_bgmu,
@@ -300,3 +302,70 @@ def test_kottwitz_set_json_roundtrip():
     back = kottwitz_set_from_json(doc, c2)
     assert back.points() == ks.points()
     assert [e.c for e in back.elements] == [e.c for e in ks.elements]
+
+
+def _concave_polygon_slopes(width, height):
+    """Slope sequences of the concave lattice polygons from (0,0) to
+    (width, height) with slopes in [0, 1] and integral breakpoints."""
+    out = set()
+
+    def extend(x, y, last, slopes):
+        if x == width:
+            if y == height:
+                out.add(tuple(slopes))
+            return
+        for dx in range(1, width - x + 1):
+            for dy in range(min(dx, height - y) + 1):
+                s = F(dy, dx)
+                if last is None or s < last:
+                    extend(x + dx, y + dy, s, slopes + [s] * dx)
+
+    extend(0, 0, None, [])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_type_a_enumeration_is_the_polygon_set(n):
+    datum = build_datum("A", n)
+    for k in range(1, n + 1):
+        ks = enumerate_bgmu(_coweight(datum, k))
+        shift = F(k, n + 1)  # the coweight is traceless; slopes sum to k
+        got = {tuple(x + shift for x in e.nu.coords) for e in ks.elements}
+        assert len(got) == len(ks.elements)
+        assert got == _concave_polygon_slopes(n + 1, k), (n, k)
+
+
+RANK_5_TYPES = (
+    [("A", n) for n in range(1, 6)]
+    + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)]
+    + [("D", n) for n in range(3, 6)]
+    + [("F4", 4), ("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("t,n", RANK_5_TYPES)
+def test_maximal_elements_is_the_pairwise_definition(t, n):
+    datum = build_datum(t, n)
+    for k in range(1, n + 1):
+        ks = enumerate_bgmu(_coweight(datum, k))
+        for exclude_top in (False, True):
+            pool = [e for e in ks.elements
+                    if not exclude_top or e.nu.coords != ks.mubar.coords]
+            if not pool:
+                continue
+            expected = {e for e in pool
+                        if not any(f is not e and newton_leq(e.nu, f.nu) for f in pool)}
+            assert maximal_elements(ks, exclude_top) == expected, (t, n, k)
+
+
+def test_maximal_elements_separates_orthogonal_parts():
+    # (0, 0) and (1, 1) in A1 differ by a vector orthogonal to the root, so
+    # neither lies below the other and both are maximal.
+    a1 = build_datum("A", 1)
+    points = [a1.cochar((0, 0)), a1.cochar((1, 1))]
+    elements = tuple(KottwitzElement(nu, (F(0),), frozenset({1})) for nu in points)
+    ks = KottwitzSet(points[1], points[1], elements)
+    assert not newton_leq(*points) and not newton_leq(*reversed(points))
+    assert maximal_elements(ks) == set(elements)
+

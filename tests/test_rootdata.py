@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     RationalCocharacter,
     build_datum,
+    coroot_span_decomposition,
     datum_from_json,
     datum_to_json,
     dominant_representative,
@@ -251,3 +256,67 @@ def test_cocharacter_dimension_checked():
     c2 = build_datum("C", 2)
     with pytest.raises(ValueError):
         RationalCocharacter((F(1), F(0), F(0)), c2)
+
+
+def _gauss_solve(a, b):
+    """Solve the square, invertible system a x = b by Fraction elimination."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(y)] for row, y in zip(a, b)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return tuple(row[n] for row in m)
+
+
+@st.composite
+def _datum_and_vector(draw):
+    t, n = draw(st.sampled_from(ALL_TYPES))
+    datum = build_datum(t, n)
+    coords = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                           min_size=datum.ambient_dim, max_size=datum.ambient_dim))
+    return datum, tuple(coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datum_and_vector())
+def test_coroot_span_decomposition_matches_gram_solve(case):
+    datum, v = case
+    roots, coroots = datum.simple_roots, datum.simple_coroots
+
+    def ip(a, b):
+        return sum((x * y for x, y in zip(a, b)), F(0))
+
+    gram = [[ip(coroots[i], roots[j]) for i in range(datum.rank)] for j in range(datum.rank)]
+    expected = _gauss_solve(gram, [ip(v, r) for r in roots])
+    coeffs, perp = coroot_span_decomposition(datum, v)
+    assert coeffs == expected
+    assert perp == tuple(x - sum((c * av[t] for c, av in zip(expected, coroots)), F(0))
+                         for t, x in enumerate(v))
+    assert all(ip(perp, r) == 0 for r in roots)
+
+
+def _check_inverse(a):
+    k = len(a)
+    Q, q = invert(a)
+    assert q > 0 and math.gcd(q, *(x for row in Q for x in row)) == 1
+    product = [[sum(Q[i][t] * a[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    assert product == [[q * (i == j) for j in range(k)] for i in range(k)], a
+
+
+def test_invert_every_principal_cartan_block():
+    for t, n in ALL_TYPES:
+        cartan = build_datum(t, n).cartan
+        for mask in range(1 << n):
+            J = [i for i in range(n) if mask >> i & 1]
+            _check_inverse([[cartan[g][b] for b in J] for g in J])
+    # row swaps and a negative determinant
+    _check_inverse([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
+    _check_inverse([[2, 3], [4, 5]])
+    with pytest.raises(ValueError):
+        invert([[1, 2], [2, 4]])
+
