@@ -200,6 +200,10 @@ def c_constant(profile_data: Sequence[tuple[int, Fraction]],
 # (Sorenson and Webster, Math. Comp. 86 (2017); OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 HASSE_P_BOUND = 3317044064679887385961981
+# p^w - 1 must have at most this many decimal digits: Python's default limit
+# for converting an int to a string, which JSON output needs.
+HASSE_DIGITS = 4300
+_HASSE_BITS = (10 ** HASSE_DIGITS).bit_length()  # 2^_HASSE_BITS > 10^HASSE_DIGITS
 
 
 def _is_prime(p: int) -> bool:
@@ -229,7 +233,10 @@ def hasse_number(w: int, p: int) -> int:
     """Exponent of the unit group of the field with p^w elements: p^w - 1.
 
     p must be a prime with 3 <= p < HASSE_P_BOUND (about 3.3e24), the
-    range in which the primality test is exact.
+    range in which the primality test is exact, and p^w - 1 must have at
+    most HASSE_DIGITS decimal digits.  When the lower bound
+    p^w >= 2^(w (bits(p) - 1)) already rules that out, w is rejected before
+    the power is taken.
     """
     if not isinstance(w, int) or w < 1:
         raise ValueError("w must be a positive integer")
@@ -240,7 +247,13 @@ def hasse_number(w: int, p: int) -> int:
                          "test is exact")
     if not _is_prime(p):
         raise ValueError("p must be a prime >= 3")
-    return p ** w - 1
+    too_large = ValueError(f"p^w - 1 must have at most {HASSE_DIGITS} digits")
+    if w * (p.bit_length() - 1) >= _HASSE_BITS:
+        raise too_large
+    h = p ** w - 1
+    if h >= 10 ** HASSE_DIGITS:
+        raise too_large
+    return h
 
 
 def valuation_to_json(eps: HeckeValuation) -> dict:

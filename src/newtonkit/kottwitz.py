@@ -15,19 +15,18 @@ roots pairing to zero against nu, where integrality is not required.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import invert
-from .rationals import dot, lincomb, vec_parse, vec_str, vsub
+from .rationals import vec_parse, vec_str, vsub
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
     coroot_span_decomposition,
     fundamental_coweights,
-    fundamental_weights_semisimple,
     is_dominant,
     sigma_apply,
     special_roots,
@@ -89,7 +88,10 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     Returns (True, (c, J)) with the certificate, or (False, reason).
     When sigma is nontrivial the integrality condition is taken over
     sigma-orbits of simple roots (orbit-summed fundamental weights); this
-    folded path requires nu to be sigma-invariant.
+    folded path requires nu to be sigma-invariant.  The root pairings of nu
+    and mubar are computed once, on integer numerators over one common
+    denominator, and serve the dominance test, the coroot decomposition of
+    mubar - nu and the zero set J.
     """
     datum = nu.datum
     if mubar.datum != datum:
@@ -100,31 +102,32 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
             raise ValueError("mubar is not sigma-invariant")
         if sigma_apply(nu).coords != nu.coords:
             raise ValueError("nu is not sigma-invariant while sigma is nontrivial")
-    if not is_dominant(nu):
+    k = datum.kernel
+    x, L = k.scale(nu.coords + mubar.coords)
+    x_nu, x_mubar = x[:datum.ambient_dim], x[datum.ambient_dim:]
+    p_nu = k.root_pairings(x_nu)
+    if any(p < 0 for p in p_nu):
         return False, "nu is not dominant"
-    diff = vsub(mubar.coords, nu.coords)
-    coeffs, perp = coroot_span_decomposition(datum, diff)
-    if any(x != 0 for x in perp):
+    diff = [a - b for a, b in zip(x_mubar, x_nu)]
+    C = k.coefficients([a - b for a, b in zip(k.root_pairings(x_mubar), p_nu)])
+    if any(k.perp(diff, C)):
         return False, "mubar - nu is not in the coroot span"
-    if any(c < 0 for c in coeffs):
+    if any(c < 0 for c in C):
         return False, "mubar - nu has a negative coroot coefficient"
-    zero_pairing = frozenset(
-        i for i, alpha in enumerate(datum.simple_roots, start=1)
-        if dot(nu.coords, alpha) == 0
-    )
+    zero_pairing = frozenset(i for i, p in enumerate(p_nu, start=1) if p == 0)
+    den = k.q * k.R * L  # c = C / den
     for orbit in _sigma_orbits(datum):
         if all(i in zero_pairing for i in orbit):
             continue
-        total = sum(coeffs[i - 1] for i in orbit)
-        if total.denominator != 1:
+        if sum(C[i - 1] for i in orbit) % den:
             return False, f"non-integral coroot coefficient at simple root(s) {orbit}"
-    return True, (coeffs, zero_pairing)
+    return True, (tuple(Fraction(c, den) for c in C), zero_pairing)
 
 
 def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     """The complete finite set attached to a dominant mu (split case only).
 
-    Iterates over subsets J of simple roots and non-negative integer coroot
+    Runs over subsets J of simple roots and non-negative integer coroot
     coefficients c_a outside J (each bounded by <mubar, w_a> for the
     root-span fundamental weight w_a, since the remaining pairing against a
     dominant point is non-negative); the coefficients inside J are then
@@ -133,19 +136,32 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         c_J = B (<mubar, alpha_J> - cartan[J][free] c_free),
 
     with B the inverse of the principal Cartan block on J, computed once
-    per J.  The scan runs in integers: with D the lcm of the denominators
-    of the <mubar, alpha_g> and q the common denominator of B, every
-    candidate's C = c D q and its pairings
+    per J.  Everything runs in integers: with D the least integer making
+    every D <mubar, alpha_g> an integer and q the common denominator of B, a
+    candidate's C = c D q and its free pairings
 
         <nu, alpha_g> D q = q D <mubar, alpha_g> - sum_b cartan[g][b] C_b
 
-    are integers.  Candidates with a negative C, or with a pairing outside
-    J that is negative (not dominant) or zero, are dropped there: a zero
-    pairing at a free node gives the same nu as the candidate with that
-    node moved into J, so each nu is reached once, with J its zero set.
-    Only the survivors become exact points nu = mubar - sum_a c_a coroot_a,
-    and each of them must still pass is_in_bgmu, whose certificate is the
-    one recorded.
+    are integers, and all of them are affine in c_free.  A candidate is kept
+    when C_J >= 0 and every free pairing is > 0 (>= 1 as an integer): a zero
+    pairing at a free node gives the same nu as the candidate with that node
+    moved into J, so each nu is reached once, with J its zero set.
+
+    For each J the c_free are chosen by a depth-first walk, one free
+    coordinate per level.  Before the walk come the integer step vectors:
+    the change of C_J and of the free pairings when one free coordinate
+    grows by 1, so each step is n additions.  A constraint can reach at most
+    its current value (the coordinates not yet fixed at 0) plus, for each
+    coordinate not yet fixed, bounds[a] * max(step, 0).  At each level the
+    values of the current coordinate that keep this bound non-negative for
+    every constraint form an interval, read off each constraint's own step:
+    a constraint whose step is <= 0 ends the interval (larger values only
+    lower its bound), one whose step is > 0 starts it.  A branch whose
+    interval is empty is pruned; at the leaves every coordinate is fixed
+    and the bound is the exact value, so every leaf is a candidate kept as
+    above.  Each one becomes the exact point nu = mubar - sum_a c_a
+    coroot_a in one pass over the integer C, must still pass is_in_bgmu,
+    and is recorded with that certificate.
     """
     datum = mu.datum
     if datum.sigma != tuple(range(1, datum.rank + 1)):
@@ -155,44 +171,86 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise ValueError("mu must be dominant")
     mubar = galois_average(mu)
     n = datum.rank
-    weights_ss = fundamental_weights_semisimple(datum)
-    bounds = []
-    for w in weights_ss:
-        b = dot(mubar.coords, w)
-        if b < 0:
-            raise AssertionError("dominant mubar pairs negatively with a weight")
-        bounds.append(int(b))  # floor for non-negative rationals
-    cartan = datum.cartan  # cartan[i][j] = <coroot_j, root_i>
-    pairings = [dot(mubar.coords, alpha) for alpha in datum.simple_roots]
-    D = math.lcm(*(x.denominator for x in pairings))
-    M = [int(x * D) for x in pairings]  # D <mubar, alpha_g>
+    k = datum.kernel
+    x, L = k.scale(mubar.coords)
+    pairings = k.root_pairings(x)  # R L <mubar, alpha_g>
+    g = math.gcd(k.R * L, *pairings)
+    D = k.R * L // g
+    M = [p // g for p in pairings]  # D <mubar, alpha_g>
+    weights = k.coefficients(M)  # q D <mubar, w_a>
+    if any(w < 0 for w in weights):
+        raise AssertionError("dominant mubar pairs negatively with a weight")
+    bounds = [w // (k.q * D) for w in weights]
     elements = []
     for j_mask in range(1 << n):
         J = [i for i in range(n) if j_mask >> i & 1]
-        free = [i for i in range(n) if not (j_mask >> i & 1)]
-        Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
-        Dq = D * q
-        qM = [q * m for m in M]
-        for choice in itertools.product(*(range(bounds[a] + 1) for a in free)):
-            C = [0] * n
-            for a, v in zip(free, choice):
-                C[a] = v * Dq
-            # D (<mubar, alpha_g> - sum over free b of cartan[g][b] c_b)
-            rhs = [M[g] - D * sum(cartan[g][a] * v for a, v in zip(free, choice))
-                   for g in J]
-            for a, row in zip(J, Q):
-                C[a] = sum(x * r for x, r in zip(row, rhs))
-            if any(C[a] < 0 for a in J):
-                continue
-            if any(qM[g] - sum(x * y for x, y in zip(cartan[g], C)) <= 0 for g in free):
-                continue
-            c = [Fraction(x, Dq) for x in C]
-            nu = RationalCocharacter(vsub(mubar.coords, lincomb(c, datum.simple_coroots)),
-                                     datum)
+        free = [i for i in range(n) if not j_mask >> i & 1]
+        for C, Dq in _walk(datum.cartan, J, free, M, D, bounds):
+            # nu = x / L - sum_a C_a coroot_a / (D q)
+            den = L * Dq * k.K
+            nu = RationalCocharacter(tuple(
+                Fraction(t * Dq * k.K - L * s, den) for t, s in zip(x, k.coroot_sum(C))),
+                datum)
             ok, cert = is_in_bgmu(nu, mubar)
             if ok:
                 elements.append(KottwitzElement(nu, *cert))
     return KottwitzSet(mu, mubar, tuple(sorted(elements, key=KottwitzElement.sort_key)))
+
+
+def _walk(cartan, J, free, M, D, bounds):
+    """The candidates with zero set J (see enumerate_bgmu) as pairs (C, D q):
+    the integer vector C = c D q, q the common denominator of the J-block
+    inverse."""
+    Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
+    Dq = D * q
+    free_rows = [[cartan[g][b] for b in J] for g in free]  # cartan[free][J]
+    cJ = [sum(map(mul, row, (M[g] for g in J))) for row in Q]
+    # the constraints at c_free = 0: C_J >= 0, then the free pairings - 1 >= 0
+    start = cJ + [q * M[g] - sum(map(mul, row, cJ)) - 1 for g, row in zip(free, free_rows)]
+    # the step vectors: the change of the constraints when c_a grows by 1
+    steps = []
+    for a in free:
+        column = [-D * cartan[g][a] for g in J]
+        dJ = [sum(map(mul, row, column)) for row in Q]
+        steps.append(dJ + [-cartan[g][a] * Dq - sum(map(mul, row, dJ))
+                           for g, row in zip(free, free_rows)])
+    # slack[i]: the most the coordinates free[i:] can still add to each constraint
+    slack = [[0] * len(start)]
+    for a, step in zip(reversed(free), reversed(steps)):
+        slack.append([s + bounds[a] * max(d, 0) for s, d in zip(slack[-1], step)])
+    slack.reverse()
+    if any(v + s < 0 for v, s in zip(start, slack[0])):
+        return
+    depth = len(free)
+    choice = [0] * depth
+
+    def descend(i, values):
+        if i == depth:
+            C = [0] * (len(J) + depth)
+            for a, y in zip(J, values):
+                C[a] = y
+            for a, y in zip(free, choice):
+                C[a] = y * Dq
+            yield C, Dq
+            return
+        step, rest = steps[i], slack[i + 1]
+        lo, hi = 0, bounds[free[i]]
+        for v, d, r in zip(values, step, rest):
+            top = v + r  # the most this constraint reaches with c_free[i] = 0
+            if d > 0:
+                if top < 0:
+                    lo = max(lo, -(top // d))
+            elif top < 0:
+                return
+            elif d < 0:
+                hi = min(hi, top // -d)
+        values = [v + lo * d for v, d in zip(values, step)]
+        for y in range(lo, hi + 1):
+            choice[i] = y
+            yield from descend(i + 1, values)
+            values = [v + d for v, d in zip(values, step)]
+
+    yield from descend(0, start)
 
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
@@ -213,7 +271,8 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
 
     The coroot-span decomposition is linear, so e <= f (newton_leq) exactly
     when e and f have the same orthogonal part and every coroot coefficient
-    of f is at least that of e: each element is decomposed once.
+    of f is at least that of e: each element is decomposed once, all over
+    one common denominator, so both tests compare integer numerators.
     """
     pool = list(ks.elements)
     if exclude_top:
@@ -221,10 +280,17 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     if not pool:
         raise ValueError("empty element set")
     datum = ks.mubar.datum
-    parts = [(e, *coroot_span_decomposition(datum, e.nu.coords)) for e in pool]
+    k = datum.kernel
+    x, _ = k.scale([t for e in pool for t in e.nu.coords])
+    dim = datum.ambient_dim
+    parts = []
+    for i, e in enumerate(pool):
+        xe = x[i * dim:(i + 1) * dim]
+        C = k.coefficients(k.root_pairings(xe))
+        parts.append((e, C, k.perp(xe, C)))
     out = set()
     for e, ce, pe in parts:
-        if all(f is e or pf != pe or any(x < y for x, y in zip(cf, ce))
+        if all(f is e or pf != pe or any(a < b for a, b in zip(cf, ce))
                for f, cf, pf in parts):
             out.add(e)
     return out

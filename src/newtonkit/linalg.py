@@ -2,11 +2,14 @@
 
 Small dense matrices only (rank <= 8 throughout the library).  Nothing
 here solves a linear system per call: every root datum inverts its Cartan
-matrix once, lazily, as ``RootDatum.cartan_inverse``, and coroot and root
-coefficients, fundamental (co)weights and the dominance order are exact
-matrix-vector products with that inverse.  The Kottwitz enumeration
-inverts each principal Cartan block once and scans its candidates in
-integer numerators (see ``kottwitz.enumerate_bgmu``).
+matrix once, lazily, into its integer kernel (``RootDatum.kernel``, a
+``rootdata.IntegerKernel``), which holds the simple roots and coroots as
+integer rows over common denominators and the inverse as (Q, q) from
+``invert``.  Coroot and root coefficients, fundamental (co)weights, the
+dominance test and the dominance order are integer matrix-vector products
+on the numerators of their inputs, scaled by the lcm of the denominators.
+The Kottwitz enumeration inverts each principal Cartan block once and
+walks its candidates in integer numerators (see ``kottwitz.enumerate_bgmu``).
 """
 
 from __future__ import annotations

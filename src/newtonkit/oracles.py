@@ -17,15 +17,11 @@ from math import lcm
 from typing import Sequence
 
 from .hecke import HeckeValuation
-from .kottwitz import galois_average, is_in_bgmu
+from .kottwitz import galois_average
 from .linalg import det
 from .muordinary import SlopeProfile, max_degree_bound
-from .rationals import rat, vec_parse
-from .rootdata import (
-    RationalCocharacter,
-    is_dominant,
-    reflect_simple,
-)
+from .rationals import dot, rat, vec_parse
+from .rootdata import RationalCocharacter, reflect_simple
 
 WEYL_CAP = 50_000
 
@@ -159,11 +155,14 @@ def grid_enumerate_bgmu(mu: RationalCocharacter,
     """Re-derive the Kottwitz set by scanning every grid point.
 
     All vectors with coordinates in (1/D) Z inside the orbit bounding box
-    are tested against the membership criterion directly.  Rank <= 3 only.
+    are tested against the membership criterion directly, by a test of its
+    own (_grid_member).  Rank <= 3 and trivial sigma only.
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
+    if datum.sigma != tuple(range(1, datum.rank + 1)):
+        raise ValueError("the grid oracle supports trivial sigma only")
     if spec is None:
         spec = default_grid_spec(mu)
     mubar = galois_average(mu)
@@ -179,15 +178,53 @@ def grid_enumerate_bgmu(mu: RationalCocharacter,
         start = -((-lo[j] * d).__floor__())  # ceil(lo * d)
         stop = (hi[j] * d).__floor__()
         axes.append([Fraction(k, d) for k in range(start, stop + 1)])
-    found = set()
-    for coords in itertools.product(*axes):
-        nu = RationalCocharacter(coords, datum)
-        if not is_dominant(nu):
-            continue
-        ok, _ = is_in_bgmu(nu, mubar)
-        if ok:
-            found.add(coords)
-    return found
+    member = _grid_member(datum, mubar.coords)
+    return {coords for coords in itertools.product(*axes) if member(coords)}
+
+
+def _grid_member(datum, mubar: Sequence[Fraction]):
+    """The membership criterion for nu against mubar, in Fractions.
+
+    The Gram matrix <coroot_i, root_j> is inverted once, by its own
+    Gauss-Jordan elimination; per point nu the test is: nu dominant,
+    mubar - nu = sum_i c_i coroot_i exactly with every c_i >= 0, and c_i
+    integral wherever <nu, root_i> != 0.
+    """
+    roots, coroots = datum.simple_roots, datum.simple_coroots
+    n = datum.rank
+    m = [[dot(coroots[i], roots[j]) for i in range(n)] + [Fraction(int(i == j))
+                                                        for i in range(n)]
+         for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    inverse = [row[n:] for row in m]
+    # the nonzero entries of each root: most roots have two
+    supports = [[(t, x) for t, x in enumerate(alpha) if x] for alpha in roots]
+
+    def pair(v, support):
+        return sum(v[t] * x for t, x in support)
+
+    def member(nu) -> bool:
+        if any(pair(nu, support) < 0 for support in supports):
+            return False
+        diff = [a - b for a, b in zip(mubar, nu)]
+        c = [dot(row, [pair(diff, support) for support in supports]) for row in inverse]
+        if any(x < 0 for x in c):
+            return False
+        if any(sum(ci * v[t] for ci, v in zip(c, coroots)) != d
+               for t, d in enumerate(diff)):
+            return False
+        return all(ci.denominator == 1 or pair(nu, support) == 0
+                   for ci, support in zip(c, supports))
+
+    return member
 
 
 @dataclass(frozen=True)

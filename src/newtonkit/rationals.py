@@ -49,13 +49,3 @@ def vscale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
     c = rat(c)
     return tuple(c * x for x in a)
 
-
-def lincomb(coeffs: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
-            ) -> tuple[Fraction, ...]:
-    """The combination sum_k coeffs[k] * basis[k] of equal-length vectors."""
-    out = [Fraction(0)] * len(basis[0])
-    for c, v in zip(coeffs, basis):
-        if c:
-            for t, x in enumerate(v):
-                out[t] += c * x
-    return tuple(out)

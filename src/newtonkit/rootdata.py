@@ -14,19 +14,22 @@ and the exceptional types use the Bourbaki realizations (E6/E7 sit inside
 the 8-dimensional E8 ambient space, F4 in dimension 4, G2 in dimension 3).
 Coroots are 2a/(a,a), which is rational for every type above.
 
-All arithmetic is over fractions.Fraction; nothing here ever touches a
-float.
+All arithmetic is exact: values are fractions.Fraction, and the linear
+algebra runs on their integer numerators (IntegerKernel); nothing here
+ever touches a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .linalg import invert
-from .rationals import dot, lincomb, rat, vec_parse, vsub, vscale
+from .rationals import dot, rat, vec_parse, vsub, vscale
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -71,14 +74,9 @@ class RootDatum:
         return bool(self.factors)
 
     @cached_property
-    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact inverse of the Cartan matrix, computed on first use.
-
-        Every coefficient solve of the datum is a product with it: the
-        Gram matrix of <coroot_i, root_j> is cartan[j][i].
-        """
-        Q, q = invert(self.cartan)
-        return tuple(tuple(Fraction(x, q) for x in row) for row in Q)
+    def kernel(self) -> "IntegerKernel":
+        """The datum's integer linear algebra, built on first use."""
+        return IntegerKernel(self)
 
     def cochar(self, coords) -> "RationalCocharacter":
         return RationalCocharacter(vec_parse(coords), self)
@@ -116,6 +114,62 @@ class RationalCocharacter:
     def _check(self, other: "RationalCocharacter") -> None:
         if other.datum is not self.datum and other.datum != self.datum:
             raise ValueError("cocharacters live over different root data")
+
+
+def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows) with vectors = rows / d, d the lcm of all denominators."""
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
+
+
+class IntegerKernel:
+    """The linear algebra of one root datum, on integer numerators.
+
+    The simple roots are the integer rows ``roots`` over the common
+    denominator R, the simple coroots ``coroots`` over K, and the inverse
+    of the Cartan matrix is Q / q (linalg.invert).  A rational vector enters
+    as (x, L) = scale(coords): x = coords * L with L the lcm of its
+    denominators.  Every product is then an integer mat-vec product, and
+    callers build one Fraction per output coordinate, if any.
+    """
+
+    def __init__(self, datum: "RootDatum"):
+        self.R, self.roots = _integer_rows(datum.simple_roots)
+        self.K, self.coroots = _integer_rows(datum.simple_coroots)
+        Q, self.q = invert(datum.cartan)
+        self.Q = tuple(map(tuple, Q))
+        self.qRK = self.q * self.R * self.K
+        self._root_cols = tuple(zip(*self.roots))
+        self._coroot_cols = tuple(zip(*self.coroots))
+
+    @staticmethod
+    def scale(coords: Sequence[Fraction]) -> tuple[list[int], int]:
+        L = math.lcm(*(x.denominator for x in coords))
+        return [x.numerator * (L // x.denominator) for x in coords], L
+
+    def root_pairings(self, x: Sequence[int]) -> list[int]:
+        """R <x, root_j> for every simple root."""
+        return [sum(map(mul, row, x)) for row in self.roots]
+
+    def coefficients(self, pairings: Sequence[int]) -> list[int]:
+        """Q pairings: q times the coroot coefficients c solving
+        cartan . c = pairings (the Gram matrix of <coroot_i, root_j> is
+        cartan[j][i])."""
+        return [sum(map(mul, row, pairings)) for row in self.Q]
+
+    def root_sum(self, c: Sequence[int]) -> list[int]:
+        """R sum_k c_k root_k."""
+        return [sum(map(mul, col, c)) for col in self._root_cols]
+
+    def coroot_sum(self, c: Sequence[int]) -> list[int]:
+        """K sum_k c_k coroot_k."""
+        return [sum(map(mul, col, c)) for col in self._coroot_cols]
+
+    def perp(self, x: Sequence[int], C: Sequence[int]) -> list[int]:
+        """Numerators over q R K L of x / L - sum_k C_k coroot_k / (q R L):
+        with C = coefficients(root_pairings(x)) the part of x / L that pairs
+        to zero with every root."""
+        return [t * self.qRK - s for t, s in zip(x, self.coroot_sum(C))]
 
 
 def _chain_roots(n: int) -> list[tuple[Fraction, ...]]:
@@ -268,7 +322,8 @@ def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
 
     For type A (ambient dimension rank+1) the representatives are the
     partial sums e_1 + ... + e_i; in all other indecomposable types the
-    root span determines the weights uniquely.
+    root span determines the weights uniquely:
+    w_i = sum_k inv[i][k] root_k pairs with coroot_j to (inv . cartan)[i][j].
     """
     if datum.type_label == "A":
         out = []
@@ -278,15 +333,9 @@ def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
                 v[j] = Fraction(1)
             out.append(tuple(v))
         return out
-    return fundamental_weights_semisimple(datum)
-
-
-def fundamental_weights_semisimple(datum: RootDatum) -> list[tuple[Fraction, ...]]:
-    """Root-span representatives of the fundamental weights (traceless in type A).
-
-    w_i = sum_k inv[i][k] root_k pairs with coroot_j to (inv . cartan)[i][j].
-    """
-    return [lincomb(row, datum.simple_roots) for row in datum.cartan_inverse]
+    k = datum.kernel
+    den = k.q * k.R
+    return [tuple(Fraction(x, den) for x in k.root_sum(row)) for row in k.Q]
 
 
 def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
@@ -294,7 +343,9 @@ def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
 
     w_i = sum_k inv[k][i] coroot_k pairs with root_j to (cartan . inv)[j][i].
     """
-    return [lincomb(col, datum.simple_coroots) for col in zip(*datum.cartan_inverse)]
+    k = datum.kernel
+    den = k.q * k.K
+    return [tuple(Fraction(x, den) for x in k.coroot_sum(col)) for col in zip(*k.Q)]
 
 
 def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
@@ -320,11 +371,14 @@ def root_coefficients(datum: RootDatum, root: Sequence[Fraction]) -> tuple[Fract
     Pairing with coroot_j gives sum_k c_k cartan[k][j], so c is the
     transposed inverse applied to the coroot pairings.
     """
-    pairings = [dot(root, av) for av in datum.simple_coroots]
-    coeffs = tuple(dot(col, pairings) for col in zip(*datum.cartan_inverse))
-    if lincomb(coeffs, datum.simple_roots) != tuple(root):
+    k = datum.kernel
+    x, L = k.scale(root)
+    pairings = [sum(map(mul, row, x)) for row in k.coroots]
+    C = [sum(map(mul, col, pairings)) for col in zip(*k.Q)]
+    if k.root_sum(C) != [t * k.qRK for t in x]:
         raise ValueError("vector is not in the root span")
-    return coeffs
+    den = k.q * k.K * L
+    return tuple(Fraction(c, den) for c in C)
 
 
 def highest_root(datum: RootDatum) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -361,7 +415,8 @@ def special_roots(datum: RootDatum) -> frozenset[int]:
 
 
 def is_dominant(v: RationalCocharacter) -> bool:
-    return all(dot(v.coords, alpha) >= 0 for alpha in v.datum.simple_roots)
+    k = v.datum.kernel
+    return all(p >= 0 for p in k.root_pairings(k.scale(v.coords)[0]))
 
 
 def reflect_simple(v: RationalCocharacter, i: int) -> RationalCocharacter:
@@ -391,23 +446,31 @@ def coroot_span_decomposition(
     """Split a cocharacter vector as (coroot-span coefficients, orthogonal part).
 
     The orthogonal part pairs to zero with every root.  The coefficients
-    solve cartan . c = (<coords, root_j>)_j, so they are the cached inverse
-    applied to the root pairings; both parts are linear in coords.
+    solve cartan . c = (<coords, root_j>)_j, so they are the inverse applied
+    to the root pairings; both parts are linear in coords, and computed on
+    integer numerators by the datum's kernel.
     """
-    pairings = [dot(coords, alpha) for alpha in datum.simple_roots]
-    coeffs = tuple(dot(row, pairings) for row in datum.cartan_inverse)
-    span_part = lincomb(coeffs, datum.simple_coroots)
-    perp = tuple(a - b for a, b in zip(coords, span_part))
-    return coeffs, perp
+    k = datum.kernel
+    x, L = k.scale(coords)
+    C = k.coefficients(k.root_pairings(x))
+    den = k.q * k.R * L
+    return (tuple(Fraction(c, den) for c in C),
+            tuple(Fraction(t, den * k.K) for t in k.perp(x, C)))
 
 
 def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
     """Apply the diagram automorphism: permute coroot coefficients, fix the rest."""
     datum = v.datum
-    coeffs, perp = coroot_span_decomposition(datum, v.coords)
-    targets = [datum.simple_coroots[s - 1] for s in datum.sigma]
-    moved = lincomb(coeffs, targets)
-    return RationalCocharacter(tuple(a + b for a, b in zip(perp, moved)), datum)
+    k = datum.kernel
+    x, L = k.scale(v.coords)
+    C = k.coefficients(k.root_pairings(x))
+    moved = [0] * datum.rank
+    for c, s in zip(C, datum.sigma):
+        moved[s - 1] = c
+    # v - sum_i c_i coroot_i + sum_i c_i coroot_sigma(i)
+    den = k.qRK * L
+    return RationalCocharacter(tuple(
+        Fraction(t, den) for t in k.perp(x, [a - b for a, b in zip(C, moved)])), datum)
 
 
 def datum_to_json(datum: RootDatum) -> dict:

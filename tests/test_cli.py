@@ -1,4 +1,5 @@
 import json
+import time
 
 from newtonkit.cli import run
 
@@ -128,6 +129,24 @@ def test_hasse_huge_p_is_a_domain_error(capsys):
     assert code == 2
     status, payload = _payload(out)
     assert status == "error" and "p must be below" in payload["error"]
+
+
+def test_hasse_huge_w_is_a_domain_error(capsys):
+    # 3^10000 - 1 has 4772 digits, over the 4300-digit limit; w = 10^9 is
+    # rejected before the power is taken
+    for w in ("10000", "1000000000"):
+        start = time.monotonic()
+        code, out = _capture(capsys, ["hasse", "--w", w, "--p", "3"])
+        assert code == 2 and time.monotonic() - start < 5
+        status, payload = _payload(out)
+        assert status == "error" and "4300 digits" in payload["error"]
+
+
+def test_bgmu_e8_returns(capsys):
+    code, out = _capture(capsys, ["bgmu", "--type", "E8", "--rank", "8", "--node", "8"])
+    assert code == 0
+    _, payload = _payload(out)
+    assert len(payload["elements"]) == 37
 
 
 def test_datum_output_labels_and_tables(capsys):

@@ -172,6 +172,14 @@ def test_hasse_number_values():
         hasse_number(2, 2)
 
 
+def test_hasse_number_digit_limit():
+    # 3^9012 - 1 has 4300 digits, 3^9013 - 1 has 4301
+    assert len(str(hasse_number(9012, 3))) == 4300
+    for w, p in [(9013, 3), (10 ** 9, 3), (900, 10 ** 18 + 3)]:
+        with pytest.raises(ValueError, match="4300 digits"):
+            hasse_number(w, p)
+
+
 def _accepts_p(p):
     try:
         hasse_number(1, p)

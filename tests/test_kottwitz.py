@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from newtonkit.kottwitz import (
     minuscule_coweights,
     newton_leq,
 )
+from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     build_datum,
     fundamental_coweights,
@@ -369,3 +371,81 @@ def test_maximal_elements_separates_orthogonal_parts():
     assert not newton_leq(*points) and not newton_leq(*reversed(points))
     assert maximal_elements(ks) == set(elements)
 
+
+def _exhaustive_scan(mu):
+    """Reference: the exhaustive candidate scan enumerate_bgmu used before its
+    depth-first walk, as sorted (nu, c, J) tuples.  For every J it tries every
+    c_free in the box of the bounds <mubar, w_a>, forces c_J, and keeps the
+    candidates with c_J >= 0 and every free pairing > 0; its certificate is
+    the scan's own c and J."""
+    datum = mu.datum
+    mubar = galois_average(mu)
+    n = datum.rank
+    cartan = datum.cartan
+    pairings = [sum(x * y for x, y in zip(mubar.coords, alpha)) for alpha in datum.simple_roots]
+    Q, q = invert(cartan)
+    bounds = [math.floor(sum(F(x, q) * p for x, p in zip(row, pairings))) for row in Q]
+    D = math.lcm(*(x.denominator for x in pairings))
+    M = [int(x * D) for x in pairings]
+    out = []
+    for j_mask in range(1 << n):
+        J = [i for i in range(n) if j_mask >> i & 1]
+        free = [i for i in range(n) if not (j_mask >> i & 1)]
+        QJ, qJ = invert([[cartan[g][a] for a in J] for g in J])
+        Dq = D * qJ
+        qM = [qJ * m for m in M]
+        for choice in itertools.product(*(range(bounds[a] + 1) for a in free)):
+            C = [0] * n
+            for a, v in zip(free, choice):
+                C[a] = v * Dq
+            rhs = [M[g] - D * sum(cartan[g][a] * v for a, v in zip(free, choice))
+                   for g in J]
+            for a, row in zip(J, QJ):
+                C[a] = sum(x * r for x, r in zip(row, rhs))
+            if any(C[a] < 0 for a in J):
+                continue
+            if any(qM[g] - sum(x * y for x, y in zip(cartan[g], C)) <= 0 for g in free):
+                continue
+            c = tuple(F(x, Dq) for x in C)
+            nu = list(mubar.coords)
+            for ci, av in zip(c, datum.simple_coroots):
+                for t, x in enumerate(av):
+                    nu[t] -= ci * x
+            out.append((tuple(nu), c, frozenset(a + 1 for a in J)))
+    return sorted(out, key=lambda element: element[0])
+
+
+DIFFERENTIAL_CASES = (
+    [(t, n, k) for t, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(lo, 7) for k in range(1, n + 1)]
+    + [("E6", 6, k) for k in range(1, 7)]
+    + [("F4", 4, k) for k in range(1, 5)]
+    + [("G2", 2, k) for k in (1, 2)]
+    + [("A", 7, k) for k in range(1, 8)]
+    + [("E7", 7, 7)]
+)
+
+
+@pytest.mark.parametrize("t,n", sorted({(t, n) for t, n, _ in DIFFERENTIAL_CASES}))
+def test_walk_matches_the_exhaustive_scan(t, n):
+    # every node of every type up to rank 6 and every case of acceptance
+    # criterion 1 (A7 nodes 4 and 5, E7 node 7 among them): same elements,
+    # certificates and order
+    datum = build_datum(t, n)
+    for k in [k for t_, n_, k in DIFFERENTIAL_CASES if (t_, n_) == (t, n)]:
+        mu = _coweight(datum, k)
+        got = [(e.nu.coords, e.c, e.J) for e in enumerate_bgmu(mu).elements]
+        assert got == _exhaustive_scan(mu), (t, n, k)
+
+
+E8_COUNTS = {1: 84, 2: 187, 3: 360, 4: 980, 5: 585, 6: 310, 7: 133, 8: 37}
+
+
+def test_every_e8_node_enumerates():
+    e8 = build_datum("E8", 8)
+    for k, count in E8_COUNTS.items():
+        ks = enumerate_bgmu(_coweight(e8, k))
+        assert len(ks.elements) == count, k
+        top = {e for e in ks.elements if e.nu.coords == ks.mubar.coords}
+        assert maximal_elements(ks) == top
+        assert len(maximal_elements(ks, exclude_top=True)) == 1, k
