@@ -163,6 +163,8 @@ def _cmd_uniqueness(args):
 
 def _cmd_mepsilon(args):
     full = _vec(args.full)
+    if len(full) > 2 * _max_rank():
+        raise ValueError(f"--full is longer than 2 * NEWTONKIT_MAX_RANK = {2 * _max_rank()}")
     n = len(full) // 2
     if args.shape == "siegel":
         roots = hecke.siegel_radical_roots(n, lower=not args.upper)
@@ -185,12 +187,11 @@ def _cmd_hasse(args):
     return {"hasse_number": hecke.hasse_number(args.w, args.p)}
 
 
-def _verify_maximal_theorem(report):
+def _verify_maximal_theorem():
     cases = [("A", n, k) for n in range(1, 5) for k in range(1, n + 1)]
     cases += [("B", n, 1) for n in (2, 3, 4)]
     cases += [("C", n, n) for n in (2, 3, 4)]
     cases += [("D", n, k) for n in (3, 4) for k in (1, n - 1, n)]
-    ok_all = True
     for t, n, k in cases:
         datum = rootdata.build_datum(t, n)
         mu = _node_coweight(datum, k)
@@ -201,14 +202,10 @@ def _verify_maximal_theorem(report):
             m - half * c
             for m, c in zip(ks.mubar.coords, datum.simple_coroots[k - 1])
         )
-        ok = {e.nu.coords for e in mx} == {expected}
-        ok_all &= ok
-        report.append((f"maximal-element {t}{n} node {k}", ok))
-    return ok_all
+        yield f"maximal-element {t}{n} node {k}", {e.nu.coords for e in mx} == {expected}
 
 
-def _verify_grid(report):
-    ok_all = True
+def _verify_grid():
     for t, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                  ("C", 2), ("C", 3), ("D", 3)]:
         datum = rootdata.build_datum(t, n)
@@ -216,17 +213,13 @@ def _verify_grid(report):
             mu = _node_coweight(datum, k)
             main = {e.nu.coords for e in kottwitz.enumerate_bgmu(mu).elements}
             grid = oracles.grid_enumerate_bgmu(mu)
-            ok = main == grid
-            ok_all &= ok
-            report.append((f"grid-enumeration {t}{n} node {k}", ok))
-    return ok_all
+            yield f"grid-enumeration {t}{n} node {k}", main == grid
 
 
-def _verify_order(report):
+def _verify_order():
     import random
 
     rng = random.Random(1789)
-    ok_all = True
     for t, n in [("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A", 3), ("C", 3)]:
         datum = rootdata.build_datum(t, n)
         agree = True
@@ -241,13 +234,10 @@ def _verify_order(report):
                     rootdata.RationalCocharacter(coords, datum)))
             x, y = pts
             agree &= kottwitz.newton_leq(x, y) == oracles.convex_hull_membership(x, y)
-        ok_all &= agree
-        report.append((f"order-vs-hull {t}{n} x60", agree))
-    return ok_all
+        yield f"order-vs-hull {t}{n} x60", agree
 
 
-def _verify_hecke(report):
-    ok_all = True
+def _verify_hecke():
     shapes = [
         ("gl2", oracles.upper_unipotent_shape(2), hecke.gl_upper_roots(2),
          [(0, 0), (1, 0), (2, 1)]),
@@ -260,16 +250,13 @@ def _verify_hecke(report):
             k = max(vals) + 1
             count = oracles.coset_count_bruteforce(list(vals), shape, p, k)
             val = hecke.m_epsilon_valuation(list(vals), roots)
-            ok = val.denominator == 1 and count == p ** int(val)
-            ok_all &= ok
-            report.append((f"coset-count {name} {vals} p=3", ok))
-    return ok_all
+            yield (f"coset-count {name} {vals} p=3",
+                   val.denominator == 1 and count == p ** int(val))
 
 
-def _verify_polygons(report):
+def _verify_polygons():
     from .muordinary import SlopeProfile, degrees, next_to_max_profile, modified_degrees
 
-    ok_all = True
     for n in (1, 2, 3):
         profile = SlopeProfile((Fraction(1), Fraction(0)), (n, n), polarized=True)
         for dh in range(1, n + 1):
@@ -282,41 +269,31 @@ def _verify_polygons(report):
             )
             mod = modified_degrees(split)
             fold = degrees(split).d
-            ok = below and strict and mod == fold
-            ok_all &= ok
-            report.append((f"polygon-split n={n} dh={dh}", ok))
-    return ok_all
+            yield f"polygon-split n={n} dh={dh}", below and strict and mod == fold
 
 
-def _verify_hasse(report):
-    ok_all = True
+def _verify_hasse():
     for p in (3, 5, 7, 11, 13):
         w = 1
         while p ** w <= 243:
-            ok = (hecke.hasse_number(w, p)
-                  == oracles.multiplicative_group_exponent(p, w))
-            ok_all &= ok
-            report.append((f"hasse-number p={p} w={w}", ok))
+            yield (f"hasse-number p={p} w={w}",
+                   hecke.hasse_number(w, p) == oracles.multiplicative_group_exponent(p, w))
             w += 1
-    return ok_all
+
+
+_VERIFY_CHECKS = (_verify_maximal_theorem, _verify_grid, _verify_order, _verify_hecke,
+                  _verify_polygons, _verify_hasse)
 
 
 def _cmd_verify_all(args):
-    report: list[tuple[str, bool]] = []
-    ok = True
-    ok &= _verify_maximal_theorem(report)
-    ok &= _verify_grid(report)
-    ok &= _verify_order(report)
-    ok &= _verify_hecke(report)
-    ok &= _verify_polygons(report)
-    ok &= _verify_hasse(report)
-    payload = {
+    report = [check for verify in _VERIFY_CHECKS for check in verify()]
+    failures = sum(1 for _, passed in report if not passed)
+    return {
         "checks": [{"name": name, "pass": passed} for name, passed in report],
         "total": len(report),
-        "failures": sum(1 for _, passed in report if not passed),
-        "all_pass": ok,
+        "failures": failures,
+        "all_pass": failures == 0,
     }
-    return payload
 
 
 _COMMANDS = {

@@ -154,9 +154,12 @@ def epsilon_prime_valuations(h_i: int, deg_i: Fraction,
 
 
 def _perturbed_filtration(profile_data: Sequence[tuple[int, Fraction]],
-                          dim_v: int, p: int) -> list[HeckeValuation]:
+                          dim_v: int | None, p: int) -> list[HeckeValuation]:
+    """dim V defaults to twice the largest height present."""
     if not profile_data:
         raise ValueError("no filtration steps: profile has a single slope")
+    if dim_v is None:
+        dim_v = 2 * max(h for h, _ in profile_data)
     out = []
     for h_i, d_i in profile_data:
         base = filtration_element(h_i, dim_v, p)
@@ -172,10 +175,6 @@ def n_g_constant(profile_data: Sequence[tuple[int, Fraction]], p: int,
     polarized ordinary profile; dim V defaults to twice the largest height
     present only when not given explicitly.
     """
-    if not profile_data:
-        raise ValueError("no filtration steps: profile has a single slope")
-    if dim_v is None:
-        dim_v = 2 * max(h for h, _ in profile_data)
     vals = [lambda_g_valuation(e) for e in _perturbed_filtration(profile_data, dim_v, p)]
     return min(vals)
 
@@ -184,10 +183,6 @@ def c_constant(profile_data: Sequence[tuple[int, Fraction]],
                parabolic_roots: Sequence[Sequence], p: int,
                dim_v: int | None = None) -> Fraction:
     """Largest unipotent-index valuation of the perturbed filtration elements."""
-    if not profile_data:
-        raise ValueError("no filtration steps: profile has a single slope")
-    if dim_v is None:
-        dim_v = 2 * max(h for h, _ in profile_data)
     vals = [
         m_epsilon_valuation(e, parabolic_roots)
         for e in _perturbed_filtration(profile_data, dim_v, p)

@@ -56,30 +56,27 @@ class KottwitzSet:
 
 
 def galois_average(mu: RationalCocharacter) -> RationalCocharacter:
-    """Average of mu over the orbit of the diagram automorphism."""
-    r = mu.datum.sigma_order
-    total = mu
-    current = mu
-    for _ in range(r - 1):
-        current = sigma_apply(current)
-        total = total + current
-    return total.scale(Fraction(1, r))
+    """Average of mu over the orbit of the diagram automorphism.
 
-
-def _sigma_orbits(datum: RootDatum) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    orbits = []
-    for i in range(1, datum.rank + 1):
-        if i in seen:
-            continue
-        orbit = [i]
-        j = datum.sigma[i - 1]
-        while j != i:
-            orbit.append(j)
-            j = datum.sigma[j - 1]
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    sigma fixes the part of mu orthogonal to the roots and permutes its
+    coroot coefficients, so the average replaces each coefficient by its
+    mean over its sigma-orbit: one decomposition on integer numerators.
+    """
+    datum = mu.datum
+    r = datum.sigma_order
+    if r == 1:
+        return mu
+    k = datum.kernel
+    x, L = k.scale(mu.coords)
+    C = k.coefficients(k.root_pairings(x))
+    D = [r * c for c in C]  # r times the change of each coefficient
+    for orbit in datum.sigma_orbits:
+        mean = r // len(orbit) * sum(C[i - 1] for i in orbit)
+        for i in orbit:
+            D[i - 1] -= mean
+    den = k.qRK * L * r
+    return RationalCocharacter(
+        tuple(Fraction(t, den) for t in k.perp([r * t for t in x], D)), datum)
 
 
 def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
@@ -96,8 +93,7 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     datum = nu.datum
     if mubar.datum != datum:
         raise ValueError("nu and mubar live over different root data")
-    nontrivial_sigma = datum.sigma != tuple(range(1, datum.rank + 1))
-    if nontrivial_sigma:
+    if datum.sigma_order > 1:
         if sigma_apply(mubar).coords != mubar.coords:
             raise ValueError("mubar is not sigma-invariant")
         if sigma_apply(nu).coords != nu.coords:
@@ -116,7 +112,7 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
         return False, "mubar - nu has a negative coroot coefficient"
     zero_pairing = frozenset(i for i, p in enumerate(p_nu, start=1) if p == 0)
     den = k.q * k.R * L  # c = C / den
-    for orbit in _sigma_orbits(datum):
+    for orbit in datum.sigma_orbits:
         if all(i in zero_pairing for i in orbit):
             continue
         if sum(C[i - 1] for i in orbit) % den:
@@ -164,7 +160,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     and is recorded with that certificate.
     """
     datum = mu.datum
-    if datum.sigma != tuple(range(1, datum.rank + 1)):
+    if datum.sigma_order > 1:
         raise ValueError("enumeration is only supported for trivial sigma; "
                          "the folded case is experimental")
     if not is_dominant(mu):

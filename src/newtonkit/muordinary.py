@@ -149,24 +149,36 @@ def check_uniqueness(dd: DegreeData, i: int):
     For every integer h with 0 <= h < h_i and 2 h_i - h <= total height
     (the heights of an intersection and a sum of two such subgroups), the
     subadditivity of degrees forces
-        2 (d_i - delta) >= bound(h) + bound(2 h_i - h).
+        2 (d_i - delta) >= f(h) = bound(h) + bound(2 h_i - h).
     Returns (True, None) when every h passes, else (False, smallest bad h).
     Vacuously true when delta is absent (single slope).
+    f is concave and f(h_i) = 2 d_i exceeds the threshold as delta > 0, so the
+    failing heights form an interval ending at h_i - 1, found by bisection.
     """
     profile = dd.profile
     if not 1 <= i <= profile.r:
         raise ValueError(f"index {i} out of range 1..{profile.r}")
     if dd.delta is None:
         return True, None
+    if dd.delta <= 0:
+        raise ValueError(f"delta must be positive, got {dd.delta}")
     h_i = profile.heights[i - 1]
-    total = profile.total_height
     threshold = 2 * (dd.d[i - 1] - dd.delta)
-    for h in range(0, h_i):
-        if 2 * h_i - h > total:
-            continue
-        if threshold < max_degree_bound(profile, h) + max_degree_bound(profile, 2 * h_i - h):
-            return False, h
-    return True, None
+
+    def fails(h):
+        f = max_degree_bound(profile, h) + max_degree_bound(profile, 2 * h_i - h)
+        return threshold < f
+
+    lo, hi = max(0, 2 * h_i - profile.total_height), h_i - 1
+    if hi < lo or not fails(hi):
+        return True, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return False, lo
 
 
 def next_to_max_profile(profile: SlopeProfile, i: int, split: int) -> SlopeProfile:

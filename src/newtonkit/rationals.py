@@ -7,17 +7,24 @@ identical bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
+# An optional sign, digits, optionally "/digits".  Fraction() alone would also
+# take exponents, and "1e200000000" builds a 200-million-digit integer.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "3/4" and Fractions to Fraction."""
+    """Coerce ints, strings like "3/4" or "-2" and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"not an exact rational string: {x!r}")
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

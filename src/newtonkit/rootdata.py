@@ -29,7 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import invert
-from .rationals import dot, rat, vec_parse, vsub, vscale
+from .rationals import dot, vec_parse, vsub, vscale
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -59,15 +59,21 @@ class RootDatum:
     sigma: tuple[int, ...]  # 1-based image list; sigma[i-1] is the image of node i
     factors: tuple["RootDatum", ...] = ()
 
+    @cached_property
+    def sigma_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of sigma on the nodes 1..rank, each from its least node."""
+        orbits = []
+        for i in range(1, self.rank + 1):
+            if not any(i in orbit for orbit in orbits):
+                orbit = [i]
+                while (j := self.sigma[orbit[-1] - 1]) != i:
+                    orbit.append(j)
+                orbits.append(tuple(orbit))
+        return tuple(orbits)
+
     @property
     def sigma_order(self) -> int:
-        r = 1
-        perm = tuple(range(1, self.rank + 1))
-        current = self.sigma
-        while current != perm:
-            current = tuple(self.sigma[i - 1] for i in current)
-            r += 1
-        return r
+        return math.lcm(*map(len, self.sigma_orbits))
 
     @property
     def is_product(self) -> bool:
@@ -95,25 +101,6 @@ class RationalCocharacter:
                 f"coordinate length {len(self.coords)} != ambient dimension "
                 f"{self.datum.ambient_dim}"
             )
-
-    def __add__(self, other: "RationalCocharacter") -> "RationalCocharacter":
-        self._check(other)
-        return RationalCocharacter(
-            tuple(a + b for a, b in zip(self.coords, other.coords)), self.datum
-        )
-
-    def __sub__(self, other: "RationalCocharacter") -> "RationalCocharacter":
-        self._check(other)
-        return RationalCocharacter(
-            tuple(a - b for a, b in zip(self.coords, other.coords)), self.datum
-        )
-
-    def scale(self, c) -> "RationalCocharacter":
-        return RationalCocharacter(vscale(rat(c), self.coords), self.datum)
-
-    def _check(self, other: "RationalCocharacter") -> None:
-        if other.datum is not self.datum and other.datum != self.datum:
-            raise ValueError("cocharacters live over different root data")
 
 
 def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -192,11 +179,7 @@ def _simple_roots_for(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
     if type_label == "A":
         return _chain_roots(n)
     if type_label in ("B", "C", "D"):
-        roots = []
-        for i in range(n - 1):
-            v = [Fraction(0)] * n
-            v[i], v[i + 1] = Fraction(1), Fraction(-1)
-            roots.append(tuple(v))
+        roots = _chain_roots(n - 1)
         if type_label == "B":
             roots.append(_unit(n, n - 1))
         elif type_label == "C":
@@ -348,62 +331,49 @@ def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
     return [tuple(Fraction(x, den) for x in k.coroot_sum(col)) for col in zip(*k.Q)]
 
 
-def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
-    """The full root system, generated by closing simple reflections."""
-    roots = set(datum.simple_roots)
+def _root_vectors(datum: RootDatum) -> set[tuple[int, ...]]:
+    """The roots as integer coefficient vectors b over the simple roots,
+    closed under s_j(b) = b - (sum_k b_k cartan[k][j]) e_j."""
+    n = datum.rank
+    columns = tuple(zip(*datum.cartan))
+    roots = {tuple(int(i == j) for i in range(n)) for j in range(n)}
     frontier = list(roots)
     while frontier:
-        beta = frontier.pop()
-        for alpha, alpha_v in zip(datum.simple_roots, datum.simple_coroots):
-            c = dot(beta, alpha_v)
-            if c == 0:
-                continue
-            image = vsub(beta, vscale(c, alpha))
-            if image not in roots:
-                roots.add(image)
-                frontier.append(image)
+        b = frontier.pop()
+        for j, column in enumerate(columns):
+            c = sum(map(mul, b, column))
+            if c:
+                image = b[:j] + (b[j] - c,) + b[j + 1:]
+                if image not in roots:
+                    roots.add(image)
+                    frontier.append(image)
     return roots
 
 
-def root_coefficients(datum: RootDatum, root: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients c with root = sum_k c_k root_k.
-
-    Pairing with coroot_j gives sum_k c_k cartan[k][j], so c is the
-    transposed inverse applied to the coroot pairings.
-    """
+def _ambient_root(datum: RootDatum, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """sum_k b_k root_k as an ambient vector."""
     k = datum.kernel
-    x, L = k.scale(root)
-    pairings = [sum(map(mul, row, x)) for row in k.coroots]
-    C = [sum(map(mul, col, pairings)) for col in zip(*k.Q)]
-    if k.root_sum(C) != [t * k.qRK for t in x]:
-        raise ValueError("vector is not in the root span")
-    den = k.q * k.K * L
-    return tuple(Fraction(c, den) for c in C)
+    return tuple(Fraction(t, k.R) for t in k.root_sum(b))
 
 
-def highest_root(datum: RootDatum) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
+    """The full root system, generated by closing simple reflections."""
+    return {_ambient_root(datum, b) for b in _root_vectors(datum)}
+
+
+def highest_root(datum: RootDatum) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The highest root and its coefficient vector over the simple roots.
 
     Verified maximal: adding any simple root must leave the root system.
     """
     if datum.is_product:
         raise ValueError("highest root of a product datum: use per-factor calls")
-    roots = all_roots(datum)
-    best = None
-    best_coeffs = None
-    best_height = None
-    for r in roots:
-        coeffs = root_coefficients(datum, r)
-        if any(c < 0 for c in coeffs):
-            continue
-        h = sum(coeffs)
-        if best_height is None or h > best_height:
-            best, best_coeffs, best_height = r, coeffs, h
-    assert best is not None
-    for alpha in datum.simple_roots:
-        if tuple(a + b for a, b in zip(best, alpha)) in roots:
+    roots = _root_vectors(datum)
+    best = max((b for b in roots if min(b) >= 0), key=sum)
+    for j in range(datum.rank):
+        if best[:j] + (best[j] + 1,) + best[j + 1:] in roots:
             raise AssertionError("highest-root candidate is not maximal")
-    return best, best_coeffs
+    return _ambient_root(datum, best), best
 
 
 def special_roots(datum: RootDatum) -> frozenset[int]:

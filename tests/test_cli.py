@@ -166,3 +166,26 @@ def test_output_bytes_deterministic(capsys):
     _, out1 = _capture(capsys, ["bgmu", "--type", "C", "--rank", "2", "--node", "2"])
     _, out2 = _capture(capsys, ["bgmu", "--type", "C", "--rank", "2", "--node", "2"])
     assert out1 == out2
+
+
+def test_inputs_that_would_run_for_minutes_return_promptly(capsys):
+    cases = [
+        # an exponent string would build a 200-million-digit integer
+        (["leq", "--type", "A", "--rank", "1", "--x", '["1e200000000","0"]',
+          "--y", '["1","0"]'], 2),
+        # 400 entries: over twice NEWTONKIT_MAX_RANK, the radical has 20100 roots
+        (["mepsilon", "--full", json.dumps(["0"] * 400)], 2),
+        # every height below h_2 = 10^12 + 2 used to be tested
+        (["uniqueness", "--profile",
+          '{"slopes":["1","1/2","0"],"mults":[1000000000000,2,1000000000000]}',
+          "--i", "2"], 0),
+    ]
+    for argv, expected in cases:
+        start = time.monotonic()
+        code, out = _capture(capsys, argv)
+        assert code == expected and time.monotonic() - start < 5, argv
+        status, payload = _payload(out)
+        assert status == ("ok" if expected == 0 else "error")
+    assert payload == {"schema": "newtonkit/1", "unique": True, "violating_height": None}
+    code, out = _capture(capsys, ["mepsilon", "--full", json.dumps(["0"] * 16)])
+    assert code == 0 and _payload(out)[1]["valuation"] == "0/1"

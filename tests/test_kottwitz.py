@@ -449,3 +449,30 @@ def test_every_e8_node_enumerates():
         top = {e for e in ks.elements if e.nu.coords == ks.mubar.coords}
         assert maximal_elements(ks) == top
         assert len(maximal_elements(ks, exclude_top=True)) == 1, k
+
+
+def _average_by_sigma_powers(mu):
+    """mu averaged over sigma^0 .. sigma^(r-1), with sigma_apply repeated."""
+    r = mu.datum.sigma_order
+    total, current = list(mu.coords), mu
+    for _ in range(r - 1):
+        current = sigma_apply(current)
+        total = [a + b for a, b in zip(total, current.coords)]
+    return tuple(t / r for t in total)
+
+
+@pytest.mark.parametrize("t,n", [("A", n) for n in range(2, 9)]
+                         + [("D", n) for n in range(4, 9)] + [("E6", 6)])
+def test_galois_average_matches_repeated_sigma_apply(t, n):
+    for spec in ("flip", None):
+        d = build_datum(t, n, spec)
+        for node in range(1, n + 1):
+            mu = _coweight(d, node)
+            assert galois_average(mu).coords == _average_by_sigma_powers(mu), (spec, node)
+    # a point off the coweight lattice, and triality on D4
+    d = build_datum(t, n, "flip")
+    mu = d.cochar([F(k * k - 3, k + 2) for k in range(d.ambient_dim)])
+    assert galois_average(mu).coords == _average_by_sigma_powers(mu)
+    d4 = build_datum("D", 4, (3, 2, 4, 1))
+    mu = _coweight(d4, 1)
+    assert galois_average(mu).coords == _average_by_sigma_powers(mu) == (F(2, 3), F(1, 3), F(1, 3), 0)

@@ -240,3 +240,43 @@ def test_profile_json_roundtrip():
     assert doc == {"slopes": ["1/1", "1/2", "0/1"], "mults": [1, 2, 1],
                    "polarized": True}
     assert profile_from_json(doc) == p
+
+
+def _uniqueness_by_scan(dd, i):
+    """check_uniqueness by testing every height below h_i."""
+    profile = dd.profile
+    h_i = profile.heights[i - 1]
+    threshold = 2 * (dd.d[i - 1] - dd.delta)
+    for h in range(0, h_i):
+        if 2 * h_i - h > profile.total_height:
+            continue
+        if threshold < max_degree_bound(profile, h) + max_degree_bound(profile, 2 * h_i - h):
+            return False, h
+    return True, None
+
+
+def test_check_uniqueness_bisection_matches_the_scan():
+    import random
+
+    from newtonkit.muordinary import DegreeData
+
+    rng = random.Random(4099)
+    violating = 0
+    for _ in range(400):
+        slopes = sorted({F(rng.randint(0, 12), 12) for _ in range(rng.randint(2, 5))},
+                        reverse=True)
+        if len(slopes) < 2:
+            continue
+        profile = SlopeProfile(tuple(slopes), tuple(rng.randint(1, 7) for _ in slopes))
+        dd = degrees(profile)
+        for delta in (dd.delta, F(1, 12), F(1, 2), F(5, 3), F(40, 12)):
+            hand = DegreeData(profile, dd.d, delta)
+            for i in range(1, profile.r + 1):
+                expected = _uniqueness_by_scan(hand, i)
+                assert check_uniqueness(hand, i) == expected, (profile, delta, i)
+                violating += not expected[0]
+    assert violating > 100
+    with pytest.raises(ValueError):
+        check_uniqueness(DegreeData(profile, dd.d, F(0)), 1)
+    with pytest.raises(ValueError):
+        check_uniqueness(DegreeData(profile, dd.d, F(-1, 4)), 1)

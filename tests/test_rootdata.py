@@ -320,3 +320,69 @@ def test_invert_every_principal_cartan_block():
     with pytest.raises(ValueError):
         invert([[1, 2], [2, 4]])
 
+
+
+def _closure_in_ambient_space(datum):
+    """The root system closed under simple reflections in ambient Fraction vectors."""
+    roots = set(datum.simple_roots)
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for alpha, alpha_v in zip(datum.simple_roots, datum.simple_coroots):
+            c = sum(x * y for x, y in zip(beta, alpha_v))
+            if c:
+                image = tuple(b - c * a for b, a in zip(beta, alpha))
+                if image not in roots:
+                    roots.add(image)
+                    frontier.append(image)
+    return roots
+
+
+ROOT_COUNTS = {("A", 8): 72, ("B", 8): 128, ("C", 8): 128, ("D", 8): 112, ("E6", 6): 72,
+               ("E7", 7): 126, ("E8", 8): 240, ("F4", 4): 48, ("G2", 2): 12}
+
+
+@pytest.mark.parametrize("t,n", ALL_TYPES)
+def test_all_roots_matches_the_ambient_closure(t, n):
+    from newtonkit.rootdata import all_roots
+
+    d = build_datum(t, n)
+    roots = all_roots(d)
+    assert roots == _closure_in_ambient_space(d)
+    assert all(isinstance(x, F) for r in roots for x in r)
+    if (t, n) in ROOT_COUNTS:
+        assert len(roots) == ROOT_COUNTS[t, n]
+    top, coeffs = highest_root(d)
+    assert top in roots and all(isinstance(c, int) for c in coeffs)
+    assert top == tuple(sum(c * a[j] for c, a in zip(coeffs, d.simple_roots))
+                        for j in range(d.ambient_dim))
+
+
+def test_sigma_orbits_and_order():
+    def order_by_powers(sigma):
+        r, current = 1, sigma
+        while current != tuple(range(1, len(sigma) + 1)):
+            current, r = tuple(sigma[i - 1] for i in current), r + 1
+        return r
+
+    cases = {("A", 5, "flip"): ((1, 5), (2, 4), (3,)),
+             ("D", 5, "flip"): ((1,), (2,), (3,), (4, 5)),
+             ("E6", 6, "flip"): ((1, 6), (2,), (3, 5), (4,)),
+             ("D", 4, (3, 2, 4, 1)): ((1, 3, 4), (2,)),
+             ("C", 3, None): ((1,), (2,), (3,))}
+    for (t, n, spec), orbits in cases.items():
+        d = build_datum(t, n, spec)
+        assert d.sigma_orbits == orbits
+        assert d.sigma_order == order_by_powers(d.sigma)
+    prod = product_datum([build_datum("A", 2, "flip"), build_datum("D", 4, (3, 2, 4, 1))])
+    assert prod.sigma_orbits == ((1, 2), (3, 5, 6), (4,))
+    assert prod.sigma_order == 6 == order_by_powers(prod.sigma)
+
+
+def test_rat_accepts_only_sign_digits_and_slash_digits():
+    from newtonkit.rationals import rat
+
+    assert [rat(s) for s in ("3/4", "-2", "+6/4", "0/1")] == [F(3, 4), -2, F(3, 2), 0]
+    for s in ("1e5", "1e200000000", "0.5", " 1", "1_000", "1/-2", "", "/2", "inf", "1/2/3"):
+        with pytest.raises(ValueError):
+            rat(s)
