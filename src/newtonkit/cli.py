@@ -173,8 +173,10 @@ def _cmd_mepsilon(args):
     else:
         raise ValueError(f"unknown radical shape {args.shape!r}")
     val = hecke.m_epsilon_valuation(full, roots)
-    return {"valuation": rat_str(val),
-            "count": str(args.p ** int(val)) if val.denominator == 1 else None}
+    count = None
+    if val.denominator == 1:
+        count = str(hecke.bounded_power(args.p, int(val), "the coset count p^valuation"))
+    return {"valuation": rat_str(val), "count": count}
 
 
 def _cmd_lambdag(args):

@@ -195,10 +195,27 @@ def c_constant(profile_data: Sequence[tuple[int, Fraction]],
 # (Sorenson and Webster, Math. Comp. 86 (2017); OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 HASSE_P_BOUND = 3317044064679887385961981
-# p^w - 1 must have at most this many decimal digits: Python's default limit
-# for converting an int to a string, which JSON output needs.
+# The powers the library returns (p^w - 1, the coset count p^val of mepsilon)
+# must have at most this many decimal digits: Python's default limit for
+# converting an int to a string, which JSON output needs.
 HASSE_DIGITS = 4300
 _HASSE_BITS = (10 ** HASSE_DIGITS).bit_length()  # 2^_HASSE_BITS > 10^HASSE_DIGITS
+
+
+def bounded_power(p: int, e: int, name: str) -> int:
+    """p ** e for an integer e >= 0, when it has at most HASSE_DIGITS digits.
+
+    Otherwise ValueError says that name must have at most HASSE_DIGITS
+    digits.  When the lower bound |p|^e >= 2^(e (bits(p) - 1)) already rules
+    the power out, it is refused before it is taken.
+    """
+    too_large = ValueError(f"{name} must have at most {HASSE_DIGITS} digits")
+    if e * (p.bit_length() - 1) >= _HASSE_BITS:
+        raise too_large
+    h = p ** e
+    if abs(h) >= 10 ** HASSE_DIGITS:
+        raise too_large
+    return h
 
 
 def _is_prime(p: int) -> bool:
@@ -229,9 +246,8 @@ def hasse_number(w: int, p: int) -> int:
 
     p must be a prime with 3 <= p < HASSE_P_BOUND (about 3.3e24), the
     range in which the primality test is exact, and p^w - 1 must have at
-    most HASSE_DIGITS decimal digits.  When the lower bound
-    p^w >= 2^(w (bits(p) - 1)) already rules that out, w is rejected before
-    the power is taken.
+    most HASSE_DIGITS decimal digits (bounded_power; p^w itself has as many
+    digits, since a power of an odd prime is never a power of ten).
     """
     if not isinstance(w, int) or w < 1:
         raise ValueError("w must be a positive integer")
@@ -242,13 +258,7 @@ def hasse_number(w: int, p: int) -> int:
                          "test is exact")
     if not _is_prime(p):
         raise ValueError("p must be a prime >= 3")
-    too_large = ValueError(f"p^w - 1 must have at most {HASSE_DIGITS} digits")
-    if w * (p.bit_length() - 1) >= _HASSE_BITS:
-        raise too_large
-    h = p ** w - 1
-    if h >= 10 ** HASSE_DIGITS:
-        raise too_large
-    return h
+    return bounded_power(p, w, "p^w - 1") - 1
 
 
 def valuation_to_json(eps: HeckeValuation) -> dict:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact integer linear algebra: the inverse of an integer matrix.
 
 Small dense matrices only (rank <= 8 throughout the library).  Nothing
 here solves a linear system per call: every root datum inverts its Cartan
@@ -15,7 +15,6 @@ walks its candidates in integer numerators (see ``kottwitz.enumerate_bgmu``).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -46,27 +45,3 @@ def invert(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         g = -g
     return [[x // g for x in row[n:]] for row in m], prev // g
 
-
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Determinant by elimination, exact."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] == 0:
-                continue
-            f = m[r][c] / m[c][c]
-            for cc in range(c, n):
-                m[r][cc] -= f * m[c][cc]
-    return sign * result

@@ -1,11 +1,15 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately independent of the fast paths it checks:
-convex-hull membership runs an exact rational simplex over the materialized
+convex-hull membership runs an exact phase-1 simplex over the materialized
 Weyl orbit, the Kottwitz set is re-derived by scanning a denominator grid,
 unipotent indices are counted from actual matrix conjugation, and polygon
-comparison scans every integer height.  These routines back the test suite
-and the CLI verify mode only.
+comparison scans every integer height.  The orbit, the simplex tableau and
+the grid test run on integer numerators of their own (the oracle's own
+reflection, a fraction-free tableau, one Gram inverse scaled to integers);
+none of them uses the fast paths' integer kernel (RootDatum.kernel) or
+their linear algebra.  These routines back the test suite and the CLI
+verify mode only.
 """
 
 from __future__ import annotations
@@ -13,91 +17,121 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .hecke import HeckeValuation
-from .kottwitz import galois_average
-from .linalg import det
 from .muordinary import SlopeProfile, max_degree_bound
 from .rationals import dot, rat, vec_parse
-from .rootdata import RationalCocharacter, reflect_simple
+from .rootdata import RationalCocharacter
 
 WEYL_CAP = 50_000
 
 
-def weyl_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> list[tuple[Fraction, ...]]:
-    """The full Weyl orbit of v, closed under simple reflections."""
-    seen = {v.coords}
-    frontier = [v]
+def _denominator(vectors) -> int:
+    """The lcm of the denominators of every entry of the vectors."""
+    return lcm(*(x.denominator for v in vectors for x in v))
+
+
+def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[int, ...]], int]:
+    """The Weyl orbit of v as a set of integer vectors over one denominator D.
+
+    L, R and K are the common denominators of v, of the simple roots and of
+    the simple coroots, D = L R K, a_i = R root_i and b_i = K coroot_i.  Every
+    pairing <w v, root_i> lies in (1/(L R)) Z, because the Cartan entries are
+    integers, so every orbit point y = D w v is integral and the reflection
+    s_i y = y - ((y . a_i) / (R K)) b_i divides exactly.
+    """
+    datum = v.datum
+    R, K = _denominator(datum.simple_roots), _denominator(datum.simple_coroots)
+    D = _denominator([v.coords]) * R * K
+    a = [[int(x * R) for x in alpha] for alpha in datum.simple_roots]
+    b = [[int(x * K) for x in coroot] for coroot in datum.simple_coroots]
+    start = tuple(int(x * D) for x in v.coords)
+    seen = {start}
+    frontier = [start]
     while frontier:
-        current = frontier.pop()
-        for i in range(1, current.datum.rank + 1):
-            image = reflect_simple(current, i)
-            if image.coords not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"Weyl orbit exceeds cap of {cap} elements")
-                seen.add(image.coords)
-                frontier.append(image)
-    return sorted(seen)
+        y = frontier.pop()
+        for ai, bi in zip(a, b):
+            c, r = divmod(sum(map(mul, y, ai)), R * K)
+            if r:
+                raise AssertionError("a reflection left the integer orbit lattice")
+            if c:
+                image = tuple(t - c * s for t, s in zip(y, bi))
+                if image not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"Weyl orbit exceeds cap of {cap} elements")
+                    seen.add(image)
+                    frontier.append(image)
+    return seen, D
 
 
-def _simplex_feasible(points: Sequence[Sequence[Fraction]],
-                      target: Sequence[Fraction]) -> bool:
+def weyl_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> list[tuple[Fraction, ...]]:
+    """The full Weyl orbit of v, closed under simple reflections, sorted."""
+    orbit, D = _int_orbit(v, cap)
+    return [tuple(Fraction(t, D) for t in y) for y in sorted(orbit)]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (a positive factor)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
+                      denominator: int) -> bool:
     """Is target a convex combination of the points?  Exact phase-1 simplex.
 
     Feasibility of  sum_k x_k P_k = target,  sum_k x_k = 1,  x >= 0, decided
-    by minimizing the sum of artificial variables with Bland's rule.
+    by minimizing the sum of artificial variables with Bland's rule.  The
+    points and the target are integer vectors over one common denominator.
+    The tableau is fraction-free: each row is held as integers that a
+    positive row factor, never formed, turns into the rational row.  A pivot
+    replaces a row r by r * piv - r[enter] * pivot_row and divides it by the
+    gcd of its entries, and Bland's ratios are compared by
+    cross-multiplication, so every sign, ratio and tie is the rational one.
     """
     m = len(target) + 1
     n = len(points)
-    rows: list[list[Fraction]] = []
-    for j in range(len(target)):
-        rows.append([Fraction(points[k][j]) for k in range(n)] + [Fraction(target[j])])
-    rows.append([Fraction(1)] * n + [Fraction(1)])
+    rows = [[pt[j] for pt in points] + [target[j]] for j in range(len(target))]
+    rows.append([denominator] * (n + 1))
     for row in rows:
         if row[-1] < 0:
-            for t in range(len(row)):
-                row[t] = -row[t]
-    # tableau with artificial basis
-    tableau = []
-    for i, row in enumerate(rows):
-        art = [Fraction(int(i == j)) for j in range(m)]
-        tableau.append(row[:-1] + art + [row[-1]])
+            row[:] = [-x for x in row]
+    # tableau with artificial basis; the rational tableau is this one / denominator
+    tableau = [row[:-1] + [denominator * (i == j) for j in range(m)] + row[-1:]
+               for i, row in enumerate(rows)]
     ncols = n + m
-    basis = list(range(n, n + m))
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        for t in range(ncols + 1):
-            cost[t] += tableau[i][t]
-    for t in range(n, n + m):
-        cost[t] -= 1
+    basis = list(range(n, ncols))
+    cost = [sum(column) for column in zip(*tableau)]
+    for t in range(n, ncols):
+        cost[t] -= denominator
     while True:
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
             break
-        ratio_best = None
         leave = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if ratio_best is None or ratio < ratio_best or (
-                    ratio == ratio_best and basis[i] < basis[leave]
+                rhs = tableau[i][-1]
+                if leave is None or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and basis[i] < basis[leave]
                 ):
-                    ratio_best = ratio
+                    best_rhs, best_a = rhs, a
                     leave = i
         if leave is None:
             raise AssertionError("unbounded phase-1 objective")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
+        pivot_row = tableau[leave]
+        piv = pivot_row[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+            f = tableau[i][enter]
+            if i != leave and f != 0:
+                tableau[i] = _primitive([x * piv - f * y for x, y in zip(tableau[i], pivot_row)])
+        f = cost[enter]
+        if f != 0:
+            cost = _primitive([x * piv - f * y for x, y in zip(cost, pivot_row)])
         basis[leave] = enter
     return cost[-1] == 0
 
@@ -108,8 +142,35 @@ def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bo
         raise ValueError("cocharacters live over different root data")
     if x.datum.rank > 3:
         raise ValueError("rank too large for the hull oracle (max 3)")
-    orbit = weyl_orbit(y)
-    return _simplex_feasible(orbit, x.coords)
+    orbit, D = _int_orbit(y)
+    M = lcm(D, _denominator([x.coords]))
+    points = [[t * (M // D) for t in pt] for pt in sorted(orbit)]
+    target = [c.numerator * (M // c.denominator) for c in x.coords]
+    return _simplex_feasible(points, target, M)
+
+
+def _gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """(det a, a^-1) by Gauss-Jordan elimination over Fractions; the inverse
+    is None when a is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        p = m[col][col]
+        det *= p
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det, [row[n:] for row in m]
 
 
 @dataclass(frozen=True)
@@ -122,31 +183,33 @@ class GridSpec:
             raise ValueError("grid bounds must be positive")
 
 
+def _require_trivial_sigma(datum) -> None:
+    if datum.sigma != tuple(range(1, datum.rank + 1)):
+        raise ValueError("the grid oracle supports trivial sigma only")
+
+
 def default_grid_spec(mu: RationalCocharacter) -> GridSpec:
     """Denominator and box bounds that provably cover every member.
 
+    With trivial sigma (the only case the grid oracle takes) mubar is mu.
     Coroot coefficients arise from solving principal Cartan submatrices
     against integer data, so denominators divide
-    r * lcm(den(mubar coords), principal minors, coroot denominators).
-    The box is the coordinate range of the orbit hull of mubar.
+    lcm(den(mu coords), principal minors * coroot denominators).
+    The box is the coordinate range of the orbit hull of mu.
     """
     datum = mu.datum
-    mubar = galois_average(mu)
+    _require_trivial_sigma(datum)
     n = datum.rank
     minors = 1
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        sub = [[datum.cartan[a][b] for b in idx] for a in idx]
-        d = int(det(sub))
+        d = int(_gauss_jordan([[datum.cartan[a][b] for b in idx] for a in idx])[0])
         if d:
             minors = lcm(minors, abs(d))
-    den_mubar = lcm(*[x.denominator for x in mubar.coords], 1)
-    den_coroots = 1
-    for av in datum.simple_coroots:
-        den_coroots = lcm(den_coroots, *[x.denominator for x in av], 1)
-    denominator = datum.sigma_order * lcm(den_mubar, minors * den_coroots)
-    orbit = weyl_orbit(RationalCocharacter(mubar.coords, datum))
-    box = max(abs(c) for pt in orbit for c in pt)
+    denominator = lcm(_denominator([mu.coords]),
+                      minors * _denominator(datum.simple_coroots))
+    orbit, D = _int_orbit(mu)
+    box = Fraction(max(abs(t) for y in orbit for t in y), D)
     return GridSpec(denominator, box if box > 0 else Fraction(1))
 
 
@@ -156,73 +219,68 @@ def grid_enumerate_bgmu(mu: RationalCocharacter,
 
     All vectors with coordinates in (1/D) Z inside the orbit bounding box
     are tested against the membership criterion directly, by a test of its
-    own (_grid_member).  Rank <= 3 and trivial sigma only.
+    own (_grid_member) on their integer numerators.  Rank <= 3 and trivial
+    sigma only, so mubar is mu itself.
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
-    if datum.sigma != tuple(range(1, datum.rank + 1)):
-        raise ValueError("the grid oracle supports trivial sigma only")
+    _require_trivial_sigma(datum)
     if spec is None:
         spec = default_grid_spec(mu)
-    mubar = galois_average(mu)
-    orbit = weyl_orbit(RationalCocharacter(mubar.coords, datum))
-    lo = [min(pt[j] for pt in orbit) for j in range(datum.ambient_dim)]
-    hi = [max(pt[j] for pt in orbit) for j in range(datum.ambient_dim)]
+    orbit, D = _int_orbit(mu)
     bound = spec.box_bound
-    lo = [max(x, -bound) for x in lo]
-    hi = [min(x, bound) for x in hi]
     d = spec.denominator_bound
     axes = []
     for j in range(datum.ambient_dim):
-        start = -((-lo[j] * d).__floor__())  # ceil(lo * d)
-        stop = (hi[j] * d).__floor__()
-        axes.append([Fraction(k, d) for k in range(start, stop + 1)])
-    member = _grid_member(datum, mubar.coords)
-    return {coords for coords in itertools.product(*axes) if member(coords)}
+        lo = max(Fraction(min(y[j] for y in orbit), D), -bound)
+        hi = min(Fraction(max(y[j] for y in orbit), D), bound)
+        axes.append(range(ceil(lo * d), floor(hi * d) + 1))
+    member = _grid_member(datum, mu.coords, d)
+    return {tuple(Fraction(t, d) for t in pt)
+            for pt in itertools.product(*axes) if member(pt)}
 
 
-def _grid_member(datum, mubar: Sequence[Fraction]):
-    """The membership criterion for nu against mubar, in Fractions.
+def _grid_member(datum, mubar: Sequence[Fraction], d: int):
+    """The membership criterion for nu = pt / d against mubar, on integers.
 
-    The Gram matrix <coroot_i, root_j> is inverted once, by its own
-    Gauss-Jordan elimination; per point nu the test is: nu dominant,
-    mubar - nu = sum_i c_i coroot_i exactly with every c_i >= 0, and c_i
-    integral wherever <nu, root_i> != 0.
+    The Gram matrix <coroot_i, root_j> is inverted once, by the oracle's own
+    elimination, and scaled to integers I / g.  With L the common
+    denominator of mubar and 1/d, mubar - nu = diff / L, a_j = R root_j and
+    b_i = K coroot_i, the coroot coefficients of mubar - nu are C / (g L R)
+    with C = I (diff . a_j)_j.  Per point pt the test is: pt . a_j >= 0 (nu
+    dominant), every C_i >= 0, sum_i C_i b_i = diff * g R K exactly (mubar - nu
+    lies in the coroot span), and C_i divisible by g L R wherever
+    pt . a_i != 0 (c_i integral where <nu, root_i> != 0).
     """
     roots, coroots = datum.simple_roots, datum.simple_coroots
     n = datum.rank
-    m = [[dot(coroots[i], roots[j]) for i in range(n)] + [Fraction(int(i == j))
-                                                        for i in range(n)]
-         for j in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    inverse = [row[n:] for row in m]
-    # the nonzero entries of each root: most roots have two
-    supports = [[(t, x) for t, x in enumerate(alpha) if x] for alpha in roots]
+    _, inverse = _gauss_jordan([[dot(coroots[i], roots[j]) for i in range(n)]
+                                for j in range(n)])
+    g = _denominator(inverse)
+    inverse = [[int(x * g) for x in row] for row in inverse]
+    R, K = _denominator(roots), _denominator(coroots)
+    L = lcm(_denominator([mubar]), d)
+    top = [x.numerator * (L // x.denominator) for x in mubar]
+    step = L // d
+    # the nonzero entries of each integer root a_j: most roots have two
+    supports = [[(t, int(x * R)) for t, x in enumerate(alpha) if x] for alpha in roots]
+    coroot_columns = list(zip(*([int(x * K) for x in coroot] for coroot in coroots)))
+    span_scale, modulus = g * R * K, g * L * R
 
-    def pair(v, support):
-        return sum(v[t] * x for t, x in support)
-
-    def member(nu) -> bool:
-        if any(pair(nu, support) < 0 for support in supports):
+    def member(pt) -> bool:
+        pairs = [sum(pt[t] * x for t, x in support) for support in supports]
+        if any(p < 0 for p in pairs):
             return False
-        diff = [a - b for a, b in zip(mubar, nu)]
-        c = [dot(row, [pair(diff, support) for support in supports]) for row in inverse]
-        if any(x < 0 for x in c):
+        diff = [a - step * b for a, b in zip(top, pt)]
+        dpairs = [sum(diff[t] * x for t, x in support) for support in supports]
+        C = [sum(map(mul, row, dpairs)) for row in inverse]
+        if any(c < 0 for c in C):
             return False
-        if any(sum(ci * v[t] for ci, v in zip(c, coroots)) != d
-               for t, d in enumerate(diff)):
+        if any(sum(map(mul, C, column)) != dt * span_scale
+               for column, dt in zip(coroot_columns, diff)):
             return False
-        return all(ci.denominator == 1 or pair(nu, support) == 0
-                   for ci, support in zip(c, supports))
+        return all(c % modulus == 0 or p == 0 for c, p in zip(C, pairs))
 
     return member
 
@@ -280,28 +338,32 @@ def siegel_shape(n: int, lower: bool = True) -> UnipotentShape:
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
-def _conjugate(eps_entries: Sequence[Fraction], m: list[list[int]]) -> list[list[Fraction]]:
-    """diag(eps) * m * diag(eps)^-1 with genuine matrix products.
+def _conjugator(eps_entries: Sequence[Fraction]) -> tuple[list[list[int]],
+                                                         list[list[int]], int]:
+    """(E, F, q) with diag(eps) m diag(eps)^-1 = (E m F) / q for every m.
 
-    The products are taken in integers: diag(eps) = E / d and
-    diag(eps)^-1 = F / f with E and F integral, so the conjugate is
-    (E m F) / (d f).
+    diag(eps) = E / d and diag(eps)^-1 = F / f with E and F integral
+    diagonal matrices, and q = d f.
     """
-    n = len(m)
+    n = len(eps_entries)
     eps = [Fraction(v) for v in eps_entries]
     inv = [1 / x for x in eps]
     d = lcm(*(x.denominator for x in eps))
     f = lcm(*(x.denominator for x in inv))
     e = [[int(eps[i] * d) if i == j else 0 for j in range(n)] for i in range(n)]
     e_inv = [[int(inv[i] * f) if i == j else 0 for j in range(n)] for i in range(n)]
-    return [[Fraction(x, d * f) for x in row] for row in _matmul(_matmul(e, m), e_inv)]
+    return e, e_inv, d * f
+
+
+def _is_integral_conjugate(conjugator, m: list[list[int]]) -> bool:
+    """Is diag(eps) m diag(eps)^-1 integral?  The genuine integer products
+    E m F are taken and every entry is tested against q."""
+    e, e_inv, q = conjugator
+    return all(x % q == 0 for row in _matmul(_matmul(e, m), e_inv) for x in row)
 
 
 ENUMERATION_LIMIT = 100_000
@@ -334,18 +396,18 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     if max(vals) >= k:
         raise ValueError("valuations must be < k")
     mod = p ** k
-    eps_entries = [Fraction(p ** v) for v in vals]
-    eps_inv = [1 / e for e in eps_entries]
+    # w lies in eps U eps^-1 when eps^-1 w eps is p-integral
+    conjugator = _conjugator([Fraction(1, p ** v) for v in vals])
     ngroups = len(shape.groups)
     total = mod ** ngroups
 
-    # Membership of w in eps U eps^-1 means eps^-1 w eps is p-integral.
     # Conjugating each one-parameter generator honestly gives the per-group
     # constraint exponent; tied entries must scale identically.
-    generator_conj = _conjugate(eps_inv, shape.matrix([1] * ngroups))
+    e, e_inv, q = conjugator
+    generator_conj = _matmul(_matmul(e, shape.matrix([1] * ngroups)), e_inv)
     scalings = []
     for g in shape.groups:
-        factors = {generator_conj[i - 1][j - 1] / s for (i, j), s in g}
+        factors = {Fraction(generator_conj[i - 1][j - 1], q * s) for (i, j), s in g}
         if len(factors) != 1:
             raise ValueError("eps does not preserve the tied entries of the shape")
         den = factors.pop().denominator
@@ -356,7 +418,7 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
         scalings.append(c)
 
     if total <= ENUMERATION_LIMIT:
-        return _coset_count_marking(shape, eps_entries, p, k)
+        return _coset_count_marking(shape, conjugator, p, k)
 
     # Subgroup size by literal residue enumeration per parameter, with the
     # entrywise criterion spot-checked against full matrix conjugation.
@@ -365,8 +427,7 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     rng = random.Random(20240)
     for _ in range(50):
         params = [rng.randrange(mod) for _ in range(ngroups)]
-        conj = _conjugate(eps_inv, shape.matrix(params))
-        honest = all(x.denominator == 1 for row in conj for x in row)
+        honest = _is_integral_conjugate(conjugator, shape.matrix(params))
         entrywise = all(
             params[t] % p ** min(scalings[t], k) == 0 for t in range(ngroups)
         )
@@ -380,18 +441,15 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     return total // sub_size
 
 
-def _coset_count_marking(shape: UnipotentShape, eps_entries: list[Fraction],
-                         p: int, k: int) -> int:
+def _coset_count_marking(shape: UnipotentShape, conjugator, p: int, k: int) -> int:
+    """Count the cosets by marking: the members w are those whose conjugate
+    eps^-1 w eps is integral (conjugator holds eps^-1), and each new coset u
+    is marked by every product u v with a member v."""
     mod = p ** k
     ngroups = len(shape.groups)
-    eps_inv = [1 / e for e in eps_entries]
     elements = [shape.matrix(params)
                 for params in itertools.product(range(mod), repeat=ngroups)]
-    members = []
-    for w in elements:
-        conj = _conjugate(eps_inv, w)
-        if all(x.denominator == 1 for row in conj for x in row):
-            members.append(w)
+    members = [w for w in elements if _is_integral_conjugate(conjugator, w)]
     seen: set[tuple[int, ...]] = set()
     count = 0
     for u in elements:
@@ -425,33 +483,37 @@ def multiplicative_group_exponent(p: int, w: int) -> int:
     """Exponent of the unit group of the field with p^w elements, by brute force.
 
     Builds the field from an irreducible polynomial found by trial division
-    and takes the lcm of the multiplicative orders of all nonzero elements.
+    and takes the lcm of the multiplicative orders of all nonzero elements
+    (_unit_orders).
     """
     if p ** w > 625:
         raise ValueError("field too large for the brute-force exponent")
-    if w == 1:
-        exponent = 1
-        for a in range(1, p):
-            order = 1
-            x = a
-            while x != 1:
-                x = x * a % p
-                order += 1
-            exponent = lcm(exponent, order)
-        return exponent
+    return lcm(*_unit_orders(p, w).values())
+
+
+def _unit_orders(p: int, w: int) -> dict[tuple[int, ...], int]:
+    """The multiplicative order of every nonzero element of F_p[x] / (f).
+
+    The powers x, x^2, ..., 1 of each element not met yet are walked once,
+    and each power x^j gets the order ord(x) / gcd(j, ord(x)).  That holds
+    in every finite group, so the cyclicity being checked is not assumed.
+    A walk longer than p^w - 1 steps means F_p[x] / (f) is no field.
+    """
     modpoly = _find_irreducible(p, w)
-    exponent = 1
+    one = (1,) + (0,) * (w - 1)
+    orders: dict[tuple[int, ...], int] = {}
     for coeffs in itertools.product(range(p), repeat=w):
-        if all(c == 0 for c in coeffs):
+        if coeffs in orders or not any(coeffs):
             continue
-        order = 1
-        x = coeffs
-        one = (1,) + (0,) * (w - 1)
-        while x != one:
-            x = _polymulmod(x, coeffs, modpoly, p)
-            order += 1
-        exponent = lcm(exponent, order)
-    return exponent
+        powers = [coeffs]
+        while powers[-1] != one:
+            if len(powers) >= p ** w - 1:
+                raise ValueError("p must be a prime")
+            powers.append(_polymulmod(powers[-1], coeffs, modpoly, p))
+        order = len(powers)
+        for j, x in enumerate(powers, start=1):
+            orders[x] = order // gcd(j, order)
+    return orders
 
 
 def _polymulmod(a, b, modpoly, p):

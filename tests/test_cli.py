@@ -189,3 +189,18 @@ def test_inputs_that_would_run_for_minutes_return_promptly(capsys):
     assert payload == {"schema": "newtonkit/1", "unique": True, "violating_height": None}
     code, out = _capture(capsys, ["mepsilon", "--full", json.dumps(["0"] * 16)])
     assert code == 0 and _payload(out)[1]["valuation"] == "0/1"
+
+
+def test_mepsilon_count_is_bounded_by_digits(capsys):
+    # valuation 1.5e8: 3^150000000 used to be built before str() refused it
+    start = time.monotonic()
+    code, out = _capture(capsys, ["mepsilon", "--full", '["0","0","50000000","50000000"]',
+                                  "--p", "3"])
+    assert code == 2 and time.monotonic() - start < 5
+    status, payload = _payload(out)
+    assert status == "error" and "4300 digits" in payload["error"]
+    # 3^9012 has 4300 digits and is printed; 3^9013 has 4301
+    code, out = _capture(capsys, ["mepsilon", "--full", '["9012","0"]', "--shape", "gl"])
+    assert code == 0 and _payload(out)[1]["count"] == str(3 ** 9012)
+    code, out = _capture(capsys, ["mepsilon", "--full", '["9013","0"]', "--shape", "gl"])
+    assert code == 2 and "4300 digits" in _payload(out)[1]["error"]
