@@ -109,24 +109,17 @@ def _labeling_payload(datum, requested: str) -> dict:
     }
 
 
+def _kottwitz_set(args) -> kottwitz.KottwitzSet:
+    return kottwitz.enumerate_bgmu(_node_coweight(_get_datum(args), args.node))
+
+
 def _cmd_bgmu(args):
-    datum = _get_datum(args)
-    mu = _node_coweight(datum, args.node)
-    ks = kottwitz.enumerate_bgmu(mu)
-    return kottwitz.kottwitz_set_to_json(ks)
+    return kottwitz.kottwitz_set_to_json(_kottwitz_set(args))
 
 
 def _cmd_maximal(args):
-    datum = _get_datum(args)
-    mu = _node_coweight(datum, args.node)
-    ks = kottwitz.enumerate_bgmu(mu)
-    mx = kottwitz.maximal_elements(ks, exclude_top=args.exclude_top)
-    return {
-        "maximal": [
-            vec_str(e.nu.coords)
-            for e in sorted(mx, key=lambda e: e.nu.coords)
-        ]
-    }
+    mx = kottwitz.maximal_elements(_kottwitz_set(args), exclude_top=args.exclude_top)
+    return {"maximal": [vec_str(e.nu.coords) for e in sorted(mx, key=lambda e: e.nu.coords)]}
 
 
 def _cmd_leq(args):
@@ -163,11 +156,13 @@ def _cmd_uniqueness(args):
 
 def _cmd_mepsilon(args):
     full = _vec(args.full)
+    hecke.require_prime(args.p)
     if len(full) > 2 * _max_rank():
         raise ValueError(f"--full is longer than 2 * NEWTONKIT_MAX_RANK = {2 * _max_rank()}")
-    n = len(full) // 2
+    if not full or (args.shape == "siegel" and len(full) % 2):
+        raise ValueError("--full must be non-empty, and of even length for --shape siegel")
     if args.shape == "siegel":
-        roots = hecke.siegel_radical_roots(n, lower=not args.upper)
+        roots = hecke.siegel_radical_roots(len(full) // 2, lower=not args.upper)
     elif args.shape == "gl":
         roots = hecke.gl_upper_roots(len(full))
     else:
@@ -263,15 +258,14 @@ def _verify_polygons():
         profile = SlopeProfile((Fraction(1), Fraction(0)), (n, n), polarized=True)
         for dh in range(1, n + 1):
             split = next_to_max_profile(profile, 1, dh)
+            envelopes = [oracles.polygon_envelope(q) for q in (split, profile)]
+            fast = all(muordinary.max_degree_bound(q, h) == e
+                       for q, env in zip((split, profile), envelopes) for h, e in enumerate(env))
             below = oracles.polygon_leq(split, profile)
-            strict = any(
-                muordinary.max_degree_bound(split, h)
-                < muordinary.max_degree_bound(profile, h)
-                for h in range(profile.total_height + 1)
-            )
+            strict = envelopes[0] != envelopes[1]  # with below: strictly below somewhere
             mod = modified_degrees(split)
             fold = degrees(split).d
-            yield f"polygon-split n={n} dh={dh}", below and strict and mod == fold
+            yield f"polygon-split n={n} dh={dh}", below and strict and fast and mod == fold
 
 
 def _verify_hasse():
@@ -298,18 +292,31 @@ def _cmd_verify_all(args):
     }
 
 
-_COMMANDS = {
-    "datum": _cmd_datum,
-    "bgmu": _cmd_bgmu,
-    "maximal": _cmd_maximal,
-    "leq": _cmd_leq,
-    "slopes": _cmd_slopes,
-    "degrees": _cmd_degrees,
-    "uniqueness": _cmd_uniqueness,
-    "mepsilon": _cmd_mepsilon,
-    "lambdag": _cmd_lambdag,
-    "hasse": _cmd_hasse,
-    "verify-all": _cmd_verify_all,
+_TYPE_ARGS = (
+    ("--type", {"required": False}),
+    ("--rank", {"type": int, "required": False}),
+    ("--sigma", {"default": None, "help": "identity, flip, or a JSON permutation"}),
+    ("--labeling", {"choices": ["paper", "bourbaki"], "default": "bourbaki"}),
+)
+_NODE = ("--node", {"type": int})
+_P = ("--p", {"type": int, "default": 3})
+
+# Every subcommand, in --help order: its handler and its argument specs.
+_SUBCOMMANDS = {
+    "datum": (_cmd_datum, _TYPE_ARGS),
+    "bgmu": (_cmd_bgmu, (*_TYPE_ARGS, _NODE)),
+    "maximal": (_cmd_maximal, (*_TYPE_ARGS, _NODE, (
+        "--exclude-top", {"action": "store_true", "dest": "exclude_top"}))),
+    "leq": (_cmd_leq, (*_TYPE_ARGS, ("--x", {}), ("--y", {}),
+                       ("--verify", {"action": "store_true"}))),
+    "slopes": (_cmd_slopes, (("--nu", {}), ("--dim", {"type": int}))),
+    "degrees": (_cmd_degrees, (("--profile", {"help": "SlopeProfile JSON"}),)),
+    "uniqueness": (_cmd_uniqueness, (("--profile", {}), ("--i", {"type": int}))),
+    "mepsilon": (_cmd_mepsilon, (("--full", {}), ("--shape", {"default": "siegel"}),
+                                 ("--upper", {"action": "store_true"}), _P)),
+    "lambdag": (_cmd_lambdag, (("--t", {}), ("--s", {"default": "1"}), _P)),
+    "hasse": (_cmd_hasse, (("--w", {"type": int}), ("--p", {"type": int}))),
+    "verify-all": (_cmd_verify_all, ()),
 }
 
 
@@ -322,35 +329,10 @@ def _build_parser() -> _Parser:
                         help="read subcommand arguments from a JSON file")
     parser = _Parser(prog="newtonkit", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, *specs):
+    for name, (_, specs) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flags, kwargs in specs:
             p.add_argument(flags, **kwargs)
-        return p
-
-    type_args = [
-        ("--type", {"required": False}),
-        ("--rank", {"type": int, "required": False}),
-        ("--sigma", {"default": None,
-                     "help": "identity, flip, or a JSON permutation"}),
-        ("--labeling", {"choices": ["paper", "bourbaki"], "default": "bourbaki"}),
-    ]
-    add("datum", *type_args)
-    add("bgmu", *type_args, ("--node", {"type": int}))
-    add("maximal", *type_args, ("--node", {"type": int}),
-        ("--exclude-top", {"action": "store_true", "dest": "exclude_top"}))
-    add("leq", *type_args, ("--x", {}), ("--y", {}),
-        ("--verify", {"action": "store_true"}))
-    add("slopes", ("--nu", {}), ("--dim", {"type": int}))
-    add("degrees", ("--profile", {"help": "SlopeProfile JSON"}))
-    add("uniqueness", ("--profile", {}), ("--i", {"type": int}))
-    add("mepsilon", ("--full", {}), ("--shape", {"default": "siegel"}),
-        ("--upper", {"action": "store_true"}), ("--p", {"type": int, "default": 3}))
-    add("lambdag", ("--t", {}), ("--s", {"default": "1"}),
-        ("--p", {"type": int, "default": 3}))
-    add("hasse", ("--w", {"type": int}), ("--p", {"type": int}))
-    add("verify-all")
     return parser
 
 
@@ -371,64 +353,61 @@ def _render_table(payload, out):
         out.write(f"{key.ljust(width)}  {value}\n")
 
 
-def run(argv) -> int:
-    parser = _build_parser()
+def _emit(args, status: str, payload: dict) -> None:
+    """Print one result, ok or error, as JSON or (--table) an aligned table."""
+    result = {"status": status, "payload": {"schema": SCHEMA, **payload}}
+    if getattr(args, "table", False):
+        _render_table(result, sys.stdout)
+    else:
+        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+
+
+def _read_infile(args) -> None:
+    """Fill the arguments not given on the command line from the --in object."""
+    infile = getattr(args, "infile", None)
+    if not infile:
+        return
     try:
-        args = parser.parse_args(argv)
+        with open(infile, "r", encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ValueError(f"cannot read --in file: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ValueError("cannot read --in file: expected a JSON object, got "
+                         f"{type(overrides).__name__}")
+    known = (set(vars(args)) | {"table"}) - {"command", "infile"}
+    unknown = sorted(k for k in overrides if k.replace("-", "_") not in known)
+    if unknown:
+        raise ValueError(f"cannot read --in file: unknown keys {unknown} for {args.command}")
+    for key, value in overrides.items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr, None) in (None, False):
+            setattr(args, attr, value)
+
+
+def run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     if args.command is None:
         print("usage error: no subcommand given", file=sys.stderr)
         return 1
-    infile = getattr(args, "infile", None)
-    if infile:
-        try:
-            with open(infile, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _emit_error(args, f"cannot read --in file: {exc}")
-            return 2
-        if not isinstance(overrides, dict):
-            _emit_error(args, "cannot read --in file: expected a JSON object, got "
-                              f"{type(overrides).__name__}")
-            return 2
-        known = (set(vars(args)) | {"table"}) - {"command", "infile"}
-        unknown = sorted(k for k in overrides if k.replace("-", "_") not in known)
-        if unknown:
-            _emit_error(args, f"cannot read --in file: unknown keys {unknown} for "
-                              f"{args.command}")
-            return 2
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                setattr(args, attr, value)
-    handler = _COMMANDS[args.command]
-    start = time.monotonic()
+    handler, _ = _SUBCOMMANDS[args.command]
     try:
+        _read_infile(args)
+        start = time.monotonic()
         payload = handler(args)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        _emit_error(args, str(exc))
+        _emit(args, "error", {"error": str(exc)})
         return 2
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    payload = {"schema": SCHEMA, **payload}
-    result = {"status": "ok", "payload": payload}
-    if getattr(args, "table", False):
-        _render_table(result, sys.stdout)
-    else:
-        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+    _emit(args, "ok", payload)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     if args.command == "verify-all" and not payload["all_pass"]:
         return 2
     return 0
-
-
-def _emit_error(args, message: str) -> None:
-    result = {"status": "error", "payload": {"schema": SCHEMA, "error": message}}
-    if getattr(args, "table", False):
-        _render_table(result, sys.stdout)
-    else:
-        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
 
 
 def main() -> None:

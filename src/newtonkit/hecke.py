@@ -241,23 +241,26 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def require_prime(p) -> None:
+    """ValueError unless p is a prime with 3 <= p < HASSE_P_BOUND (about
+    3.3e24), the range in which the primality test is exact."""
+    if isinstance(p, int) and p >= HASSE_P_BOUND:
+        raise ValueError(f"p must be below {HASSE_P_BOUND}, where the primality "
+                         "test is exact")
+    if not isinstance(p, int) or p < 3 or not _is_prime(p):
+        raise ValueError("p must be a prime >= 3")
+
+
 def hasse_number(w: int, p: int) -> int:
     """Exponent of the unit group of the field with p^w elements: p^w - 1.
 
-    p must be a prime with 3 <= p < HASSE_P_BOUND (about 3.3e24), the
-    range in which the primality test is exact, and p^w - 1 must have at
-    most HASSE_DIGITS decimal digits (bounded_power; p^w itself has as many
-    digits, since a power of an odd prime is never a power of ten).
+    p must pass require_prime, and p^w - 1 must have at most HASSE_DIGITS
+    decimal digits (bounded_power; p^w itself has as many digits, since a
+    power of an odd prime is never a power of ten).
     """
     if not isinstance(w, int) or w < 1:
         raise ValueError("w must be a positive integer")
-    if not isinstance(p, int) or p < 3:
-        raise ValueError("p must be a prime >= 3")
-    if p >= HASSE_P_BOUND:
-        raise ValueError(f"p must be below {HASSE_P_BOUND}, where the primality "
-                         "test is exact")
-    if not _is_prime(p):
-        raise ValueError("p must be a prime >= 3")
+    require_prime(p)
     return bounded_power(p, w, "p^w - 1") - 1
 
 

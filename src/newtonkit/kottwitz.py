@@ -56,27 +56,15 @@ class KottwitzSet:
 
 
 def galois_average(mu: RationalCocharacter) -> RationalCocharacter:
-    """Average of mu over the orbit of the diagram automorphism.
-
-    sigma fixes the part of mu orthogonal to the roots and permutes its
-    coroot coefficients, so the average replaces each coefficient by its
-    mean over its sigma-orbit: one decomposition on integer numerators.
-    """
-    datum = mu.datum
-    r = datum.sigma_order
+    """The mean of mu, sigma(mu), ..., sigma^(r-1)(mu), r the order of sigma."""
+    r = mu.datum.sigma_order
     if r == 1:
         return mu
-    k = datum.kernel
-    x, L = k.scale(mu.coords)
-    C = k.coefficients(k.root_pairings(x))
-    D = [r * c for c in C]  # r times the change of each coefficient
-    for orbit in datum.sigma_orbits:
-        mean = r // len(orbit) * sum(C[i - 1] for i in orbit)
-        for i in orbit:
-            D[i - 1] -= mean
-    den = k.qRK * L * r
+    images = [mu]
+    for _ in range(r - 1):
+        images.append(sigma_apply(images[-1]))
     return RationalCocharacter(
-        tuple(Fraction(t, den) for t in k.perp([r * t for t in x], D)), datum)
+        tuple(Fraction(sum(c), r) for c in zip(*(v.coords for v in images))), mu.datum)
 
 
 def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):

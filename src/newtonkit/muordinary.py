@@ -62,11 +62,6 @@ class SlopeProfile:
     def total_height(self) -> int:
         return sum(self.mults)
 
-    @property
-    def r0(self) -> int:
-        """Index of the middle slope block: floor((1 + r) / 2)."""
-        return (1 + self.r) // 2
-
 
 @dataclass(frozen=True)
 class DegreeData:
@@ -281,8 +276,12 @@ def profile_to_json(profile: SlopeProfile) -> dict:
 
 
 def profile_from_json(doc: dict) -> SlopeProfile:
-    return SlopeProfile(
-        tuple(rat(s) for s in doc["slopes"]),
-        tuple(int(m) for m in doc["mults"]),
-        polarized=bool(doc.get("polarized", False)),
-    )
+    """mults are JSON integers or digit strings; polarized, if given, a JSON boolean."""
+    mults = doc["mults"]
+    if any(isinstance(m, bool) or not isinstance(m, (int, str)) for m in mults):
+        raise ValueError("multiplicities must be integers or digit strings")
+    polarized = doc.get("polarized", False)
+    if not isinstance(polarized, bool):
+        raise ValueError(f"polarized must be a boolean, not {type(polarized).__name__}")
+    return SlopeProfile(tuple(rat(s) for s in doc["slopes"]),
+                        tuple(int(m) for m in mults), polarized=polarized)

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .hecke import HeckeValuation
-from .muordinary import SlopeProfile, max_degree_bound
+from .muordinary import SlopeProfile
 from .rationals import dot, rat, vec_parse
 from .rootdata import RationalCocharacter
 
@@ -463,20 +463,26 @@ def _coset_count_marking(shape: UnipotentShape, conjugator, p: int, k: int) -> i
     return count
 
 
+def polygon_envelope(profile: SlopeProfile) -> list[Fraction]:
+    """The polygon's degree at every height 0, 1, ..., total height: the
+    prefix sums of the descending slopes, each repeated by its multiplicity."""
+    return list(itertools.accumulate(
+        (s for s, m in zip(profile.slopes, profile.mults) for _ in range(m)),
+        initial=Fraction(0)))
+
+
 def polygon_leq(pa: SlopeProfile, pb: SlopeProfile) -> bool:
     """Does the polygon of pa lie on or below the polygon of pb?
 
     Classical comparison: equal total height and degree required, then the
-    concave envelopes are compared at every integer height.
+    concave envelopes (polygon_envelope) are compared at every integer height.
     """
-    if pa.total_height != pb.total_height:
+    ea, eb = polygon_envelope(pa), polygon_envelope(pb)
+    if len(ea) != len(eb):
         raise ValueError("polygon comparison requires equal total heights")
-    if max_degree_bound(pa, pa.total_height) != max_degree_bound(pb, pb.total_height):
+    if ea[-1] != eb[-1]:
         raise ValueError("polygon comparison requires equal total degrees")
-    return all(
-        max_degree_bound(pa, h) <= max_degree_bound(pb, h)
-        for h in range(pa.total_height + 1)
-    )
+    return all(a <= b for a, b in zip(ea, eb))
 
 
 def multiplicative_group_exponent(p: int, w: int) -> int:

@@ -429,7 +429,8 @@ def coroot_span_decomposition(
 
 
 def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
-    """Apply the diagram automorphism: permute coroot coefficients, fix the rest."""
+    """Apply sigma, the only code that says how it acts: the coroot coefficient
+    at node i moves to node sigma(i), and the part orthogonal to the roots is fixed."""
     datum = v.datum
     k = datum.kernel
     x, L = k.scale(v.coords)

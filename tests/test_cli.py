@@ -1,7 +1,7 @@
 import json
 import time
 
-from newtonkit.cli import run
+from newtonkit.cli import _SUBCOMMANDS, run
 
 
 def _capture(capsys, argv):
@@ -204,3 +204,58 @@ def test_mepsilon_count_is_bounded_by_digits(capsys):
     assert code == 0 and _payload(out)[1]["count"] == str(3 ** 9012)
     code, out = _capture(capsys, ["mepsilon", "--full", '["9013","0"]', "--shape", "gl"])
     assert code == 2 and "4300 digits" in _payload(out)[1]["error"]
+
+
+def test_profile_multiplicities_and_polarized_must_be_typed(capsys):
+    # int() read 2.9 as 2 and true as 1, and bool("no") is true
+    for doc in ('{"slopes":["1","0"],"mults":[2.9,1]}',
+                '{"slopes":["1","0"],"mults":[true,1]}',
+                '{"slopes":["1","0"],"mults":[1,1],"polarized":"no"}'):
+        for argv in (["degrees", "--profile", doc], ["uniqueness", "--profile", doc, "--i", "1"]):
+            code, out = _capture(capsys, argv)
+            assert code == 2 and _payload(out)[0] == "error", argv
+    # JSON integers and digit strings are still read
+    code, out = _capture(capsys, ["degrees", "--profile",
+                                  '{"slopes":["1","0"],"mults":[2,"1"],"polarized":false}'])
+    assert code == 0 and _payload(out)[1]["heights"] == [2, 3]
+
+
+def test_mepsilon_full_must_fit_its_shape(capsys):
+    # the Siegel shape halved the length, so ["1"] and [] both printed count 1
+    for full, shape in (('["1"]', "siegel"), ('["0","0","1"]', "siegel"),
+                        ("[]", "siegel"), ("[]", "gl")):
+        code, out = _capture(capsys, ["mepsilon", "--full", full, "--shape", shape])
+        assert code == 2 and "--full must be non-empty" in _payload(out)[1]["error"]
+    code, out = _capture(capsys, ["mepsilon", "--full", '["1"]', "--shape", "gl"])
+    assert code == 0 and _payload(out)[1]["count"] == "1"
+
+
+def test_mepsilon_p_must_be_a_prime(capsys):
+    for p in ("0", "1", "-3", "4", "2", "3317044064679887385961981"):
+        code, out = _capture(capsys, ["mepsilon", "--full", '["1","0"]', "--shape", "gl",
+                                      "--p", p])
+        assert code == 2 and _payload(out)[0] == "error", p
+    code, out = _capture(capsys, ["mepsilon", "--full", '["1","0"]', "--shape", "gl",
+                                  "--p", "5"])
+    assert code == 0 and _payload(out)[1]["count"] == "5"
+
+
+def test_input_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = _capture(capsys, ["hasse", "--in", str(path)])
+    assert code == 2 and "--in file" in _payload(out)[1]["error"]
+
+
+def test_every_subcommand_without_its_arguments_fails_cleanly(capsys):
+    for name, (_, specs) in _SUBCOMMANDS.items():
+        if not specs:  # verify-all takes no arguments
+            continue
+        code = run([name])
+        captured = capsys.readouterr()
+        assert code in (1, 2) and "Traceback" not in captured.err, name
+        if code == 2:
+            assert len(captured.out.splitlines()) == 1, name
+            assert _payload(captured.out)[0] == "error", name
+        else:
+            assert captured.out == "" and captured.err.startswith("usage error"), name

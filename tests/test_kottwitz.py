@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from newtonkit.kottwitz import (
 from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     build_datum,
+    coroot_span_decomposition,
     fundamental_coweights,
     is_dominant,
     product_datum,
@@ -476,3 +478,30 @@ def test_galois_average_matches_repeated_sigma_apply(t, n):
     d4 = build_datum("D", 4, (3, 2, 4, 1))
     mu = _coweight(d4, 1)
     assert galois_average(mu).coords == _average_by_sigma_powers(mu) == (F(2, 3), F(1, 3), F(1, 3), 0)
+
+
+def _sigma_data():
+    yield from (build_datum("A", n, "flip") for n in range(2, 9))
+    yield from (build_datum("D", n, "flip") for n in range(4, 9))
+    yield build_datum("E6", 6, "flip")
+    yield build_datum("D", 4, (3, 2, 4, 1))
+    yield product_datum([build_datum("A", 3, "flip"), build_datum("D", 5, "flip")])
+
+
+@pytest.mark.parametrize("datum", list(_sigma_data()), ids=lambda d: f"{d.type_label}{d.rank}")
+def test_galois_average_is_the_orbit_mean(datum):
+    # sigma-invariant, with mu's orbit sums of coroot coefficients and mu's
+    # orthogonal part: together these determine the mean over the sigma-orbit
+    rng = random.Random(datum.rank)
+    points = [_coweight(datum, node) for node in range(1, datum.rank + 1)]
+    points += [datum.cochar([F(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(datum.ambient_dim)]) for _ in range(3)]
+    for mu in points:
+        avg = galois_average(mu)
+        assert sigma_apply(avg).coords == avg.coords
+        c_mu, perp_mu = coroot_span_decomposition(datum, mu.coords)
+        c_avg, perp_avg = coroot_span_decomposition(datum, avg.coords)
+        assert perp_avg == perp_mu
+        for orbit in datum.sigma_orbits:
+            assert len({c_avg[i - 1] for i in orbit}) == 1
+            assert sum(c_avg[i - 1] for i in orbit) == sum(c_mu[i - 1] for i in orbit)

@@ -14,6 +14,7 @@ from newtonkit.oracles import (
     default_grid_spec,
     grid_enumerate_bgmu,
     multiplicative_group_exponent,
+    polygon_envelope,
     polygon_leq,
     siegel_shape,
     upper_unipotent_shape,
@@ -163,6 +164,24 @@ def test_polygon_leq_examples():
     assert polygon_leq(split, split)
     assert polygon_leq(split, orig)
     assert not polygon_leq(orig, split)
+
+
+def test_polygon_envelope_is_the_prefix_sums_of_the_slopes():
+    split = SlopeProfile((F(1), F(1, 2), F(0)), (1, 2, 1))
+    assert polygon_envelope(split) == [0, 1, F(3, 2), 2, 2]
+    assert polygon_envelope(SlopeProfile((F(2, 3),), (3,))) == [0, F(2, 3), F(4, 3), 2]
+
+
+def test_polygon_leq_does_not_use_the_fast_envelope(monkeypatch):
+    import newtonkit.muordinary as muordinary
+
+    def fast_path(*args):
+        raise AssertionError("the polygon oracle called max_degree_bound")
+
+    monkeypatch.setattr(muordinary, "max_degree_bound", fast_path)
+    split = SlopeProfile((F(1), F(1, 2), F(0)), (1, 2, 1))
+    orig = SlopeProfile((F(1), F(0)), (2, 2))
+    assert polygon_leq(split, orig) and not polygon_leq(orig, split)
 
 
 def test_polygon_leq_requires_matching_totals():

@@ -227,6 +227,15 @@ def test_sigma_apply_permutes_coweights():
     assert sigma_apply(a3.cochar(cw[1])).coords == cw[1]
 
 
+def test_sigma_apply_moves_node_i_to_sigma_i():
+    # D4 triality 1 -> 3 -> 4 -> 1: omega_1 goes to omega_3; sigma^-1 would give omega_4
+    d4 = build_datum("D", 4, (3, 2, 4, 1))
+    cw = fundamental_coweights(d4)
+    image = sigma_apply(d4.cochar(cw[0])).coords
+    assert image == cw[2] and image != cw[3]
+    assert sigma_apply(d4.cochar(cw[1])).coords == cw[1]
+
+
 def test_json_roundtrip():
     for t, n, spec in [("C", 2, None), ("A", 3, "flip"), ("E7", 7, None)]:
         d = build_datum(t, n, spec)
