@@ -28,8 +28,7 @@ class HeckeValuation:
     p: int
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValueError("p must be a prime >= 3")
+        require_prime(self.p)
         if len(self.full) % 2 != 0 or not self.full:
             raise ValueError("full valuation vector must have positive even length")
 

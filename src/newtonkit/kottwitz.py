@@ -119,10 +119,10 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
 
         c_J = B (<mubar, alpha_J> - cartan[J][free] c_free),
 
-    with B the inverse of the principal Cartan block on J, computed once
-    per J.  Everything runs in integers: with D the least integer making
-    every D <mubar, alpha_g> an integer and q the common denominator of B, a
-    candidate's C = c D q and its free pairings
+    with B the inverse of the principal Cartan block on J.  Everything runs
+    in integers: with D the least integer making every D <mubar, alpha_g>
+    an integer and q the common denominator of B, a candidate's C = c D q
+    and its free pairings
 
         <nu, alpha_g> D q = q D <mubar, alpha_g> - sum_b cartan[g][b] C_b
 
@@ -134,7 +134,12 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     For each J the c_free are chosen by a depth-first walk, one free
     coordinate per level.  Before the walk come the integer step vectors:
     the change of C_J and of the free pairings when one free coordinate
-    grows by 1, so each step is n additions.  A constraint can reach at most
+    grows by 1, so each step is n additions.  B, cartan[free][J] and the
+    steps at D = 1 depend on the Cartan matrix alone (the steps are linear
+    in D): they are computed once per J and Cartan matrix in a process and
+    kept in a table shared by every datum with that matrix (_BLOCKS, at
+    most 2^rank entries per matrix), and a call computes only the start
+    values and bounds that depend on mu.  A constraint can reach at most
     its current value (the coordinates not yet fixed at 0) plus, for each
     coordinate not yet fixed, bounds[a] * max(step, 0).  At each level the
     values of the current coordinate that keep this bound non-negative for
@@ -165,11 +170,13 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     if any(w < 0 for w in weights):
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
+    blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
     elements = []
     for j_mask in range(1 << n):
-        J = [i for i in range(n) if j_mask >> i & 1]
-        free = [i for i in range(n) if not j_mask >> i & 1]
-        for C, Dq in _walk(datum.cartan, J, free, M, D, bounds):
+        block = blocks[j_mask]
+        if block is None:
+            block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
+        for C, Dq in _walk(block, M, D, bounds):
             # nu = x / L - sum_a C_a coroot_a / (D q)
             den = L * Dq * k.K
             nu = RationalCocharacter(tuple(
@@ -181,23 +188,45 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     return KottwitzSet(mu, mubar, tuple(sorted(elements, key=KottwitzElement.sort_key)))
 
 
-def _walk(cartan, J, free, M, D, bounds):
-    """The candidates with zero set J (see enumerate_bgmu) as pairs (C, D q):
-    the integer vector C = c D q, q the common denominator of the J-block
-    inverse."""
+# The principal-block data of enumerate_bgmu, keyed by the Cartan matrix and
+# indexed by the bit mask of J: every datum with the same Cartan matrix (all
+# nodes of a type, and every call) shares one list of at most 2^rank entries.
+# An entry depends on the matrix alone, so filling one twice stores the same
+# tuple.
+_BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
+
+
+def _principal_block(cartan, j_mask):
+    """The mu-independent data of the walk with zero set J = the bits of
+    j_mask: (J, free, Q, q, cartan[free][J], unit steps), where Q / q is the
+    inverse of the principal Cartan block on J and the unit steps are the
+    step vectors of _walk at D = 1 (the steps are linear in D)."""
+    n = len(cartan)
+    J = tuple(i for i in range(n) if j_mask >> i & 1)
+    free = tuple(i for i in range(n) if not j_mask >> i & 1)
     Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
+    free_rows = tuple(tuple(cartan[g][b] for b in J) for g in free)
+    steps = []
+    for a in free:
+        dJ = [-sum(map(mul, row, (cartan[g][a] for g in J))) for row in Q]
+        steps.append(tuple(dJ + [-cartan[g][a] * q - sum(map(mul, row, dJ))
+                                 for g, row in zip(free, free_rows)]))
+    return J, free, tuple(map(tuple, Q)), q, free_rows, tuple(steps)
+
+
+def _walk(block, M, D, bounds):
+    """The candidates with the zero set J of block (see enumerate_bgmu and
+    _principal_block) as pairs (C, D q): the integer vector C = c D q, q the
+    common denominator of the J-block inverse."""
+    J, free, Q, q, free_rows, unit_steps = block
     Dq = D * q
-    free_rows = [[cartan[g][b] for b in J] for g in free]  # cartan[free][J]
     cJ = [sum(map(mul, row, (M[g] for g in J))) for row in Q]
     # the constraints at c_free = 0: C_J >= 0, then the free pairings - 1 >= 0
     start = cJ + [q * M[g] - sum(map(mul, row, cJ)) - 1 for g, row in zip(free, free_rows)]
-    # the step vectors: the change of the constraints when c_a grows by 1
-    steps = []
-    for a in free:
-        column = [-D * cartan[g][a] for g in J]
-        dJ = [sum(map(mul, row, column)) for row in Q]
-        steps.append(dJ + [-cartan[g][a] * Dq - sum(map(mul, row, dJ))
-                           for g, row in zip(free, free_rows)])
+    # the step vectors: the change of the constraints when c_a grows by 1,
+    # D times the unit steps (D = 1 whenever mu pairs integrally with every
+    # simple root, as every coweight does, so the product is skipped there)
+    steps = unit_steps if D == 1 else [[D * d for d in step] for step in unit_steps]
     # slack[i]: the most the coordinates free[i:] can still add to each constraint
     slack = [[0] * len(start)]
     for a, step in zip(reversed(free), reversed(steps)):

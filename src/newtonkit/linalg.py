@@ -8,8 +8,10 @@ integer rows over common denominators and the inverse as (Q, q) from
 ``invert``.  Coroot and root coefficients, fundamental (co)weights, the
 dominance test and the dominance order are integer matrix-vector products
 on the numerators of their inputs, scaled by the lcm of the denominators.
-The Kottwitz enumeration inverts each principal Cartan block once and
-walks its candidates in integer numerators (see ``kottwitz.enumerate_bgmu``).
+The Kottwitz enumeration inverts each principal Cartan block once per
+Cartan matrix per process, into a table shared by every datum with that
+matrix, and walks its candidates in integer numerators (see
+``kottwitz.enumerate_bgmu``).
 """
 
 from __future__ import annotations

@@ -114,9 +114,11 @@ class IntegerKernel:
 
     The simple roots are the integer rows ``roots`` over the common
     denominator R, the simple coroots ``coroots`` over K, and the inverse
-    of the Cartan matrix is Q / q (linalg.invert).  A rational vector enters
-    as (x, L) = scale(coords): x = coords * L with L the lcm of its
-    denominators.  Every product is then an integer mat-vec product, and
+    of the Cartan matrix is Q / q (linalg.invert), inverted once per datum.
+    The inverses of its principal blocks, which only the Kottwitz
+    enumeration needs, live in kottwitz's table per Cartan matrix, not
+    here.  A rational vector enters as (x, L) = scale(coords): x = coords
+    * L with L the lcm of its denominators.  Every product is then an integer mat-vec product, and
     callers build one Fraction per output coordinate, if any.
     """
 

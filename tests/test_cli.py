@@ -240,6 +240,14 @@ def test_mepsilon_p_must_be_a_prime(capsys):
     assert code == 0 and _payload(out)[1]["count"] == "5"
 
 
+def test_lambdag_p_must_be_a_prime(capsys):
+    for p in ("1", "4", "9"):
+        code, out = _capture(capsys, ["lambdag", "--t", '["0","1"]', "--s", "1", "--p", p])
+        assert code == 2 and _payload(out)[0] == "error", p
+    code, out = _capture(capsys, ["lambdag", "--t", '["0","1"]', "--s", "1", "--p", "5"])
+    assert code == 0 and _payload(out)[1]["valuation"] == "1/1"
+
+
 def test_input_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b"\xff\xfe{")

@@ -30,6 +30,22 @@ def test_valuation_invariants():
         HeckeValuation.from_blocks([0, 1], 1, 2)  # p too small
 
 
+@pytest.mark.parametrize("p", [1, 4, 9, 15])
+def test_every_valuation_needs_a_prime_p(p):
+    # one primality check in HeckeValuation covers every constructor and the
+    # constants built from filtration elements
+    with pytest.raises(ValueError, match="prime"):
+        HeckeValuation.from_blocks([0, 1], 1, p)
+    with pytest.raises(ValueError, match="prime"):
+        HeckeValuation.from_full([0, 1, 0, 1], 1, p)
+    with pytest.raises(ValueError, match="prime"):
+        filtration_element(2, 4, p)
+    with pytest.raises(ValueError, match="prime"):
+        n_g_constant([(2, F(2))], p, dim_v=4)
+    with pytest.raises(ValueError, match="prime"):
+        c_constant([(2, F(2))], siegel_radical_roots(2, lower=False), p, dim_v=4)
+
+
 def test_m_epsilon_examples():
     assert m_epsilon_valuation([1, 0], gl_upper_roots(2)) == 1
     e = HeckeValuation.from_blocks([0, 0], 1, 3)

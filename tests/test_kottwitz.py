@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from newtonkit import kottwitz
 from newtonkit.kottwitz import (
     KottwitzElement,
     KottwitzSet,
@@ -451,6 +452,76 @@ def test_every_e8_node_enumerates():
         top = {e for e in ks.elements if e.nu.coords == ks.mubar.coords}
         assert maximal_elements(ks) == top
         assert len(maximal_elements(ks, exclude_top=True)) == 1, k
+
+
+def _certified(mu):
+    return [(e.nu.coords, e.c, e.J) for e in enumerate_bgmu(mu).elements]
+
+
+@pytest.mark.parametrize("t,n,k", [("A", 7, 4), ("E6", 6, 1), ("C", 5, 5)])
+def test_enumeration_does_not_depend_on_the_block_table(t, n, k, monkeypatch):
+    # the principal-block table is shared by every node of a Cartan matrix:
+    # a cold table, one filled by the other nodes, and a repeat give the same
+    # elements, certificates and order
+    monkeypatch.setattr(kottwitz, "_BLOCKS", {})
+    datum = build_datum(t, n)
+    cold = _certified(_coweight(datum, k))
+    monkeypatch.setattr(kottwitz, "_BLOCKS", {})
+    for other in range(1, n + 1):
+        if other != k:
+            enumerate_bgmu(_coweight(datum, other))
+    warm = _certified(_coweight(datum, k))
+    assert cold == warm == _certified(_coweight(datum, k))
+
+
+RATIONAL_MU_CASES = [(t, n, r) for t, n in (("A", 4), ("C", 3), ("D", 4), ("G2", 2), ("E6", 6))
+                     for r in (F(1, 2), F(2, 3), F(5, 3))]
+
+
+@pytest.mark.parametrize("t,n,r", RATIONAL_MU_CASES)
+def test_walk_matches_the_exhaustive_scan_at_rational_mu(t, n, r):
+    # mu = r (w_1 + w_n) pairs to a non-integer with some simple root, so the
+    # walk's steps are scaled by a D > 1
+    datum = build_datum(t, n)
+    coweights = fundamental_coweights(datum)
+    mu = datum.cochar([r * (a + b) for a, b in zip(coweights[0], coweights[-1])])
+    pairings = [sum(x * y for x, y in zip(mu.coords, alpha)) for alpha in datum.simple_roots]
+    assert math.lcm(*(x.denominator for x in pairings)) > 1
+    assert _certified(mu) == _exhaustive_scan(mu), (t, n, r)
+
+
+def test_principal_blocks_are_inverted_once_per_cartan_matrix(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(kottwitz, "_BLOCKS", {})
+    monkeypatch.setattr(kottwitz, "invert", counted)
+    e7 = build_datum("E7", 7)
+    for k in range(1, 8):
+        enumerate_bgmu(_coweight(e7, k))
+    assert 0 < len(calls) <= 2 ** 7
+    calls.clear()
+    for k in range(1, 8):
+        enumerate_bgmu(_coweight(e7, k))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,count", [(2, 3), (3, 5), (4, 8), (5, 13), (6, 20), (7, 31)])
+def test_type_c_last_node_is_the_symmetric_polygon_set(n, count):
+    # C_n node n: the concave lattice polygons from (0,0) to (2n, n) that are
+    # symmetric (slope s_i + s_(2n+1-i) = 1), nu the upper half of the slopes
+    # shifted by -1/2
+    datum = build_datum("C", n)
+    ks = enumerate_bgmu(_coweight(datum, n))
+    got = {e.nu.coords for e in ks.elements}
+    expected = {tuple(x - F(1, 2) for x in slopes[:n])
+                for slopes in _concave_polygon_slopes(2 * n, n)
+                if all(a + b == 1 for a, b in zip(slopes, reversed(slopes)))}
+    assert len(got) == len(ks.elements) == count
+    assert got == expected
 
 
 def _average_by_sigma_powers(mu):
