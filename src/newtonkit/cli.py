@@ -38,6 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Keeps the chosen subcommand's parser and arguments, for --in."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        namespace.reparse = (self.choices[values[0]], values[1:])
+
+
 def _max_rank() -> int:
     return int(os.environ.get("NEWTONKIT_MAX_RANK", "8"))
 
@@ -45,15 +53,12 @@ def _max_rank() -> int:
 def _get_datum(args) -> rootdata.RootDatum:
     if args.type is None or args.rank is None:
         raise ValueError("--type and --rank are required (flags or --in file)")
-    rank = int(args.rank)
-    if rank > _max_rank():
-        raise ValueError(
-            f"rank {rank} exceeds NEWTONKIT_MAX_RANK={_max_rank()}"
-        )
-    sigma = getattr(args, "sigma", None)
+    if args.rank > _max_rank():
+        raise ValueError(f"rank {args.rank} exceeds NEWTONKIT_MAX_RANK={_max_rank()}")
+    sigma = args.sigma
     if isinstance(sigma, str) and sigma.startswith("["):
         sigma = json.loads(sigma)
-    return rootdata.build_datum(args.type, rank, sigma)
+    return rootdata.build_datum(args.type, args.rank, sigma)
 
 
 def _node_coweight(datum, node: int):
@@ -63,10 +68,12 @@ def _node_coweight(datum, node: int):
     return rootdata.RationalCocharacter(coweights[node - 1], datum)
 
 
-def _vec(arg) -> tuple[Fraction, ...]:
-    if isinstance(arg, str):
-        arg = json.loads(arg)
-    return tuple(rat(x) for x in arg)
+def _vec(arg: str) -> tuple[Fraction, ...]:
+    """A JSON array of rationals."""
+    doc = json.loads(arg)
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a JSON array of rationals, got {type(doc).__name__}")
+    return tuple(rat(x) for x in doc)
 
 
 def _cmd_datum(args):
@@ -126,6 +133,9 @@ def _cmd_leq(args):
     datum = _get_datum(args)
     x = rootdata.RationalCocharacter(_vec(args.x), datum)
     y = rootdata.RationalCocharacter(_vec(args.y), datum)
+    if not (rootdata.is_dominant(x) and rootdata.is_dominant(y)):
+        raise ValueError("leq compares dominant points: --x and --y must pair "
+                         "non-negatively with every simple root")
     result = {"leq": kottwitz.newton_leq(x, y)}
     if args.verify:
         result["hull_oracle"] = oracles.convex_hull_membership(x, y)
@@ -296,14 +306,14 @@ _TYPE_ARGS = (
     ("--type", {"required": False}),
     ("--rank", {"type": int, "required": False}),
     ("--sigma", {"default": None, "help": "identity, flip, or a JSON permutation"}),
-    ("--labeling", {"choices": ["paper", "bourbaki"], "default": "bourbaki"}),
 )
 _NODE = ("--node", {"type": int})
 _P = ("--p", {"type": int, "default": 3})
 
 # Every subcommand, in --help order: its handler and its argument specs.
 _SUBCOMMANDS = {
-    "datum": (_cmd_datum, _TYPE_ARGS),
+    "datum": (_cmd_datum, (*_TYPE_ARGS, (
+        "--labeling", {"choices": ["paper", "bourbaki"], "default": "bourbaki"}))),
     "bgmu": (_cmd_bgmu, (*_TYPE_ARGS, _NODE)),
     "maximal": (_cmd_maximal, (*_TYPE_ARGS, _NODE, (
         "--exclude-top", {"action": "store_true", "dest": "exclude_top"}))),
@@ -328,7 +338,7 @@ def _build_parser() -> _Parser:
                         default=argparse.SUPPRESS,
                         help="read subcommand arguments from a JSON file")
     parser = _Parser(prog="newtonkit", description=__doc__, parents=[common])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", action=_Subcommands)
     for name, (_, specs) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flags, kwargs in specs:
@@ -362,27 +372,36 @@ def _emit(args, status: str, payload: dict) -> None:
         print(json.dumps(result, sort_keys=True, separators=(",", ":")))
 
 
-def _read_infile(args) -> None:
-    """Fill the arguments not given on the command line from the --in object."""
-    infile = getattr(args, "infile", None)
-    if not infile:
-        return
+def _read_infile(args) -> argparse.Namespace:
+    """args with the --in object parsed in front of the command line, each key
+    as the flag of the same name (a switch takes true or false): the flag's
+    type, choices and default apply, and a flag on the command line wins."""
+    if not getattr(args, "infile", None):
+        return args
     try:
-        with open(infile, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        parser, argv = args.reparse
+        flags = {a.dest: a for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "infile")}
+        unknown = sorted(k for k in doc if k.replace("-", "_") not in flags)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} for {args.command}")
+        tokens = []
+        for key, value in doc.items():
+            action = flags[key.replace("-", "_")]
+            flag = action.option_strings[0]
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+            elif isinstance(value, bool):
+                tokens += [flag] * value
+            else:
+                raise ValueError(f"{key} takes true or false, not {value!r}")
+        return parser.parse_args(tokens + argv, namespace=args)
+    except (OSError, ValueError, _UsageError) as exc:  # ValueError: also bad JSON or UTF-8
         raise ValueError(f"cannot read --in file: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise ValueError("cannot read --in file: expected a JSON object, got "
-                         f"{type(overrides).__name__}")
-    known = (set(vars(args)) | {"table"}) - {"command", "infile"}
-    unknown = sorted(k for k in overrides if k.replace("-", "_") not in known)
-    if unknown:
-        raise ValueError(f"cannot read --in file: unknown keys {unknown} for {args.command}")
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, False):
-            setattr(args, attr, value)
 
 
 def run(argv) -> int:
@@ -396,7 +415,7 @@ def run(argv) -> int:
         return 1
     handler, _ = _SUBCOMMANDS[args.command]
     try:
-        _read_infile(args)
+        args = _read_infile(args)
         start = time.monotonic()
         payload = handler(args)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:

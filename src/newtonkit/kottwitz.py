@@ -21,11 +21,10 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import invert
-from .rationals import vec_parse, vec_str, vsub
+from .rationals import vec_parse, vec_str
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
-    coroot_span_decomposition,
     fundamental_coweights,
     is_dominant,
     sigma_apply,
@@ -73,10 +72,10 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     Returns (True, (c, J)) with the certificate, or (False, reason).
     When sigma is nontrivial the integrality condition is taken over
     sigma-orbits of simple roots (orbit-summed fundamental weights); this
-    folded path requires nu to be sigma-invariant.  The root pairings of nu
-    and mubar are computed once, on integer numerators over one common
-    denominator, and serve the dominance test, the coroot decomposition of
-    mubar - nu and the zero set J.
+    folded path requires nu to be sigma-invariant.  nu and mubar are
+    scaled to integer numerators over one common denominator: the root
+    pairings of nu give the dominance test and the zero set J, and the
+    kernel's split of mubar - nu its coroot coefficients and orthogonal part.
     """
     datum = nu.datum
     if mubar.datum != datum:
@@ -92,9 +91,8 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     p_nu = k.root_pairings(x_nu)
     if any(p < 0 for p in p_nu):
         return False, "nu is not dominant"
-    diff = [a - b for a, b in zip(x_mubar, x_nu)]
-    C = k.coefficients([a - b for a, b in zip(k.root_pairings(x_mubar), p_nu)])
-    if any(k.perp(diff, C)):
+    C, P = k.split([a - b for a, b in zip(x_mubar, x_nu)])
+    if any(P):
         return False, "mubar - nu is not in the coroot span"
     if any(c < 0 for c in C):
         return False, "mubar - nu has a negative coroot coefficient"
@@ -268,24 +266,25 @@ def _walk(block, M, D, bounds):
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
     """Dominance order: y - x is a non-negative combination of simple coroots
-    with equal orthogonal-complement components.  Callers pass dominant points.
+    with equal orthogonal-complement components, read off the kernel's split
+    of y - x over one common denominator.  Callers pass dominant points.
     """
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
-    diff = vsub(y.coords, x.coords)
-    coeffs, perp = coroot_span_decomposition(x.datum, diff)
-    if any(t != 0 for t in perp):
-        return False
-    return all(c >= 0 for c in coeffs)
+    k = x.datum.kernel
+    v, _ = k.scale(y.coords + x.coords)
+    dim = x.datum.ambient_dim
+    C, P = k.split([a - b for a, b in zip(v[:dim], v[dim:])])
+    return not any(P) and all(c >= 0 for c in C)
 
 
 def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[KottwitzElement]:
     """The dominance-maximal elements, optionally with the top point removed.
 
-    The coroot-span decomposition is linear, so e <= f (newton_leq) exactly
-    when e and f have the same orthogonal part and every coroot coefficient
-    of f is at least that of e: each element is decomposed once, all over
-    one common denominator, so both tests compare integer numerators.
+    The kernel's split is linear, so e <= f (newton_leq) exactly when e and
+    f have the same orthogonal part and every coroot coefficient of f is at
+    least that of e: each element is split once, all over one common
+    denominator, so both tests compare integer numerators.
     """
     pool = list(ks.elements)
     if exclude_top:
@@ -296,11 +295,7 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     k = datum.kernel
     x, _ = k.scale([t for e in pool for t in e.nu.coords])
     dim = datum.ambient_dim
-    parts = []
-    for i, e in enumerate(pool):
-        xe = x[i * dim:(i + 1) * dim]
-        C = k.coefficients(k.root_pairings(xe))
-        parts.append((e, C, k.perp(xe, C)))
+    parts = [(e, *k.split(x[i * dim:(i + 1) * dim])) for i, e in enumerate(pool)]
     out = set()
     for e, ce, pe in parts:
         if all(f is e or pf != pe or any(a < b for a, b in zip(cf, ce))

@@ -5,9 +5,12 @@ here solves a linear system per call: every root datum inverts its Cartan
 matrix once, lazily, into its integer kernel (``RootDatum.kernel``, a
 ``rootdata.IntegerKernel``), which holds the simple roots and coroots as
 integer rows over common denominators and the inverse as (Q, q) from
-``invert``.  Coroot and root coefficients, fundamental (co)weights, the
-dominance test and the dominance order are integer matrix-vector products
-on the numerators of their inputs, scaled by the lcm of the denominators.
+``invert``.  Root pairings, fundamental (co)weights and the dominance
+test are integer matrix-vector products on the numerators of their inputs,
+scaled by the lcm of the denominators; one kernel method, ``split``, cuts a
+vector into its coroot coefficients and its part orthogonal to the roots,
+and the dominance order, Kottwitz membership, maximal elements and the
+action of sigma all read that split.
 The Kottwitz enumeration inverts each principal Cartan block once per
 Cartan matrix per process, into a table shared by every datum with that
 matrix, and walks its candidates in integer numerators (see

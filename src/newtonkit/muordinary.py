@@ -276,8 +276,11 @@ def profile_to_json(profile: SlopeProfile) -> dict:
 
 
 def profile_from_json(doc: dict) -> SlopeProfile:
-    """mults are JSON integers or digit strings; polarized, if given, a JSON boolean."""
+    """slopes and mults are JSON arrays, of rationals and of integers or digit
+    strings; polarized, if given, a JSON boolean."""
     mults = doc["mults"]
+    if not (isinstance(doc["slopes"], list) and isinstance(mults, list)):
+        raise ValueError("slopes and mults must be JSON arrays")
     if any(isinstance(m, bool) or not isinstance(m, (int, str)) for m in mults):
         raise ValueError("multiplicities must be integers or digit strings")
     polarized = doc.get("polarized", False)

@@ -17,10 +17,10 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "3/4" or "-2" and Fractions to Fraction."""
+    """Coerce ints (not bools), strings like "3/4" or "-2" and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
@@ -46,13 +46,4 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = rat(c)
-    return tuple(c * x for x in a)
 

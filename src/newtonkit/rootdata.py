@@ -15,8 +15,9 @@ the 8-dimensional E8 ambient space, F4 in dimension 4, G2 in dimension 3).
 Coroots are 2a/(a,a), which is rational for every type above.
 
 All arithmetic is exact: values are fractions.Fraction, and the linear
-algebra runs on their integer numerators (IntegerKernel); nothing here
-ever touches a float.
+algebra runs on their integer numerators (IntegerKernel, whose split
+gives coroot coefficients plus orthogonal part to sigma_apply and to the
+order and membership tests in kottwitz); nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import invert
-from .rationals import dot, vec_parse, vsub, vscale
+from .rationals import dot, vec_parse
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -118,8 +119,10 @@ class IntegerKernel:
     The inverses of its principal blocks, which only the Kottwitz
     enumeration needs, live in kottwitz's table per Cartan matrix, not
     here.  A rational vector enters as (x, L) = scale(coords): x = coords
-    * L with L the lcm of its denominators.  Every product is then an integer mat-vec product, and
-    callers build one Fraction per output coordinate, if any.
+    * L with L the lcm of its denominators.  Every product is then an
+    integer mat-vec product, and callers build one Fraction per output
+    coordinate, if any.  ``split`` is the one place that cuts x / L into
+    coroot coefficients and a part orthogonal to the roots.
     """
 
     def __init__(self, datum: "RootDatum"):
@@ -154,11 +157,13 @@ class IntegerKernel:
         """K sum_k c_k coroot_k."""
         return [sum(map(mul, col, c)) for col in self._coroot_cols]
 
-    def perp(self, x: Sequence[int], C: Sequence[int]) -> list[int]:
-        """Numerators over q R K L of x / L - sum_k C_k coroot_k / (q R L):
-        with C = coefficients(root_pairings(x)) the part of x / L that pairs
+    def split(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(C, P) for a numerator vector x over L: C = coefficients(root_pairings(x)),
+        the coroot coefficients of x / L over q R L, and P the numerators over
+        q R K L of the rest, x / L - sum_k C_k coroot_k / (q R L), which pairs
         to zero with every root."""
-        return [t * self.qRK - s for t, s in zip(x, self.coroot_sum(C))]
+        C = self.coefficients(self.root_pairings(x))
+        return C, [t * self.qRK - s for t, s in zip(x, self.coroot_sum(C))]
 
 
 def _chain_roots(n: int) -> list[tuple[Fraction, ...]]:
@@ -238,17 +243,19 @@ def _resolve_sigma(type_label: str, rank: int, sigma_spec) -> tuple[int, ...]:
         if maker is None:
             raise ValueError(f"type {type_label} has no named flip automorphism")
         return maker(rank)
-    perm = tuple(int(i) for i in sigma_spec)
-    if sorted(perm) != list(range(1, rank + 1)):
+    if not isinstance(sigma_spec, (list, tuple)) or any(type(i) is not int for i in sigma_spec):
+        raise ValueError(f"sigma {sigma_spec!r} is not identity, id, flip or a list of ints")
+    if sorted(sigma_spec) != list(range(1, rank + 1)):
         raise ValueError(f"sigma {sigma_spec!r} is not a permutation of 1..{rank}")
-    return perm
+    return tuple(sigma_spec)
 
 
 def build_datum(type_label: str, rank: int, sigma_spec=None) -> RootDatum:
     """Construct the indecomposable root datum of the given type and rank.
 
-    sigma_spec is None/"identity", "flip" (the nontrivial diagram
-    automorphism of A_n, D_n or E6), or an explicit 1-based permutation.
+    sigma_spec is None/"identity"/"id", "flip" (the nontrivial diagram
+    automorphism of A_n, D_n or E6), or an explicit 1-based permutation: a
+    list or tuple of ints (not bools).
     """
     if type_label not in INDECOMPOSABLE_TYPES:
         raise ValueError(f"unknown type label {type_label!r}")
@@ -396,8 +403,7 @@ def reflect_simple(v: RationalCocharacter, i: int) -> RationalCocharacter:
     datum = v.datum
     c = dot(v.coords, datum.simple_roots[i - 1])
     return RationalCocharacter(
-        vsub(v.coords, vscale(c, datum.simple_coroots[i - 1])), datum
-    )
+        tuple(a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])), datum)
 
 
 def dominant_representative(v: RationalCocharacter) -> RationalCocharacter:
@@ -412,38 +418,19 @@ def dominant_representative(v: RationalCocharacter) -> RationalCocharacter:
             return current
 
 
-def coroot_span_decomposition(
-    datum: RootDatum, coords: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Split a cocharacter vector as (coroot-span coefficients, orthogonal part).
-
-    The orthogonal part pairs to zero with every root.  The coefficients
-    solve cartan . c = (<coords, root_j>)_j, so they are the inverse applied
-    to the root pairings; both parts are linear in coords, and computed on
-    integer numerators by the datum's kernel.
-    """
-    k = datum.kernel
-    x, L = k.scale(coords)
-    C = k.coefficients(k.root_pairings(x))
-    den = k.q * k.R * L
-    return (tuple(Fraction(c, den) for c in C),
-            tuple(Fraction(t, den * k.K) for t in k.perp(x, C)))
-
-
 def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
     """Apply sigma, the only code that says how it acts: the coroot coefficient
     at node i moves to node sigma(i), and the part orthogonal to the roots is fixed."""
     datum = v.datum
     k = datum.kernel
     x, L = k.scale(v.coords)
-    C = k.coefficients(k.root_pairings(x))
+    C, P = k.split(x)
     moved = [0] * datum.rank
     for c, s in zip(C, datum.sigma):
         moved[s - 1] = c
-    # v - sum_i c_i coroot_i + sum_i c_i coroot_sigma(i)
-    den = k.qRK * L
+    # the orthogonal part plus sum_i c_i coroot_sigma(i), over q R K L
     return RationalCocharacter(tuple(
-        Fraction(t, den) for t in k.perp(x, [a - b for a, b in zip(C, moved)])), datum)
+        Fraction(p + t, k.qRK * L) for p, t in zip(P, k.coroot_sum(moved))), datum)
 
 
 def datum_to_json(datum: RootDatum) -> dict:

@@ -25,3 +25,11 @@ def polarized_profiles(max_n=5, max_r=4):
                 if sum(mults) % 2 == 0 and sum(mults) <= 2 * max_n:
                     out.append(SlopeProfile(slopes, tuple(mults), polarized=True))
     return out
+
+
+def coroot_span_decomposition(datum, coords):
+    """(coroot coefficients, orthogonal part) of coords, from the kernel's split."""
+    k = datum.kernel
+    x, L = k.scale(coords)
+    C, P = k.split(x)
+    return tuple(F(c, k.q * k.R * L) for c in C), tuple(F(t, k.qRK * L) for t in P)

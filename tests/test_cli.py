@@ -267,3 +267,120 @@ def test_every_subcommand_without_its_arguments_fails_cleanly(capsys):
             assert _payload(captured.out)[0] == "error", name
         else:
             assert captured.out == "" and captured.err.startswith("usage error"), name
+
+
+def _run_with_file(tmp_path, capsys, argv, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = _capture(capsys, [*argv, "--in", str(path)])
+    return code, _payload(out)
+
+
+def test_input_file_keys_act_as_their_flags(tmp_path, capsys):
+    # keys whose flag has a default are applied, not dropped
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["mepsilon"],
+                                        {"full": ["0", "0", "1", "1"], "p": 5})
+    assert code == 0 and payload["count"] == "125"
+    for doc in ({"full": ["1", "0"], "shape": "gl"}, {"full": ["0", "1"], "shape": "gl"}):
+        flags = ["--full", json.dumps(doc["full"]), "--shape", "gl"]
+        assert _run_with_file(tmp_path, capsys, ["mepsilon"], doc) == \
+            _payload_of(capsys, ["mepsilon", *flags])
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["datum"],
+                                        {"type": "D", "rank": 4, "labeling": "paper"})
+    assert code == 0 and payload["labeling"]["requested"] == "paper"
+    # a switch takes true or false
+    doc = {"type": "C", "rank": 3, "node": 3}
+    with_top = _run_with_file(tmp_path, capsys, ["maximal"], {**doc, "exclude_top": False})
+    without = _run_with_file(tmp_path, capsys, ["maximal"], {**doc, "exclude-top": True})
+    assert with_top == _payload_of(capsys, ["maximal", "--type", "C", "--rank", "3",
+                                            "--node", "3"])
+    assert without == _payload_of(capsys, ["maximal", "--type", "C", "--rank", "3",
+                                           "--node", "3", "--exclude-top"])
+    assert with_top != without
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["hasse"],
+                                        {"w": 2, "p": 3, "table": False})
+    assert code == 0 and payload["hasse_number"] == 8
+
+
+def _payload_of(capsys, argv):
+    code, out = _capture(capsys, argv)
+    return code, _payload(out)
+
+
+def test_input_file_values_are_checked_like_flags(tmp_path, capsys):
+    for argv, doc in ((["hasse"], {"w": True, "p": 5}),
+                      (["hasse"], {"w": 2.5, "p": 5}),
+                      (["bgmu"], {"type": "A", "rank": 2.9, "node": 1}),
+                      (["datum"], {"type": "A", "rank": 2, "labeling": "nonsense"}),
+                      (["maximal"], {"type": "C", "rank": 3, "node": 3, "exclude_top": "no"}),
+                      (["maximal"], {"type": "C", "rank": 3, "node": 3, "exclude_top": 1})):
+        code, (status, payload) = _run_with_file(tmp_path, capsys, argv, doc)
+        assert code == 2 and status == "error" and "--in file" in payload["error"], doc
+
+
+def test_command_line_wins_over_the_input_file(tmp_path, capsys):
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["hasse", "--p", "3"],
+                                        {"w": 2, "p": 5})
+    assert code == 0 and payload["hasse_number"] == 8
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["hasse", "--p", "5"],
+                                        {"w": 2, "p": 3})
+    assert code == 0 and payload["hasse_number"] == 24
+    code, (_, payload) = _run_with_file(tmp_path, capsys, ["bgmu", "--rank", "2"],
+                                        {"type": "C", "rank": 3, "node": 2})
+    assert code == 0 and len(payload["elements"]) == 3
+
+
+def test_input_file_keys_must_name_an_argument_exactly(tmp_path, capsys):
+    for argv, doc in ((["bgmu"], {"ty": "C", "rank": 2, "node": 2}),
+                      (["hasse"], {"h": True}),
+                      (["hasse"], {"help": True}),
+                      (["hasse"], {"in": "other.json"}),
+                      (["bgmu"], {"type": "C", "rank": 2, "node": 2, "labeling": "paper"})):
+        code, (status, payload) = _run_with_file(tmp_path, capsys, argv, doc)
+        assert code == 2 and "unknown keys" in payload["error"], doc
+
+
+def test_sequences_must_be_json_arrays_of_rationals(capsys):
+    for argv in (["mepsilon", "--full", '"0011"'],
+                 ["leq", "--type", "A", "--rank", "1", "--x", '"10"', "--y", '"01"'],
+                 ["slopes", "--nu", '"10"', "--dim", "4"],
+                 ["lambdag", "--t", '"01"'],
+                 ["degrees", "--profile", '{"slopes":"10","mults":"12"}'],
+                 ["degrees", "--profile", '{"slopes":["1","0"],"mults":"12"}'],
+                 ["leq", "--type", "A", "--rank", "1", "--x", "[true,false]",
+                  "--y", "[true,false]"],
+                 ["mepsilon", "--full", "[false,false,true,true]"]):
+        code, (status, _) = _payload_of(capsys, argv)
+        assert code == 2 and status == "error", argv
+
+
+def test_sigma_is_a_name_or_an_array_of_integer_nodes(capsys):
+    for sigma in ("21", "[2.9, 1.2]", "[true, 2]", '["2", "1"]', '{"1": 2}'):
+        code, (status, _) = _payload_of(capsys, ["datum", "--type", "A", "--rank", "2",
+                                                 "--sigma", sigma])
+        assert code == 2 and status == "error", sigma
+    for sigma, image in (("[2, 1]", [2, 1]), ("flip", [2, 1]), ("identity", [1, 2]),
+                         ("id", [1, 2])):
+        code, (_, payload) = _payload_of(capsys, ["datum", "--type", "A", "--rank", "2",
+                                                  "--sigma", sigma])
+        assert code == 0 and payload["sigma"] == image
+
+
+def test_leq_rejects_points_that_are_not_dominant(capsys):
+    base = ["leq", "--type", "A", "--rank", "1"]
+    for x, y in ((["1", "0"], ["0", "1"]), (["0", "1"], ["1", "0"])):
+        code, (status, payload) = _payload_of(
+            capsys, [*base, "--x", json.dumps(x), "--y", json.dumps(y), "--verify"])
+        assert code == 2 and "dominant" in payload["error"]
+    code, (_, payload) = _payload_of(capsys, [*base, "--x", '["0","0"]', "--y", '["1/2","-1/2"]',
+                                              "--verify"])
+    assert code == 0 and payload == {"leq": True, "hull_oracle": True, "schema": "newtonkit/1"}
+
+
+def test_labeling_is_an_argument_of_datum_only(capsys):
+    for argv in (["bgmu", "--type", "C", "--rank", "2", "--node", "2"],
+                 ["maximal", "--type", "C", "--rank", "2", "--node", "2"],
+                 ["leq", "--type", "C", "--rank", "2", "--x", '["0","0"]', "--y", '["0","0"]']):
+        assert run([*argv, "--labeling", "paper"]) == 1
+        assert run(argv) == 0
+    assert run(["datum", "--type", "C", "--rank", "2", "--labeling", "paper"]) == 0

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonkit import kottwitz
 from newtonkit.kottwitz import (
@@ -18,10 +20,11 @@ from newtonkit.kottwitz import (
     minuscule_coweights,
     newton_leq,
 )
+from conftest import coroot_span_decomposition
 from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     build_datum,
-    coroot_span_decomposition,
+    dominant_representative,
     fundamental_coweights,
     is_dominant,
     product_datum,
@@ -576,3 +579,74 @@ def test_galois_average_is_the_orbit_mean(datum):
         for orbit in datum.sigma_orbits:
             assert len({c_avg[i - 1] for i in orbit}) == 1
             assert sum(c_avg[i - 1] for i in orbit) == sum(c_mu[i - 1] for i in orbit)
+
+
+# the nine types with their ranks up to 8
+_RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(3, 9),
+          "E6": (6,), "E7": (7,), "E8": (8,), "F4": (4,), "G2": (2,)}
+
+
+def _solve_in_coroots(datum, v):
+    """(c, perp): v = sum_k c_k coroot_k + perp with perp orthogonal to every
+    root, by Fraction Gaussian elimination on <coroot_k, root_j> c = <v, root_j>."""
+    roots, coroots, n = datum.simple_roots, datum.simple_coroots, datum.rank
+
+    def ip(a, b):
+        return sum((x * y for x, y in zip(a, b)), F(0))
+
+    m = [[ip(coroots[k], roots[j]) for k in range(n)] + [ip(v, roots[j])] for j in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    c = [row[n] for row in m]
+    return c, tuple(x - ip(c, [a[t] for a in coroots]) for t, x in enumerate(v))
+
+
+def _leq_oracle(x, y):
+    c, perp = _solve_in_coroots(x.datum, [b - a for a, b in zip(x.coords, y.coords)])
+    return not any(perp) and all(t >= 0 for t in c)
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _dominant_pairs(draw):
+    """(x, y, z, shift): x <= y by construction (y is the dominant point of
+    x plus a non-negative coroot combination), z an unrelated dominant point
+    and shift a vector orthogonal to every root (zero where the coroots span
+    the ambient space; nonzero in general for A, E6, E7 and G2)."""
+    t = draw(st.sampled_from(sorted(_RANKS)))
+    datum = build_datum(t, draw(st.sampled_from(_RANKS[t])))
+    dim = datum.ambient_dim
+
+    def point():
+        return dominant_representative(datum.cochar(draw(st.lists(_SMALL, min_size=dim,
+                                                                  max_size=dim))))
+
+    x, z = point(), point()
+    c = draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=2),
+                      min_size=datum.rank, max_size=datum.rank))
+    up = [t + sum((ck * a[i] for ck, a in zip(c, datum.simple_coroots)), F(0))
+          for i, t in enumerate(x.coords)]
+    y = dominant_representative(datum.cochar(up))
+    shift = _solve_in_coroots(datum, draw(st.lists(_SMALL, min_size=dim, max_size=dim)))[1]
+    return x, y, z, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dominant_pairs())
+def test_newton_leq_matches_a_fraction_gauss_solve(case):
+    x, y, z, shift = case
+    datum = x.datum
+    y_shifted = datum.cochar([a + b for a, b in zip(y.coords, shift)])
+    assert _leq_oracle(x, y)
+    assert newton_leq(x, y)
+    assert _leq_oracle(x, y_shifted) == (not any(shift))
+    for a, b in ((x, y), (y, x), (x, y_shifted), (y_shifted, x), (x, z), (z, x), (z, y)):
+        assert newton_leq(a, b) == _leq_oracle(a, b), (a.coords, b.coords)
+

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coroot_span_decomposition
 from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     RationalCocharacter,
     build_datum,
-    coroot_span_decomposition,
     datum_from_json,
     datum_to_json,
     dominant_representative,
@@ -395,3 +395,23 @@ def test_rat_accepts_only_sign_digits_and_slash_digits():
     for s in ("1e5", "1e200000000", "0.5", " 1", "1_000", "1/-2", "", "/2", "inf", "1/2/3"):
         with pytest.raises(ValueError):
             rat(s)
+
+
+@pytest.mark.parametrize("t,n", ALL_TYPES, ids=lambda v: str(v))
+def test_kernel_split_solves_the_cartan_system(t, n):
+    # x / L = sum_k c_k coroot_k + P / (q R K L): P pairs to zero with every
+    # root, and c = C / (q R L) solves cartan . c = (<x / L, root_j>)_j
+    datum = build_datum(t, n)
+    k = datum.kernel
+    rng = random.Random(n)
+    for _ in range(4):
+        coords = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(datum.ambient_dim)]
+        x, L = k.scale(coords)
+        C, P = k.split(x)
+        c = [F(v, k.q * k.R * L) for v in C]
+        perp = [F(v, k.q * k.R * k.K * L) for v in P]
+        for j, root in enumerate(datum.simple_roots):
+            assert pairing(perp, root) == 0
+            assert sum(datum.cartan[j][i] * c[i] for i in range(n)) == pairing(coords, root)
+        assert [sum((ci * a[s] for ci, a in zip(c, datum.simple_coroots)), perp[s])
+                for s in range(datum.ambient_dim)] == coords
