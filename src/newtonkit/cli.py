@@ -5,6 +5,11 @@ table with --table) to stdout.  Output bytes are deterministic for
 identical inputs: keys are sorted and rationals are rendered as "p/q" in
 lowest terms; elapsed time goes to stderr.  Exit codes: 0 success, 1 usage
 error, 2 domain error.
+
+Each process loads only the layers its subcommand runs: the brute-force
+oracles (``newtonkit.oracles``) are imported by ``leq --verify`` and
+``verify-all`` alone, and the verify-all check table lives in
+``newtonkit.verify``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import hecke, kottwitz, muordinary, oracles, rootdata
+from . import hecke, kottwitz, muordinary, rootdata
 from .rationals import rat, rat_str, vec_str
 
 SCHEMA = "newtonkit/1"
@@ -138,7 +143,9 @@ def _cmd_leq(args):
                          "non-negatively with every simple root")
     result = {"leq": kottwitz.newton_leq(x, y)}
     if args.verify:
-        result["hull_oracle"] = oracles.convex_hull_membership(x, y)
+        from .oracles import convex_hull_membership
+
+        result["hull_oracle"] = convex_hull_membership(x, y)
     return result
 
 
@@ -194,105 +201,10 @@ def _cmd_hasse(args):
     return {"hasse_number": hecke.hasse_number(args.w, args.p)}
 
 
-def _verify_maximal_theorem():
-    cases = [("A", n, k) for n in range(1, 5) for k in range(1, n + 1)]
-    cases += [("B", n, 1) for n in (2, 3, 4)]
-    cases += [("C", n, n) for n in (2, 3, 4)]
-    cases += [("D", n, k) for n in (3, 4) for k in (1, n - 1, n)]
-    for t, n, k in cases:
-        datum = rootdata.build_datum(t, n)
-        mu = _node_coweight(datum, k)
-        ks = kottwitz.enumerate_bgmu(mu)
-        mx = kottwitz.maximal_elements(ks, exclude_top=True)
-        half = Fraction(1, 2)
-        expected = tuple(
-            m - half * c
-            for m, c in zip(ks.mubar.coords, datum.simple_coroots[k - 1])
-        )
-        yield f"maximal-element {t}{n} node {k}", {e.nu.coords for e in mx} == {expected}
-
-
-def _verify_grid():
-    for t, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
-                 ("C", 2), ("C", 3), ("D", 3)]:
-        datum = rootdata.build_datum(t, n)
-        for k in sorted(rootdata.special_roots(datum)):
-            mu = _node_coweight(datum, k)
-            main = {e.nu.coords for e in kottwitz.enumerate_bgmu(mu).elements}
-            grid = oracles.grid_enumerate_bgmu(mu)
-            yield f"grid-enumeration {t}{n} node {k}", main == grid
-
-
-def _verify_order():
-    import random
-
-    rng = random.Random(1789)
-    for t, n in [("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A", 3), ("C", 3)]:
-        datum = rootdata.build_datum(t, n)
-        agree = True
-        for _ in range(60):
-            pts = []
-            for _ in range(2):
-                coords = tuple(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in
-                    range(datum.ambient_dim)
-                )
-                pts.append(rootdata.dominant_representative(
-                    rootdata.RationalCocharacter(coords, datum)))
-            x, y = pts
-            agree &= kottwitz.newton_leq(x, y) == oracles.convex_hull_membership(x, y)
-        yield f"order-vs-hull {t}{n} x60", agree
-
-
-def _verify_hecke():
-    shapes = [
-        ("gl2", oracles.upper_unipotent_shape(2), hecke.gl_upper_roots(2),
-         [(0, 0), (1, 0), (2, 1)]),
-        ("siegel2", oracles.siegel_shape(2), hecke.siegel_radical_roots(2),
-         [(0, 0, 1, 1), (0, 1, 1, 2), (1, 1, 1, 1)]),
-    ]
-    for name, shape, roots, val_list in shapes:
-        for vals in val_list:
-            p = 3
-            k = max(vals) + 1
-            count = oracles.coset_count_bruteforce(list(vals), shape, p, k)
-            val = hecke.m_epsilon_valuation(list(vals), roots)
-            yield (f"coset-count {name} {vals} p=3",
-                   val.denominator == 1 and count == p ** int(val))
-
-
-def _verify_polygons():
-    from .muordinary import SlopeProfile, degrees, next_to_max_profile, modified_degrees
-
-    for n in (1, 2, 3):
-        profile = SlopeProfile((Fraction(1), Fraction(0)), (n, n), polarized=True)
-        for dh in range(1, n + 1):
-            split = next_to_max_profile(profile, 1, dh)
-            envelopes = [oracles.polygon_envelope(q) for q in (split, profile)]
-            fast = all(muordinary.max_degree_bound(q, h) == e
-                       for q, env in zip((split, profile), envelopes) for h, e in enumerate(env))
-            below = oracles.polygon_leq(split, profile)
-            strict = envelopes[0] != envelopes[1]  # with below: strictly below somewhere
-            mod = modified_degrees(split)
-            fold = degrees(split).d
-            yield f"polygon-split n={n} dh={dh}", below and strict and fast and mod == fold
-
-
-def _verify_hasse():
-    for p in (3, 5, 7, 11, 13):
-        w = 1
-        while p ** w <= 243:
-            yield (f"hasse-number p={p} w={w}",
-                   hecke.hasse_number(w, p) == oracles.multiplicative_group_exponent(p, w))
-            w += 1
-
-
-_VERIFY_CHECKS = (_verify_maximal_theorem, _verify_grid, _verify_order, _verify_hecke,
-                  _verify_polygons, _verify_hasse)
-
-
 def _cmd_verify_all(args):
-    report = [check for verify in _VERIFY_CHECKS for check in verify()]
+    from .verify import CHECKS
+
+    report = [check for verify in CHECKS for check in verify()]
     failures = sum(1 for _, passed in report if not passed)
     return {
         "checks": [{"name": name, "pass": passed} for name, passed in report],

@@ -278,6 +278,11 @@ def profile_to_json(profile: SlopeProfile) -> dict:
 def profile_from_json(doc: dict) -> SlopeProfile:
     """slopes and mults are JSON arrays, of rationals and of integers or digit
     strings; polarized, if given, a JSON boolean."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a profile is a JSON object, not {type(doc).__name__}")
+    missing = [key for key in ("slopes", "mults") if key not in doc]
+    if missing:
+        raise ValueError(f"the profile has no {' or '.join(missing)}")
     mults = doc["mults"]
     if not (isinstance(doc["slopes"], list) and isinstance(mults, list)):
         raise ValueError("slopes and mults must be JSON arrays")

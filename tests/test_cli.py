@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import newtonkit
 from newtonkit.cli import _SUBCOMMANDS, run
 
 
@@ -384,3 +391,75 @@ def test_labeling_is_an_argument_of_datum_only(capsys):
         assert run([*argv, "--labeling", "paper"]) == 1
         assert run(argv) == 0
     assert run(["datum", "--type", "C", "--rank", "2", "--labeling", "paper"]) == 0
+
+
+def test_profile_that_is_not_an_object_or_lacks_a_key_is_named(capsys):
+    code, (status, payload) = _payload_of(capsys, ["degrees", "--profile", "{}"])
+    assert code == 2 and status == "error"
+    assert "slopes" in payload["error"] and "mults" in payload["error"]
+    code, (_, payload) = _payload_of(capsys, ["degrees", "--profile", '{"slopes":["1","0"]}'])
+    assert code == 2 and "mults" in payload["error"] and "slopes" not in payload["error"]
+    code, (status, payload) = _payload_of(capsys, ["degrees", "--profile", "[]"])
+    assert code == 2 and status == "error" and "JSON object" in payload["error"]
+
+
+# The test session has imported every module already, so each case runs in a
+# fresh interpreter and reports what it loaded.
+_LOADED = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    import newtonkit.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = newtonkit.cli.run(argv)
+else:
+    import newtonkit
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("newtonkit."))]))
+"""
+
+
+def _loaded_modules(argv):
+    src = str(Path(newtonkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+_ORACLE_LAYER = {"newtonkit.oracles", "newtonkit.verify"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["datum", "--type", "C", "--rank", "2"], 0),
+    (["bgmu", "--type", "C", "--rank", "2", "--node", "2"], 0),
+    (["hasse", "--w", "2", "--p", "3"], 0),
+    (["degrees", "--profile", '{"slopes":["1","0"],"mults":[1,1]}'], 0),
+    (["leq", "--type", "C", "--rank", "2", "--x", '["1/2","0"]', "--y", '["1/2","1/2"]'], 0),
+    (["frobnicate"], 1),
+])
+def test_subcommands_without_oracles_do_not_load_them(argv, code):
+    exit_code, modules = _loaded_modules(argv)
+    assert exit_code == code and not modules & _ORACLE_LAYER
+
+
+@pytest.mark.parametrize("argv", [
+    ["leq", "--type", "C", "--rank", "2", "--x", '["1/2","0"]', "--y", '["1/2","1/2"]',
+     "--verify"],
+    ["verify-all"],
+])
+def test_subcommands_with_oracles_load_them(argv):
+    code, modules = _loaded_modules(argv)
+    assert code == 0
+    assert "newtonkit.oracles" in modules
+    assert ("newtonkit.verify" in modules) == (argv == ["verify-all"])
+
+
+def test_the_package_imports_its_layers_eagerly():
+    # a tracer that wraps the loaded newtonkit modules sees every core layer
+    _, modules = _loaded_modules(None)
+    assert {"newtonkit.rootdata", "newtonkit.kottwitz", "newtonkit.muordinary",
+            "newtonkit.hecke"} <= modules
+    assert not modules & _ORACLE_LAYER

@@ -88,6 +88,20 @@ def test_grid_matches_enumeration_a2():
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 
+_NON_MINUSCULE = [(t, n, i, j) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2)]
+                  for i in range(1, n + 1) for j in range(i, n + 1)] + [("A", 3, 1, 3)]
+
+
+@pytest.mark.parametrize("t, n, i, j", _NON_MINUSCULE)
+def test_grid_matches_enumeration_non_minuscule(t, n, i, j):
+    # mu = omega_i + omega_j: every sum of two fundamental coweights at rank <= 2,
+    # and the adjoint coweight of A3
+    datum = build_datum(t, n)
+    mu = datum.cochar([a + b for a, b in zip(_coweight(datum, i).coords,
+                                             _coweight(datum, j).coords)])
+    assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
+
+
 def test_grid_rank_cap():
     a4 = build_datum("A", 4)
     with pytest.raises(ValueError):
