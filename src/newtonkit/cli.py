@@ -6,6 +6,10 @@ identical inputs: keys are sorted and rationals are rendered as "p/q" in
 lowest terms; elapsed time goes to stderr.  Exit codes: 0 success, 1 usage
 error, 2 domain error.
 
+This module is the only one that builds or parses a ``newtonkit/1``
+document: the library layers return Fractions and dataclasses, and the
+handlers below turn them into JSON.
+
 Each process loads only the layers its subcommand runs: the brute-force
 oracles (``newtonkit.oracles``) are imported by ``leq --verify`` and
 ``verify-all`` alone, and the verify-all check table lives in
@@ -83,24 +87,19 @@ def _vec(arg: str) -> tuple[Fraction, ...]:
 
 def _cmd_datum(args):
     datum = _get_datum(args)
-    payload = rootdata.datum_to_json(datum)
-    payload.update(
-        {
-            "ambient_dim": datum.ambient_dim,
-            "cartan": [list(r) for r in datum.cartan],
-            "simple_roots": [vec_str(r) for r in datum.simple_roots],
-            "simple_coroots": [vec_str(r) for r in datum.simple_coroots],
-            "fundamental_weights": [
-                vec_str(w) for w in rootdata.fundamental_weights(datum)
-            ],
-            "fundamental_coweights": [
-                vec_str(w) for w in rootdata.fundamental_coweights(datum)
-            ],
-            "special_roots": sorted(rootdata.special_roots(datum)),
-            "labeling": _labeling_payload(datum, args.labeling),
-        }
-    )
-    return payload
+    return {
+        "type": datum.type_label,
+        "rank": datum.rank,
+        "sigma": list(datum.sigma),
+        "ambient_dim": datum.ambient_dim,
+        "cartan": [list(r) for r in datum.cartan],
+        "simple_roots": [vec_str(r) for r in datum.simple_roots],
+        "simple_coroots": [vec_str(r) for r in datum.simple_coroots],
+        "fundamental_weights": [vec_str(w) for w in rootdata.fundamental_weights(datum)],
+        "fundamental_coweights": [vec_str(w) for w in rootdata.fundamental_coweights(datum)],
+        "special_roots": sorted(rootdata.special_roots(datum)),
+        "labeling": _labeling_payload(datum, args.labeling),
+    }
 
 
 def _labeling_payload(datum, requested: str) -> dict:
@@ -126,7 +125,13 @@ def _kottwitz_set(args) -> kottwitz.KottwitzSet:
 
 
 def _cmd_bgmu(args):
-    return kottwitz.kottwitz_set_to_json(_kottwitz_set(args))
+    ks = _kottwitz_set(args)
+    return {
+        "mu": vec_str(ks.mu.coords),
+        "mubar": vec_str(ks.mubar.coords),
+        "elements": [{"nu": vec_str(e.nu.coords), "c": vec_str(e.c), "J": sorted(e.J)}
+                     for e in ks.elements],
+    }
 
 
 def _cmd_maximal(args):
@@ -151,11 +156,37 @@ def _cmd_leq(args):
 
 def _cmd_slopes(args):
     profile = muordinary.profile_from_newton(_vec(args.nu), args.dim)
-    return muordinary.profile_to_json(profile)
+    return {"slopes": vec_str(profile.slopes), "mults": list(profile.mults),
+            "polarized": profile.polarized}
+
+
+def _profile(arg: str) -> muordinary.SlopeProfile:
+    """A JSON object: slopes, an array of rationals; mults, an array of JSON
+    integers or ASCII digit strings; polarized, if given, a JSON boolean."""
+    doc = json.loads(arg)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a profile is a JSON object, not {type(doc).__name__}")
+    missing = [key for key in ("slopes", "mults") if key not in doc]
+    if missing:
+        raise ValueError(f"the profile has no {' or '.join(missing)}")
+    mults = doc["mults"]
+    if not (isinstance(doc["slopes"], list) and isinstance(mults, list)):
+        raise ValueError("slopes and mults must be JSON arrays")
+    if any(isinstance(m, bool) or not isinstance(m, (int, str)) for m in mults):
+        raise ValueError("multiplicities must be integers or digit strings")
+    for m in mults:
+        # int() would also take " 2", "+1", "1_0" and non-ASCII digits
+        if isinstance(m, str) and not (m.isascii() and m.isdigit()):
+            raise ValueError(f"multiplicity {m!r} is not a string of ASCII digits")
+    polarized = doc.get("polarized", False)
+    if not isinstance(polarized, bool):
+        raise ValueError(f"polarized must be a boolean, not {type(polarized).__name__}")
+    return muordinary.SlopeProfile(tuple(rat(s) for s in doc["slopes"]),
+                                   tuple(int(m) for m in mults), polarized=polarized)
 
 
 def _cmd_degrees(args):
-    profile = muordinary.profile_from_json(json.loads(args.profile))
+    profile = _profile(args.profile)
     dd = muordinary.degrees(profile)
     return {
         "d": [rat_str(x) for x in dd.d],
@@ -165,8 +196,7 @@ def _cmd_degrees(args):
 
 
 def _cmd_uniqueness(args):
-    profile = muordinary.profile_from_json(json.loads(args.profile))
-    dd = muordinary.degrees(profile)
+    dd = muordinary.degrees(_profile(args.profile))
     ok, bad_h = muordinary.check_uniqueness(dd, args.i)
     return {"unique": ok, "violating_height": bad_h}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import dot, rat, rat_str, vec_parse, vec_str
+from .rationals import dot, rat, vec_parse
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class HeckeValuation:
             raise ValueError("first-block valuations must be weakly increasing")
         full = tv + tuple(sv - x for x in reversed(tv))
         return cls(full, sv, p)
-
-    @classmethod
-    def from_full(cls, full: Sequence, s, p: int) -> "HeckeValuation":
-        """Build from an explicit full vector (filtration and perturbed elements)."""
-        return cls(vec_parse(full), rat(s), p)
 
     @property
     def n(self) -> int:
@@ -261,22 +256,6 @@ def hasse_number(w: int, p: int) -> int:
         raise ValueError("w must be a positive integer")
     require_prime(p)
     return bounded_power(p, w, "p^w - 1") - 1
-
-
-def valuation_to_json(eps: HeckeValuation) -> dict:
-    doc = {"t": vec_str(eps.t), "s": rat_str(eps.s), "p": eps.p}
-    derived = eps.t + tuple(eps.s - x for x in reversed(eps.t))
-    if eps.full != derived:
-        doc["full"] = vec_str(eps.full)
-    return doc
-
-
-def valuation_from_json(doc: dict) -> HeckeValuation:
-    if "full" in doc:
-        return HeckeValuation.from_full(vec_parse(doc["full"]), rat(doc["s"]),
-                                        int(doc["p"]))
-    return HeckeValuation.from_blocks(vec_parse(doc["t"]), rat(doc["s"]),
-                                      int(doc["p"]))
 
 
 def gl_upper_roots(n: int) -> list[tuple[Fraction, ...]]:

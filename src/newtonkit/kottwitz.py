@@ -21,7 +21,6 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import invert
-from .rationals import vec_parse, vec_str
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
@@ -313,32 +312,3 @@ def minuscule_coweights(datum: RootDatum) -> set[RationalCocharacter]:
     for i in special_roots(datum):
         out.add(RationalCocharacter(coweights[i - 1], datum))
     return out
-
-
-def kottwitz_set_to_json(ks: KottwitzSet) -> dict:
-    return {
-        "mu": vec_str(ks.mu.coords),
-        "mubar": vec_str(ks.mubar.coords),
-        "elements": [
-            {
-                "nu": vec_str(e.nu.coords),
-                "c": vec_str(e.c),
-                "J": sorted(e.J),
-            }
-            for e in ks.elements
-        ],
-    }
-
-
-def kottwitz_set_from_json(doc: dict, datum: RootDatum) -> KottwitzSet:
-    mu = RationalCocharacter(vec_parse(doc["mu"]), datum)
-    mubar = RationalCocharacter(vec_parse(doc["mubar"]), datum)
-    elements = tuple(
-        KottwitzElement(
-            RationalCocharacter(vec_parse(e["nu"]), datum),
-            vec_parse(e["c"]),
-            frozenset(int(j) for j in e["J"]),
-        )
-        for e in doc["elements"]
-    )
-    return KottwitzSet(mu, mubar, elements)

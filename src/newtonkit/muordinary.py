@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import rat, rat_str, vec_parse
+from .rationals import vec_parse
 from .rootdata import RationalCocharacter
 
 
@@ -223,8 +223,7 @@ def next_to_max_profile(profile: SlopeProfile, i: int, split: int) -> SlopeProfi
     )
 
 
-def modified_degrees(split_profile: SlopeProfile, dh: int | None = None,
-                     i0: int | None = None) -> tuple[Fraction, ...]:
+def modified_degrees(split_profile: SlopeProfile) -> tuple[Fraction, ...]:
     """Degree thresholds for the canonical steps of a next-to-maximal profile.
 
     Computed in closed form from the unsplit profile's degrees d_j and
@@ -235,22 +234,12 @@ def modified_degrees(split_profile: SlopeProfile, dh: int | None = None,
     and every step away from the insertions keeps s_j = d_j (steps whose
     multiplicity was exhausted are dropped).  These values coincide with
     the degree list of the split profile itself, which is the cross-check
-    the test suite performs.  Provenance (i0, dh) must be present on the
-    profile or passed explicitly; dh = 0 degenerates to the plain d-list.
+    the test suite performs.  The provenance (original, i0, dh) is read
+    from the profile's origin, which next_to_max_profile sets.
     """
-    if dh == 0:
-        return degrees(split_profile).d
-    if split_profile.origin is not None:
-        o_original, o_i0, o_dh = split_profile.origin
-        if i0 is None:
-            i0 = o_i0
-        if dh is None:
-            dh = o_dh
-        if (i0, dh) != (o_i0, o_dh):
-            raise ValueError("provenance mismatch for modified degrees")
-        original = o_original
-    else:
+    if split_profile.origin is None:
         raise ValueError("split provenance (i0, dh) is missing")
+    original, i0, dh = split_profile.origin
     dd = degrees(original)
     r = original.r
     slots = {i0, r - i0}
@@ -265,31 +254,3 @@ def modified_degrees(split_profile: SlopeProfile, dh: int | None = None,
         if j in slots:
             out.append(dd.d[j - 1] + dh * original.slopes[j])
     return tuple(out)
-
-
-def profile_to_json(profile: SlopeProfile) -> dict:
-    return {
-        "slopes": [rat_str(s) for s in profile.slopes],
-        "mults": list(profile.mults),
-        "polarized": profile.polarized,
-    }
-
-
-def profile_from_json(doc: dict) -> SlopeProfile:
-    """slopes and mults are JSON arrays, of rationals and of integers or digit
-    strings; polarized, if given, a JSON boolean."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a profile is a JSON object, not {type(doc).__name__}")
-    missing = [key for key in ("slopes", "mults") if key not in doc]
-    if missing:
-        raise ValueError(f"the profile has no {' or '.join(missing)}")
-    mults = doc["mults"]
-    if not (isinstance(doc["slopes"], list) and isinstance(mults, list)):
-        raise ValueError("slopes and mults must be JSON arrays")
-    if any(isinstance(m, bool) or not isinstance(m, (int, str)) for m in mults):
-        raise ValueError("multiplicities must be integers or digit strings")
-    polarized = doc.get("polarized", False)
-    if not isinstance(polarized, bool):
-        raise ValueError(f"polarized must be a boolean, not {type(polarized).__name__}")
-    return SlopeProfile(tuple(rat(s) for s in doc["slopes"]),
-                        tuple(int(m) for m in mults), polarized=polarized)

@@ -1,8 +1,10 @@
 """Canonical string form and parsing for exact rationals.
 
-Every rational that crosses a serialization boundary is rendered as
+The one serialization boundary is the CLI (``newtonkit.cli``), the only
+caller of rat_str and vec_str: every rational it prints is rendered as
 "p/q" with q > 0 and gcd(p, q) = 1, so identical values always produce
-identical bytes.
+identical bytes.  rat and vec_parse coerce input to Fractions, in the CLI
+and in the library's constructors.
 """
 
 from __future__ import annotations

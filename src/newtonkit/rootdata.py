@@ -431,24 +431,3 @@ def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
     # the orthogonal part plus sum_i c_i coroot_sigma(i), over q R K L
     return RationalCocharacter(tuple(
         Fraction(p + t, k.qRK * L) for p, t in zip(P, k.coroot_sum(moved))), datum)
-
-
-def datum_to_json(datum: RootDatum) -> dict:
-    if datum.is_product:
-        return {
-            "type": "product",
-            "factors": [datum_to_json(f) for f in datum.factors],
-        }
-    return {
-        "type": datum.type_label,
-        "rank": datum.rank,
-        "sigma": list(datum.sigma),
-    }
-
-
-def datum_from_json(doc: dict) -> RootDatum:
-    if doc.get("type") == "product":
-        return product_datum([datum_from_json(f) for f in doc["factors"]])
-    sigma = doc.get("sigma")
-    return build_datum(doc["type"], int(doc["rank"]), sigma)
-

@@ -1,14 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import newtonkit
 from newtonkit.cli import _SUBCOMMANDS, run
+from newtonkit.kottwitz import enumerate_bgmu
+from newtonkit.rootdata import build_datum, fundamental_coweights
 
 
 def _capture(capsys, argv):
@@ -401,6 +405,115 @@ def test_profile_that_is_not_an_object_or_lacks_a_key_is_named(capsys):
     assert code == 2 and "mults" in payload["error"] and "slopes" not in payload["error"]
     code, (status, payload) = _payload_of(capsys, ["degrees", "--profile", "[]"])
     assert code == 2 and status == "error" and "JSON object" in payload["error"]
+
+
+def test_profile_multiplicity_strings_must_be_ascii_digits(capsys):
+    # int() read "1_0" as 10, " 2" as 2, "+1" as 1 and the Arabic-Indic "\u0663" as 3
+    for m in ("1_0", " 2", "+1", "\u0663", "-1", "1.0", "2/1", ""):
+        doc = json.dumps({"slopes": ["1", "0"], "mults": [m, 2]})
+        for argv in (["degrees", "--profile", doc],
+                     ["uniqueness", "--profile", doc, "--i", "1"]):
+            code, (status, payload) = _payload_of(capsys, argv)
+            assert code == 2 and status == "error" and repr(m) in payload["error"], argv
+    code, (_, payload) = _payload_of(capsys, ["degrees", "--profile",
+                                              '{"slopes":["1","0"],"mults":["10","02"]}'])
+    assert code == 0 and payload["heights"] == [10, 12]
+
+
+def _fractions(xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+def test_documents_carry_the_library_values(capsys):
+    _, (_, payload) = _payload_of(capsys, ["datum", "--type", "C", "--rank", "2"])
+    assert (payload["type"], payload["rank"], payload["sigma"]) == ("C", 2, [1, 2])
+    _, (_, payload) = _payload_of(capsys, ["datum", "--type", "A", "--rank", "3",
+                                           "--sigma", "flip"])
+    assert (payload["type"], payload["rank"], payload["sigma"]) == ("A", 3, [3, 2, 1])
+    # bgmu: every element's nu, c and J, read back, are the library's
+    c2 = build_datum("C", 2)
+    ks = enumerate_bgmu(c2.cochar(fundamental_coweights(c2)[1]))
+    _, (_, payload) = _payload_of(capsys, ["bgmu", "--type", "C", "--rank", "2",
+                                           "--node", "2"])
+    assert payload["elements"][1]["nu"] == ["1/2", "0/1"]
+    assert _fractions(payload["mu"]) == ks.mu.coords
+    assert _fractions(payload["mubar"]) == ks.mubar.coords
+    assert [(_fractions(e["nu"]), _fractions(e["c"]), frozenset(e["J"]))
+            for e in payload["elements"]] == [(e.nu.coords, e.c, e.J) for e in ks.elements]
+    # slopes prints a profile that --profile reads back
+    _, (_, payload) = _payload_of(capsys, ["slopes", "--nu", '["1/2","0"]', "--dim", "4"])
+    doc = {k: payload[k] for k in ("slopes", "mults", "polarized")}
+    assert doc == {"slopes": ["1/1", "1/2", "0/1"], "mults": [1, 2, 1], "polarized": True}
+    code, (_, payload) = _payload_of(capsys, ["degrees", "--profile", json.dumps(doc)])
+    assert code == 0 and payload["heights"] == [1, 3, 4]
+
+
+# Every byte the CLI prints, pinned by its sha256: the documents are built in
+# newtonkit.cli alone, and moving code there must not change one of them.
+_PROFILE = '{"mults":[1,2,1],"polarized":true,"slopes":["1/1","1/2","0/1"]}'
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["datum", "--type", "C", "--rank", "2"], 0,
+     "61eec597aeb1e4d54a64f71e53dbc152a3635a0ff7c3622a2208fe30332396fa"),
+    (["datum", "--type", "E7", "--rank", "7"], 0,
+     "b56078d05963f475e1a515751680ce2075b2eae38e4782a6ac081e906c8cd742"),
+    (["datum", "--type", "D", "--rank", "5", "--labeling", "paper"], 0,
+     "318c6f79983f57a305275780395b26580b65d6eb5bef2031c43e1bc2145f7ccb"),
+    (["datum", "--type", "A", "--rank", "3", "--sigma", "flip"], 0,
+     "adff7cd3add8c08dcbf40530b06ac39015b9fa5a70ca586567dc82ce02c1bca4"),
+    (["--table", "datum", "--type", "C", "--rank", "2"], 0,
+     "7724ceee33ccaa5e31c165fb1cdd153d6121ce28fd8a70bf03701b4fbe8d73f1"),
+    (["bgmu", "--type", "C", "--rank", "2", "--node", "2"], 0,
+     "c644977548fcdf6cef7555c8c0ddeeefb94f373656f5ef82a0061a377278223d"),
+    (["bgmu", "--type", "B", "--rank", "3", "--node", "1"], 0,
+     "d20179ba06b465c47eff00eee8c7e5074c09168f65accd3d671011937c36432a"),
+    (["bgmu", "--type", "G2", "--rank", "2", "--node", "1", "--table"], 0,
+     "14fc17d0d81adf754aac88a6595f6fc1876f7555829feb7b2e29dd9896ba52a8"),
+    (["maximal", "--type", "B", "--rank", "3", "--node", "1", "--exclude-top"], 0,
+     "c84e9f27543d92f04e61d5fc74444b2fabd03276c5465abde18b2d221c8b9df9"),
+    (["maximal", "--type", "A", "--rank", "4", "--node", "2"], 0,
+     "22fa9da8a328383ddb4496654382bd39de36354cf7a486b30233b88cac116c80"),
+    (["leq", "--type", "C", "--rank", "2", "--x", '["1/2","0"]', "--y", '["1/2","1/2"]',
+      "--verify"], 0,
+     "5be1aa27c0b0a591eb0e6324214982cd2000ae951abcd4f868e185c62978d383"),
+    (["leq", "--type", "A", "--rank", "2", "--x", '["1","0","0"]',
+      "--y", '["1/3","1/3","1/3"]'], 0,
+     "678b3396f76d38edc0ae2169f8eff45328fe19d68fa6eb567e11f6af94f08b56"),
+    (["slopes", "--nu", '["1/2","0"]', "--dim", "4"], 0,
+     "b470fe64f620740dc348b9700e835fb775fea10ab389437fb6a006627df41df7"),
+    (["slopes", "--nu", '["1","2/3","1/3","0"]', "--dim", "4"], 0,
+     "0ffa40c85035c94ed11d40932c81dd1e6a1961c0b7d198e75c2d3ee4222c2804"),
+    (["degrees", "--profile", _PROFILE], 0,
+     "075dc1505195b7825e84464d158618ae5b1b59d2be8773743cb8b0ece2c0f4c7"),
+    (["degrees", "--profile", '{"slopes":["1","0"],"mults":[2,"1"]}'], 0,
+     "eeb04b66ad7734647983d96e4b346f3ca85099dd0a32aa2ce4e13357c2de24b0"),
+    (["degrees", "--profile", "{}"], 2,
+     "c39a02e1be18794aaacc35db5255979980b11e08eed62e65e13ffff26a572166"),
+    (["degrees", "--profile", "[]"], 2,
+     "d292275beff2f952291bb4d8604922b5cc9546c5c910c4d1cb888a7f7b059705"),
+    (["uniqueness", "--profile", _PROFILE, "--i", "2"], 0,
+     "1425b23f5d18f3acba3c370e098792f8112df491f425a9f7aa8f883260cac0ea"),
+    (["mepsilon", "--full", '["0","0","1","1"]', "--p", "3"], 0,
+     "1644ffa3175156bb5a687b24c26f13fb918619e808f9b97853fa601dd8a2f696"),
+    (["mepsilon", "--full", '["2","1","0"]', "--shape", "gl", "--p", "5"], 0,
+     "07f54ee6df5a2d7744bc78a87f198262138a523e5b5e59e2b3d990db0c161452"),
+    (["mepsilon", "--full", '["0","1","2"]', "--shape", "gl", "--p", "5"], 2,
+     "a4d6863343cacb545b4fb1861387cd95d5e280643e8737cf1aff3bc9edf9ee1c"),
+    (["lambdag", "--t", '["0","1"]', "--s", "1"], 0,
+     "fceedfc861c128082d63ec06fee556ae0c3eca4b224139a27f62a0e3cdd62f6b"),
+    (["hasse", "--w", "2", "--p", "3"], 0,
+     "835d677d0198241426d4a8a3c03ba95aa22e7d6238f1b8d832943b8ecea06338"),
+    (["datum", "--type", "B", "--rank", "1"], 2,
+     "e28022a69b5a93edc36e5bcef312db9ab7e42443a35ee501ed1fb5a335b39e02"),
+    (["bgmu", "--type", "C", "--rank", "2", "--node", "3"], 2,
+     "72dfb863548a56236937e35114f40653f15e66dd5115ffa62da8226af2a04176"),
+    (["verify-all"], 0,
+     "3d0f7c505057d425598aa7582ae2ee2331442e97ad5607c1c5cf28cefd492de6"),
+])
+def test_output_bytes_are_pinned(capsys, argv, code, digest):
+    exit_code, out = _capture(capsys, argv)
+    assert (exit_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), out
 
 
 # The test session has imported every module already, so each case runs in a

@@ -37,7 +37,7 @@ def test_every_valuation_needs_a_prime_p(p):
     with pytest.raises(ValueError, match="prime"):
         HeckeValuation.from_blocks([0, 1], 1, p)
     with pytest.raises(ValueError, match="prime"):
-        HeckeValuation.from_full([0, 1, 0, 1], 1, p)
+        HeckeValuation((F(0), F(1), F(0), F(1)), F(1), p)
     with pytest.raises(ValueError, match="prime"):
         filtration_element(2, 4, p)
     with pytest.raises(ValueError, match="prime"):
@@ -226,19 +226,6 @@ def test_hasse_primality_large_and_pseudoprimes():
     for p in (HASSE_P_BOUND, sympy.nextprime(HASSE_P_BOUND), 10 ** 400 + 267):
         with pytest.raises(ValueError, match="below"):
             hasse_number(1, p)
-
-
-def test_valuation_json_roundtrip():
-    from newtonkit.hecke import valuation_from_json, valuation_to_json
-
-    e = HeckeValuation.from_blocks([1, 1], 1, 3)
-    doc = valuation_to_json(e)
-    assert doc == {"t": ["1/1", "1/1"], "s": "1/1", "p": 3}
-    assert valuation_from_json(doc) == e
-    perturbed = epsilon_prime_valuations(2, F(3, 2), filtration_element(2, 4, 3))
-    doc = valuation_to_json(perturbed)
-    assert doc["full"] == ["3/2", "1/1", "-1/2", "0/1"]
-    assert valuation_from_json(doc) == perturbed
 
 
 def test_siegel_roots_count():

@@ -14,8 +14,6 @@ from newtonkit.kottwitz import (
     enumerate_bgmu,
     galois_average,
     is_in_bgmu,
-    kottwitz_set_from_json,
-    kottwitz_set_to_json,
     maximal_elements,
     minuscule_coweights,
     newton_leq,
@@ -302,19 +300,13 @@ def test_enumerate_product_datum():
     assert (0, 0, 0, 0) in set(ks.points())
 
 
-def test_kottwitz_set_json_roundtrip():
-    c2 = build_datum("C", 2)
-    ks = enumerate_bgmu(_coweight(c2, 2))
-    doc = kottwitz_set_to_json(ks)
-    assert doc["elements"][1]["nu"] == ["1/2", "0/1"]
-    back = kottwitz_set_from_json(doc, c2)
-    assert back.points() == ks.points()
-    assert [e.c for e in back.elements] == [e.c for e in ks.elements]
-
-
-def _concave_polygon_slopes(width, height):
+def _concave_polygon_slopes(width, height, top=1, hodge=None):
     """Slope sequences of the concave lattice polygons from (0,0) to
-    (width, height) with slopes in [0, 1] and integral breakpoints."""
+    (width, height) with slopes in [0, top] and integral breakpoints; given
+    hodge, a descending slope sequence, only those on or below its polygon."""
+    bound = [0]
+    for s in hodge or [top] * width:
+        bound.append(bound[-1] + s)
     out = set()
 
     def extend(x, y, last, slopes):
@@ -323,9 +315,11 @@ def _concave_polygon_slopes(width, height):
                 out.add(tuple(slopes))
             return
         for dx in range(1, width - x + 1):
-            for dy in range(min(dx, height - y) + 1):
+            for dy in range(min(top * dx, height - y) + 1):
                 s = F(dy, dx)
-                if last is None or s < last:
+                # later slopes are below s, so the end must be reachable now
+                if (last is None or s < last) and y + dy <= bound[x + dx] \
+                        and y + dy + s * (width - x - dx) >= height:
                     extend(x + dx, y + dy, s, slopes + [s] * dx)
 
     extend(0, 0, None, [])
@@ -525,6 +519,57 @@ def test_type_c_last_node_is_the_symmetric_polygon_set(n, count):
                 if all(a + b == 1 for a, b in zip(slopes, reversed(slopes)))}
     assert len(got) == len(ks.elements) == count
     assert got == expected
+
+
+def _classical_polygon_newton_points(t, n, k):
+    """B(G, omega_k) for G = Sp_2n (C) or SO_2n+1 (B), read off GL_N through
+    the standard representation, N = 2n or 2n + 1, with no code of kottwitz
+    (the test calls only enumerate_bgmu, the function under test).
+
+    The weights of mu on the standard representation are (mu, [0 for B], -mu).
+    Shifted by 1/2 when mu is half-integral and by 1 otherwise, they are the
+    slopes of a Hodge polygon from (0,0) to (N, N * shift).  By Mazur's
+    inequality (Katz, Asterisque 63, 1979; Rapoport-Richartz, Compositio 103,
+    1996) the Newton points are the concave lattice polygons on or below it
+    with the same end points; those of G are the symmetric ones, and nu is
+    the upper n slopes minus the shift.
+
+    Sp_2n is simply connected, so nothing else enters.  For B, the Kottwitz
+    point must also agree in pi_1(SO_2n+1) = Z/2 (Kottwitz, "Isocrystals with
+    additional structure II", Compositio 109, 1997): when nu_n != 0 the
+    centralizer of nu is a product of GL's, its pi_1 has no torsion, and the
+    condition reads sum(nu) = sum(mu) mod 2.  When nu_n = 0 the centralizer
+    has an SO factor, which absorbs the parity.
+
+    D is left out: the polygon of (nu, -nu) loses the sign of nu_n, and the
+    pi_1 condition there is finer (a slope-0 SO_2 part is a torus).
+    """
+    half = F(1, 2) if t == "C" and k == n else None
+    mu = [half] * n if half else [F(1)] * k + [F(0)] * (n - k)
+    shift = F(1, 2) if half else F(1)
+    hodge = sorted([m + shift for m in mu] + [shift] * (t == "B") + [shift - m for m in mu],
+                   reverse=True)
+    width = len(hodge)
+    out = set()
+    for slopes in _concave_polygon_slopes(width, int(width * shift), int(2 * shift), hodge):
+        if any(a + b != 2 * shift for a, b in zip(slopes, reversed(slopes))):
+            continue
+        nu = tuple(s - shift for s in slopes[:n])
+        if t == "B" and nu[-1] != 0 and (sum(nu) - sum(mu)) % 2:
+            continue
+        out.add(nu)
+    return mu, out
+
+
+@pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)])
+def test_types_b_and_c_every_node_is_the_symmetric_polygon_set(t, n):
+    datum = build_datum(t, n)
+    for k in range(1, n + 1):
+        mu, expected = _classical_polygon_newton_points(t, n, k)
+        ks = enumerate_bgmu(datum.cochar(mu))
+        got = {e.nu.coords for e in ks.elements}
+        assert len(got) == len(ks.elements)
+        assert got == expected, (t, n, k)
 
 
 def _average_by_sigma_powers(mu):

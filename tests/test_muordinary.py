@@ -9,9 +9,7 @@ from newtonkit.muordinary import (
     max_degree_bound,
     modified_degrees,
     next_to_max_profile,
-    profile_from_json,
     profile_from_newton,
-    profile_to_json,
 )
 from newtonkit.rootdata import build_datum
 
@@ -183,11 +181,6 @@ def test_modified_degrees_example():
     assert mods == degrees(s).d
 
 
-def test_modified_degrees_degenerate_dh_zero():
-    p = SlopeProfile((F(1), F(0)), (2, 2), polarized=True)
-    assert modified_degrees(p, dh=0, i0=1) == degrees(p).d
-
-
 def test_modified_degrees_requires_provenance():
     p = SlopeProfile((F(1), F(1, 2), F(0)), (1, 2, 1), polarized=True)
     with pytest.raises(ValueError):
@@ -232,14 +225,6 @@ def test_modified_degrees_agree_with_split_fold():
         p = SlopeProfile(slopes, mults, polarized=True)
         s = next_to_max_profile(p, i0, dh)
         assert modified_degrees(s) == degrees(s).d, (slopes, mults, i0, dh)
-
-
-def test_profile_json_roundtrip():
-    p = SlopeProfile((F(1), F(1, 2), F(0)), (1, 2, 1), polarized=True)
-    doc = profile_to_json(p)
-    assert doc == {"slopes": ["1/1", "1/2", "0/1"], "mults": [1, 2, 1],
-                   "polarized": True}
-    assert profile_from_json(doc) == p
 
 
 def _uniqueness_by_scan(dd, i):

@@ -11,8 +11,6 @@ from newtonkit.linalg import invert
 from newtonkit.rootdata import (
     RationalCocharacter,
     build_datum,
-    datum_from_json,
-    datum_to_json,
     dominant_representative,
     fundamental_coweights,
     fundamental_weights,
@@ -236,18 +234,6 @@ def test_sigma_apply_moves_node_i_to_sigma_i():
     assert sigma_apply(d4.cochar(cw[1])).coords == cw[1]
 
 
-def test_json_roundtrip():
-    for t, n, spec in [("C", 2, None), ("A", 3, "flip"), ("E7", 7, None)]:
-        d = build_datum(t, n, spec)
-        doc = datum_to_json(d)
-        assert datum_from_json(doc) == d
-    assert datum_to_json(build_datum("C", 2)) == {
-        "type": "C",
-        "rank": 2,
-        "sigma": [1, 2],
-    }
-
-
 def test_product_datum_basics():
     d = product_datum([build_datum("A", 1), build_datum("C", 2)])
     assert d.rank == 3
@@ -257,8 +243,6 @@ def test_product_datum_basics():
         highest_root(d)
     with pytest.raises(ValueError):
         special_roots(d)
-    doc = datum_to_json(d)
-    assert datum_from_json(doc) == d
 
 
 def test_cocharacter_dimension_checked():
