@@ -55,6 +55,15 @@ class _Subcommands(argparse._SubParsersAction):
         namespace.reparse = (self.choices[values[0]], values[1:])
 
 
+def _json(text: str):
+    """The JSON value of text; input nested too deeply for the decoder is a
+    ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _max_rank() -> int:
     return int(os.environ.get("NEWTONKIT_MAX_RANK", "8"))
 
@@ -66,7 +75,7 @@ def _get_datum(args) -> rootdata.RootDatum:
         raise ValueError(f"rank {args.rank} exceeds NEWTONKIT_MAX_RANK={_max_rank()}")
     sigma = args.sigma
     if isinstance(sigma, str) and sigma.startswith("["):
-        sigma = json.loads(sigma)
+        sigma = _json(sigma)
     return rootdata.build_datum(args.type, args.rank, sigma)
 
 
@@ -79,7 +88,7 @@ def _node_coweight(datum, node: int):
 
 def _vec(arg: str) -> tuple[Fraction, ...]:
     """A JSON array of rationals."""
-    doc = json.loads(arg)
+    doc = _json(arg)
     if not isinstance(doc, list):
         raise ValueError(f"expected a JSON array of rationals, got {type(doc).__name__}")
     return tuple(rat(x) for x in doc)
@@ -163,7 +172,7 @@ def _cmd_slopes(args):
 def _profile(arg: str) -> muordinary.SlopeProfile:
     """A JSON object: slopes, an array of rationals; mults, an array of JSON
     integers or ASCII digit strings; polarized, if given, a JSON boolean."""
-    doc = json.loads(arg)
+    doc = _json(arg)
     if not isinstance(doc, dict):
         raise ValueError(f"a profile is a JSON object, not {type(doc).__name__}")
     missing = [key for key in ("slopes", "mults") if key not in doc]
@@ -322,7 +331,7 @@ def _read_infile(args) -> argparse.Namespace:
         return args
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _json(fh.read())
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         parser, argv = args.reparse

@@ -128,26 +128,21 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     pairing at a free node gives the same nu as the candidate with that node
     moved into J, so each nu is reached once, with J its zero set.
 
-    For each J the c_free are chosen by a depth-first walk, one free
-    coordinate per level.  Before the walk come the integer step vectors:
-    the change of C_J and of the free pairings when one free coordinate
-    grows by 1, so each step is n additions.  B, cartan[free][J] and the
-    steps at D = 1 depend on the Cartan matrix alone (the steps are linear
-    in D): they are computed once per J and Cartan matrix in a process and
-    kept in a table shared by every datum with that matrix (_BLOCKS, at
-    most 2^rank entries per matrix), and a call computes only the start
-    values and bounds that depend on mu.  A constraint can reach at most
-    its current value (the coordinates not yet fixed at 0) plus, for each
-    coordinate not yet fixed, bounds[a] * max(step, 0).  At each level the
-    values of the current coordinate that keep this bound non-negative for
-    every constraint form an interval, read off each constraint's own step:
-    a constraint whose step is <= 0 ends the interval (larger values only
-    lower its bound), one whose step is > 0 starts it.  A branch whose
-    interval is empty is pruned; at the leaves every coordinate is fixed
-    and the bound is the exact value, so every leaf is a candidate kept as
-    above.  Each one becomes the exact point nu = mubar - sum_a c_a
-    coroot_a in one pass over the integer C, must still pass is_in_bgmu,
-    and is recorded with that certificate.
+    Three sign facts hold for every principal block (_principal_block
+    checks them): B >= 0, and growing c_a never lowers C_J or another free
+    pairing but lowers the pairing at a.  So C_J >= 0 for every c_free >= 0
+    (mubar is dominant), each free pairing bounds its own coordinate from
+    above by a function increasing in the others, and the kept c_free are
+    closed under componentwise max.  Lowering coordinates from the bounds
+    just enough to meet their own pairings, until none moves, finds their
+    greatest point or shows there is none.  A depth-first walk fixes one
+    coordinate per level from that greatest value down, settling the later
+    ones for each value; a level ends at the first failure that every lower
+    value shares (an earlier pairing, a later coordinate below 0).
+    The walk's rows and steps depend on J and the Cartan matrix alone and
+    are computed once per process (_BLOCKS).  Each candidate becomes the
+    exact point nu = mubar - sum_a c_a coroot_a, must still pass
+    is_in_bgmu, and is recorded with that certificate.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -185,82 +180,87 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     return KottwitzSet(mu, mubar, tuple(sorted(elements, key=KottwitzElement.sort_key)))
 
 
-# The principal-block data of enumerate_bgmu, keyed by the Cartan matrix and
-# indexed by the bit mask of J: every datum with the same Cartan matrix (all
-# nodes of a type, and every call) shares one list of at most 2^rank entries.
-# An entry depends on the matrix alone, so filling one twice stores the same
-# tuple.
+# The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
+# mask of J: every datum and call with that matrix shares the list.
 _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
 
 
 def _principal_block(cartan, j_mask):
-    """The mu-independent data of the walk with zero set J = the bits of
-    j_mask: (J, free, Q, q, cartan[free][J], unit steps), where Q / q is the
-    inverse of the principal Cartan block on J and the unit steps are the
-    step vectors of _walk at D = 1 (the steps are linear in D)."""
+    """The walk's data for the zero set J = the bits of j_mask: (free, q, C
+    rows, pairing rows, steps), q the common denominator of B.  Each row is
+    over (M, D c_free); steps[i] is the change of the free pairings when
+    D c_free[i] grows by 1.  Raises AssertionError if a sign fact fails."""
     n = len(cartan)
-    J = tuple(i for i in range(n) if j_mask >> i & 1)
+    J = [i for i in range(n) if j_mask >> i & 1]
     free = tuple(i for i in range(n) if not j_mask >> i & 1)
     Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
-    free_rows = tuple(tuple(cartan[g][b] for b in J) for g in free)
-    steps = []
-    for a in free:
-        dJ = [-sum(map(mul, row, (cartan[g][a] for g in J))) for row in Q]
-        steps.append(tuple(dJ + [-cartan[g][a] * q - sum(map(mul, row, dJ))
-                                 for g, row in zip(free, free_rows)]))
-    return J, free, tuple(map(tuple, Q)), q, free_rows, tuple(steps)
+    # rhs_g = M_g - sum_a cartan[g][a] D c_a: C_J = Q rhs_J, C_free = q D c_free
+    rhs = [[int(k == g) for k in range(n)] + [-cartan[g][a] for a in free] for g in range(n)]
+    rows = [[q * (k == n + free.index(a)) for k in range(len(rhs[a]))] if a in free
+            else [sum(x * rhs[b][k] for b, x in zip(J, Q[J.index(a)])) for k in range(len(rhs[a]))]
+            for a in range(n)]
+    # D q <nu, alpha_g> = q rhs_g - cartan[g][J] C_J
+    pairing_rows = [[q * x - sum(cartan[g][b] * rows[b][k] for b in J)
+                     for k, x in enumerate(rhs[g])] for g in free]
+    steps = tuple(zip(*(row[n:] for row in pairing_rows)))
+    # the sign facts: no row entry is < 0, and a step is < 0 exactly on its own pairing
+    if any(x < 0 for row in rows for x in row) or any(
+            (d < 0) != (i == h) for i, step in enumerate(steps) for h, d in enumerate(step)):
+        raise AssertionError(f"principal block {J} of {cartan} breaks a sign fact")
+    return free, q, tuple(map(tuple, rows)), tuple(map(tuple, pairing_rows)), steps
+
+
+def _settle(values, point, steps, fixed):
+    """Lower each of point[fixed:] just enough to meet its own constraint,
+    values (the constraints at point) with it, until none moves.  Returns
+    None, or the index of a fixed coordinate or one below 0 that fails."""
+    lowered = True
+    while lowered:
+        lowered = False
+        for g, v in enumerate(values):
+            if v < 0:
+                if g < fixed:
+                    return g
+                step = steps[g]
+                t = -(v // -step[g])  # the least drop that meets it
+                point[g] -= t
+                if point[g] < 0:
+                    return g
+                values[:] = [w - t * d for w, d in zip(values, step)]
+                lowered = True
 
 
 def _walk(block, M, D, bounds):
     """The candidates with the zero set J of block (see enumerate_bgmu and
-    _principal_block) as pairs (C, D q): the integer vector C = c D q, q the
-    common denominator of the J-block inverse."""
-    J, free, Q, q, free_rows, unit_steps = block
-    Dq = D * q
-    cJ = [sum(map(mul, row, (M[g] for g in J))) for row in Q]
-    # the constraints at c_free = 0: C_J >= 0, then the free pairings - 1 >= 0
-    start = cJ + [q * M[g] - sum(map(mul, row, cJ)) - 1 for g, row in zip(free, free_rows)]
-    # the step vectors: the change of the constraints when c_a grows by 1,
-    # D times the unit steps (D = 1 whenever mu pairs integrally with every
-    # simple root, as every coweight does, so the product is skipped there)
-    steps = unit_steps if D == 1 else [[D * d for d in step] for step in unit_steps]
-    # slack[i]: the most the coordinates free[i:] can still add to each constraint
-    slack = [[0] * len(start)]
-    for a, step in zip(reversed(free), reversed(steps)):
-        slack.append([s + bounds[a] * max(d, 0) for s, d in zip(slack[-1], step)])
-    slack.reverse()
-    if any(v + s < 0 for v, s in zip(start, slack[0])):
+    _principal_block) as pairs (C, D q), C = c D q the integer vector."""
+    free, q, rows, pairing_rows, steps = block
+    # D times the unit steps (D = 1 for every coweight, so no product there)
+    steps = steps if D == 1 else [[D * d for d in step] for step in steps]
+    point = [bounds[a] for a in free]
+    v = M + [D * y for y in point]  # (M, D c_free) at c_free = bounds
+    values = [sum(map(mul, row, v)) - 1 for row in pairing_rows]  # the free pairings - 1
+    if _settle(values, point, steps, 0) is not None:
         return
-    depth = len(free)
-    choice = [0] * depth
 
-    def descend(i, values):
-        if i == depth:
-            C = [0] * (len(J) + depth)
-            for a, y in zip(J, values):
-                C[a] = y
-            for a, y in zip(free, choice):
-                C[a] = y * Dq
-            yield C, Dq
+    def descend(i, values, point):
+        # point[:i] is fixed, point[i:] the greatest point that completes it
+        if i == len(free):
+            v = M + [D * y for y in point]
+            yield [sum(map(mul, row, v)) for row in rows], D * q
             return
-        step, rest = steps[i], slack[i + 1]
-        lo, hi = 0, bounds[free[i]]
-        for v, d, r in zip(values, step, rest):
-            top = v + r  # the most this constraint reaches with c_free[i] = 0
-            if d > 0:
-                if top < 0:
-                    lo = max(lo, -(top // d))
-            elif top < 0:
+        yield from descend(i + 1, values, point)
+        step = steps[i]
+        for y in range(point[i] - 1, -1, -1):
+            # an earlier pairing or a later coordinate below 0 fails lower y too
+            values = [v - d for v, d in zip(values, step)]
+            point = point[:i] + [y] + point[i + 1:]
+            bad = _settle(values, point, steps, i + 1)
+            if bad is None:
+                yield from descend(i + 1, values, point)
+            elif bad != i:
                 return
-            elif d < 0:
-                hi = min(hi, top // -d)
-        values = [v + lo * d for v, d in zip(values, step)]
-        for y in range(lo, hi + 1):
-            choice[i] = y
-            yield from descend(i + 1, values)
-            values = [v + d for v, d in zip(values, step)]
 
-    yield from descend(0, start)
+    yield from descend(0, values, point)
 
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:

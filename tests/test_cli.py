@@ -365,6 +365,46 @@ def test_sequences_must_be_json_arrays_of_rationals(capsys):
         assert code == 2 and status == "error", argv
 
 
+DEEP = "[" * 50_000  # deeper than the JSON decoder recurses
+
+
+def _assert_nesting_error(code, out, err):
+    assert code == 2 and "Traceback" not in err
+    status, payload = _payload(out)
+    assert status == "error" and "nested too deeply" in payload["error"]
+
+
+def test_deeply_nested_sigma_is_a_domain_error(capsys):
+    code = run(["datum", "--type", "A", "--rank", "2", "--sigma", DEEP])
+    _assert_nesting_error(code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["leq", "--type", "A", "--rank", "1", "--x", DEEP, "--y", '["0","0"]'],
+    ["leq", "--type", "A", "--rank", "1", "--x", '["0","0"]', "--y", DEEP],
+    ["slopes", "--nu", DEEP, "--dim", "4"],
+    ["mepsilon", "--full", DEEP],
+    ["lambdag", "--t", DEEP],
+], ids=["x", "y", "nu", "full", "t"])
+def test_deeply_nested_vector_is_a_domain_error(capsys, argv):
+    _assert_nesting_error(run(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [["degrees", "--profile", DEEP],
+                                  ["uniqueness", "--profile", DEEP, "--i", "1"]])
+def test_deeply_nested_profile_is_a_domain_error(capsys, argv):
+    _assert_nesting_error(run(argv), *capsys.readouterr())
+
+
+def test_deeply_nested_input_file_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(DEEP, encoding="utf-8")
+    code = run(["hasse", "--in", str(path)])
+    out, err = capsys.readouterr()
+    _assert_nesting_error(code, out, err)
+    assert "--in file" in _payload(out)[1]["error"]
+
+
 def test_sigma_is_a_name_or_an_array_of_integer_nodes(capsys):
     for sigma in ("21", "[2.9, 1.2]", "[true, 2]", '["2", "1"]', '{"1": 2}'):
         code, (status, _) = _payload_of(capsys, ["datum", "--type", "A", "--rank", "2",

@@ -326,7 +326,7 @@ def _concave_polygon_slopes(width, height, top=1, hodge=None):
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_type_a_enumeration_is_the_polygon_set(n):
     datum = build_datum("A", n)
     for k in range(1, n + 1):
@@ -487,6 +487,30 @@ def test_walk_matches_the_exhaustive_scan_at_rational_mu(t, n, r):
     assert _certified(mu) == _exhaustive_scan(mu), (t, n, r)
 
 
+SIGN_FACT_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                   + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                   + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+@pytest.mark.parametrize("t,n", SIGN_FACT_TYPES)
+def test_every_principal_block_has_the_sign_facts_of_the_walk(t, n):
+    # the J-block inverse is >= 0, a free coordinate's steps on C_J and on
+    # the other free pairings are >= 0, and its step on its own pairing < 0;
+    # _principal_block raises AssertionError otherwise
+    cartan = build_datum(t, n).cartan
+    for j_mask in range(1 << n):
+        _, _, rows, _, steps = kottwitz._principal_block(cartan, j_mask)
+        assert all(x >= 0 for row in rows for x in row)
+        assert all((d < 0) == (i == h) for i, step in enumerate(steps)
+                   for h, d in enumerate(step)), (t, n, j_mask)
+
+
+def test_a_block_that_breaks_a_sign_fact_is_refused():
+    # positive off-diagonal entries: growing c_2 lowers C_J for J = {1}
+    with pytest.raises(AssertionError, match="sign fact"):
+        kottwitz._principal_block(((2, 1), (1, 2)), 0b01)
+
+
 def test_principal_blocks_are_inverted_once_per_cartan_matrix(monkeypatch):
     calls = []
 
@@ -561,7 +585,7 @@ def _classical_polygon_newton_points(t, n, k):
     return mu, out
 
 
-@pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)])
+@pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 8)] + [("B", n) for n in range(2, 7)])
 def test_types_b_and_c_every_node_is_the_symmetric_polygon_set(t, n):
     datum = build_datum(t, n)
     for k in range(1, n + 1):
