@@ -69,8 +69,6 @@ def _max_rank() -> int:
 
 
 def _get_datum(args) -> rootdata.RootDatum:
-    if args.type is None or args.rank is None:
-        raise ValueError("--type and --rank are required (flags or --in file)")
     if args.rank > _max_rank():
         raise ValueError(f"rank {args.rank} exceeds NEWTONKIT_MAX_RANK={_max_rank()}")
     sigma = args.sigma
@@ -253,12 +251,14 @@ def _cmd_verify_all(args):
     }
 
 
+# "required": True is checked by run() after --in is read, so the file can
+# supply the flag; argparse itself never sees it.
 _TYPE_ARGS = (
-    ("--type", {"required": False}),
-    ("--rank", {"type": int, "required": False}),
+    ("--type", {"required": True}),
+    ("--rank", {"type": int, "required": True}),
     ("--sigma", {"default": None, "help": "identity, flip, or a JSON permutation"}),
 )
-_NODE = ("--node", {"type": int})
+_NODE = ("--node", {"type": int, "required": True})
 _P = ("--p", {"type": int, "default": 3})
 
 # Every subcommand, in --help order: its handler and its argument specs.
@@ -268,15 +268,19 @@ _SUBCOMMANDS = {
     "bgmu": (_cmd_bgmu, (*_TYPE_ARGS, _NODE)),
     "maximal": (_cmd_maximal, (*_TYPE_ARGS, _NODE, (
         "--exclude-top", {"action": "store_true", "dest": "exclude_top"}))),
-    "leq": (_cmd_leq, (*_TYPE_ARGS, ("--x", {}), ("--y", {}),
+    "leq": (_cmd_leq, (*_TYPE_ARGS, ("--x", {"required": True}), ("--y", {"required": True}),
                        ("--verify", {"action": "store_true"}))),
-    "slopes": (_cmd_slopes, (("--nu", {}), ("--dim", {"type": int}))),
-    "degrees": (_cmd_degrees, (("--profile", {"help": "SlopeProfile JSON"}),)),
-    "uniqueness": (_cmd_uniqueness, (("--profile", {}), ("--i", {"type": int}))),
-    "mepsilon": (_cmd_mepsilon, (("--full", {}), ("--shape", {"default": "siegel"}),
+    "slopes": (_cmd_slopes, (("--nu", {"required": True}),
+                             ("--dim", {"type": int, "required": True}))),
+    "degrees": (_cmd_degrees, (("--profile", {"help": "SlopeProfile JSON", "required": True}),)),
+    "uniqueness": (_cmd_uniqueness, (("--profile", {"required": True}),
+                                     ("--i", {"type": int, "required": True}))),
+    "mepsilon": (_cmd_mepsilon, (("--full", {"required": True}),
+                                 ("--shape", {"default": "siegel"}),
                                  ("--upper", {"action": "store_true"}), _P)),
-    "lambdag": (_cmd_lambdag, (("--t", {}), ("--s", {"default": "1"}), _P)),
-    "hasse": (_cmd_hasse, (("--w", {"type": int}), ("--p", {"type": int}))),
+    "lambdag": (_cmd_lambdag, (("--t", {"required": True}), ("--s", {"default": "1"}), _P)),
+    "hasse": (_cmd_hasse, (("--w", {"type": int, "required": True}),
+                           ("--p", {"type": int, "required": True}))),
     "verify-all": (_cmd_verify_all, ()),
 }
 
@@ -293,7 +297,7 @@ def _build_parser() -> _Parser:
     for name, (_, specs) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flags, kwargs in specs:
-            p.add_argument(flags, **kwargs)
+            p.add_argument(flags, **{**kwargs, "required": False})
     return parser
 
 
@@ -355,6 +359,16 @@ def _read_infile(args) -> argparse.Namespace:
         raise ValueError(f"cannot read --in file: {exc}") from None
 
 
+def _require(args, specs) -> None:
+    """Name the required flags that neither the command line nor --in gave."""
+    missing = [flags for flags, kwargs in specs if kwargs.get("required")
+               and getattr(args, flags[2:].replace("-", "_")) is None]
+    if missing:
+        names = f"{', '.join(missing[:-1])} and {missing[-1]}" if missing[1:] else missing[0]
+        raise ValueError(f"{names} {'are' if missing[1:] else 'is'} required "
+                         "(flags or --in file)")
+
+
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -364,9 +378,10 @@ def run(argv) -> int:
     if args.command is None:
         print("usage error: no subcommand given", file=sys.stderr)
         return 1
-    handler, _ = _SUBCOMMANDS[args.command]
+    handler, specs = _SUBCOMMANDS[args.command]
     try:
         args = _read_infile(args)
+        _require(args, specs)
         start = time.monotonic()
         payload = handler(args)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:

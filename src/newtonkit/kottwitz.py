@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .linalg import invert
 from .rootdata import (
@@ -38,9 +38,6 @@ class KottwitzElement:
     nu: RationalCocharacter
     c: tuple[Fraction, ...]
     J: frozenset[int]  # 1-based simple-root indices with <nu, alpha> = 0
-
-    def sort_key(self):
-        return self.nu.coords
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,8 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     When sigma is nontrivial the integrality condition is taken over
     sigma-orbits of simple roots (orbit-summed fundamental weights); this
     folded path requires nu to be sigma-invariant.  nu and mubar are
-    scaled to integer numerators over one common denominator: the root
-    pairings of nu give the dominance test and the zero set J, and the
-    kernel's split of mubar - nu its coroot coefficients and orthogonal part.
+    scaled to integer numerators over one common denominator and tested
+    there (_member).
     """
     datum = nu.datum
     if mubar.datum != datum:
@@ -84,9 +80,16 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
             raise ValueError("mubar is not sigma-invariant")
         if sigma_apply(nu).coords != nu.coords:
             raise ValueError("nu is not sigma-invariant while sigma is nontrivial")
+    x, L = datum.kernel.scale(nu.coords + mubar.coords)
+    return _member(datum, x[:datum.ambient_dim], x[datum.ambient_dim:], L)
+
+
+def _member(datum, x_nu, x_mubar, L):
+    """is_in_bgmu on the integer numerators x_nu and x_mubar of nu and mubar
+    over L: the root pairings of nu give the dominance test and the zero set
+    J, and the kernel's split of mubar - nu its coroot coefficients and
+    orthogonal part."""
     k = datum.kernel
-    x, L = k.scale(nu.coords + mubar.coords)
-    x_nu, x_mubar = x[:datum.ambient_dim], x[datum.ambient_dim:]
     p_nu = k.root_pairings(x_nu)
     if any(p < 0 for p in p_nu):
         return False, "nu is not dominant"
@@ -140,9 +143,16 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     ones for each value; a level ends at the first failure that every lower
     value shares (an earlier pairing, a later coordinate below 0).
     The walk's rows and steps depend on J and the Cartan matrix alone and
-    are computed once per process (_BLOCKS).  Each candidate becomes the
-    exact point nu = mubar - sum_a c_a coroot_a, must still pass
-    is_in_bgmu, and is recorded with that certificate.
+    are computed once per process (_BLOCKS).
+
+    The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
+    lcm of their D q, each point nu = mubar - sum_a c_a coroot_a is an
+    integer vector over the one denominator L S K, and must pass the tests
+    of is_in_bgmu on those numerators (_member: dominance, coroot span,
+    signs, integrality) to be kept with its certificate.  The kept points
+    are sorted on their numerators, which over a shared positive
+    denominator is the order of their Fraction tuples, and each coordinate
+    becomes one Fraction at the end.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -163,21 +173,27 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
     blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
-    elements = []
+    leaves = []
     for j_mask in range(1 << n):
         block = blocks[j_mask]
         if block is None:
             block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
-        for C, Dq in _walk(block, M, D, bounds):
-            # nu = x / L - sum_a C_a coroot_a / (D q)
-            den = L * Dq * k.K
-            nu = RationalCocharacter(tuple(
-                Fraction(t * Dq * k.K - L * s, den) for t, s in zip(x, k.coroot_sum(C))),
-                datum)
-            ok, cert = is_in_bgmu(nu, mubar)
-            if ok:
-                elements.append(KottwitzElement(nu, *cert))
-    return KottwitzSet(mu, mubar, tuple(sorted(elements, key=KottwitzElement.sort_key)))
+        leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(block, M, D, bounds))
+    # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
+    S = math.lcm(*(Dq for _, Dq in leaves))
+    den = L * S * k.K
+    x_mubar = [t * S * k.K for t in x]
+    members = []
+    for s, Dq in leaves:
+        f = L * (S // Dq)
+        x_nu = [t - f * u for t, u in zip(x_mubar, s)]
+        ok, cert = _member(datum, x_nu, x_mubar, den)
+        if ok:
+            members.append((x_nu, cert))
+    members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
+    return KottwitzSet(mu, mubar, tuple(
+        KottwitzElement(RationalCocharacter(tuple(Fraction(t, den) for t in x_nu), datum), *cert)
+        for x_nu, cert in members))
 
 
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
@@ -283,7 +299,15 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     The kernel's split is linear, so e <= f (newton_leq) exactly when e and
     f have the same orthogonal part and every coroot coefficient of f is at
     least that of e: each element is split once, all over one common
-    denominator, so both tests compare integer numerators.
+    denominator, so every test compares integer numerators.
+
+    Only the maxima need to be compared against.  f > e makes the
+    coefficient sum of f strictly larger than that of e, and every element
+    below another one lies below some maximal element, which has a larger
+    sum still.  So, taken by coefficient sum from the largest down, an
+    element is maximal exactly when no maximum kept before it, with the
+    same orthogonal part, dominates it.  Elements with the same nu are one
+    point: the first of them in the pool is kept if that point is maximal.
     """
     pool = list(ks.elements)
     if exclude_top:
@@ -295,10 +319,13 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     x, _ = k.scale([t for e in pool for t in e.nu.coords])
     dim = datum.ambient_dim
     parts = [(e, *k.split(x[i * dim:(i + 1) * dim])) for i, e in enumerate(pool)]
+    parts.sort(key=lambda part: sum(part[1]), reverse=True)  # stable: pool order on ties
+    maxima = {}  # orthogonal part -> coroot coefficients of the maxima kept so far
     out = set()
     for e, ce, pe in parts:
-        if all(f is e or pf != pe or any(a < b for a, b in zip(cf, ce))
-               for f, cf, pf in parts):
+        above = maxima.setdefault(tuple(pe), [])
+        if not any(all(a >= b for a, b in zip(cf, ce)) for cf in above):
+            above.append(ce)
             out.add(e)
     return out
 

@@ -60,6 +60,10 @@ class RootDatum:
     sigma: tuple[int, ...]  # 1-based image list; sigma[i-1] is the image of node i
     factors: tuple["RootDatum", ...] = ()
 
+    def __hash__(self):
+        # equal data agree on these fields, and hashing them touches no Fraction
+        return hash((self.type_label, self.rank, self.cartan, self.sigma))
+
     @cached_property
     def sigma_orbits(self) -> tuple[tuple[int, ...], ...]:
         """The cycles of sigma on the nodes 1..rank, each from its least node."""

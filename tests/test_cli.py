@@ -280,6 +280,37 @@ def test_every_subcommand_without_its_arguments_fails_cleanly(capsys):
             assert captured.out == "" and captured.err.startswith("usage error"), name
 
 
+_PAIR = '{"slopes":["1","0"],"mults":[1,1]}'
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["datum", "--rank", "3"], "--type is"),
+    (["bgmu", "--type", "A", "--rank", "3"], "--node is"),
+    (["maximal", "--type", "A", "--rank", "2"], "--node is"),
+    (["leq", "--type", "A", "--rank", "2", "--x", "[0,0,0]"], "--y is"),
+    (["slopes", "--nu", '["1/2","0"]'], "--dim is"),
+    (["degrees"], "--profile is"),
+    (["uniqueness", "--profile", _PAIR], "--i is"),
+    (["mepsilon", "--p", "5"], "--full is"),
+    (["lambdag", "--s", "1"], "--t is"),
+    (["hasse"], "--w and --p are"),
+    (["bgmu"], "--type, --rank and --node are"),
+])
+def test_a_missing_required_flag_is_named(capsys, argv, missing):
+    code, out = _capture(capsys, argv)
+    assert code == 2
+    assert _payload(out) == ("error", {"error": f"{missing} required (flags or --in file)",
+                                       "schema": "newtonkit/1"})
+
+
+def test_the_input_file_can_supply_a_required_flag(tmp_path, capsys):
+    code, (status, payload) = _run_with_file(tmp_path, capsys,
+                                             ["bgmu", "--type", "C", "--rank", "2"], {"node": 2})
+    assert (code, status) == (0, "ok") and payload["mubar"] == ["1/2", "1/2"]
+    code, (status, payload) = _run_with_file(tmp_path, capsys, ["hasse", "--w", "2"], {})
+    assert (code, status, payload["error"]) == (2, "error", "--p is required (flags or --in file)")
+
+
 def _run_with_file(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

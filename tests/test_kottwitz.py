@@ -372,6 +372,103 @@ def test_maximal_elements_separates_orthogonal_parts():
     assert maximal_elements(ks) == set(elements)
 
 
+def _pairwise_maximal(ks, exclude_top=False):
+    """Reference: the pairwise scan maximal_elements used before it compared
+    against the maxima only, each element split once and tested against
+    every other one."""
+    pool = [e for e in ks.elements if not exclude_top or e.nu.coords != ks.mubar.coords]
+    k = ks.mubar.datum.kernel
+    dim = ks.mubar.datum.ambient_dim
+    x, _ = k.scale([t for e in pool for t in e.nu.coords])
+    parts = [(e, *k.split(x[i * dim:(i + 1) * dim])) for i, e in enumerate(pool)]
+    return {e for e, ce, pe in parts
+            if all(f is e or pf != pe or any(a < b for a, b in zip(cf, ce))
+                   for f, cf, pf in parts)}
+
+
+MAXIMA_CASES = ([("A", n, k) for n in (6, 7, 8) for k in range(1, n + 1)]
+                + [(t, 6, k) for t in "BCD" for k in range(1, 7)]
+                + [("E6", 6, k) for k in range(1, 7)] + [("E7", 7, k) for k in range(1, 8)]
+                + [("E8", 8, k) for k in (1, 2, 7, 8)])
+
+
+@pytest.mark.parametrize("t,n", sorted({(t, n) for t, n, _ in MAXIMA_CASES}))
+def test_maximal_elements_match_the_pairwise_scan_on_random_pools(t, n):
+    # sub-pools of a set have many maximal elements, unlike the set itself
+    datum = build_datum(t, n)
+    rng = random.Random(f"{t}{n}")
+    for k in [k for t_, n_, k in MAXIMA_CASES if (t_, n_) == (t, n)]:
+        ks = enumerate_bgmu(_coweight(datum, k))
+        for _ in range(4):
+            size = rng.randint(1, min(len(ks.elements), 120))
+            sub = KottwitzSet(ks.mu, ks.mubar, tuple(rng.sample(ks.elements, size)))
+            for exclude_top in (False, True):
+                if exclude_top and size == 1 and sub.elements[0].nu == ks.mubar:
+                    continue
+                want = _pairwise_maximal(sub, exclude_top)
+                assert maximal_elements(sub, exclude_top) == want, (t, n, k, size)
+
+
+def test_maximal_elements_of_mixed_pools_with_different_orthogonal_parts():
+    # e_1 and e_1 + e_2 on A3 (GL_4-style, not traceless) have different
+    # orthogonal parts; the traceless w_1 and w_2 share theirs
+    a3 = build_datum("A", 3)
+    rng = random.Random(3)
+    mus = [a3.cochar(v) for v in ((1, 0, 0, 0), (1, 1, 0, 0))] + \
+        [_coweight(a3, 1), _coweight(a3, 2)]
+    sets = [enumerate_bgmu(mu) for mu in mus]
+    for first, second in ((0, 1), (2, 3), (0, 3)):
+        elements = sets[first].elements + sets[second].elements
+        for _ in range(20):
+            pool = tuple(rng.sample(elements, rng.randint(1, len(elements))))
+            ks = KottwitzSet(mus[first], sets[first].mubar, pool)
+            assert maximal_elements(ks) == _pairwise_maximal(ks), (first, second, pool)
+    whole = KottwitzSet(mus[0], sets[0].mubar, sets[0].elements + sets[1].elements)
+    assert {e.nu.coords for e in maximal_elements(whole)} == {(1, 0, 0, 0), (1, 1, 0, 0)}
+
+
+def test_elements_with_the_same_nu_are_one_point():
+    # a point that is maximal is returned once, as the first element in the
+    # pool that carries it, whatever the others' certificates say
+    c2 = build_datum("C", 2)
+    ks = enumerate_bgmu(_coweight(c2, 2))
+    (top,) = [e for e in ks.elements if e.nu == ks.mubar]
+    copy = KottwitzElement(c2.cochar(list(top.nu.coords)), top.c, top.J)
+    forged = KottwitzElement(top.nu, (F(7), F(7)), frozenset())
+    assert copy == top and copy is not top
+    for pool, first in (((top, copy), top), ((copy, top), copy), ((forged, top, copy), forged)):
+        (got,) = maximal_elements(KottwitzSet(ks.mu, ks.mubar, pool))
+        assert got is first
+    with_copy = KottwitzSet(ks.mu, ks.mubar, ks.elements + (copy,))
+    assert maximal_elements(with_copy) == {top}
+    assert {e.nu for e in maximal_elements(with_copy, exclude_top=True)} == \
+        {e.nu for e in maximal_elements(ks, exclude_top=True)}
+
+
+@pytest.mark.parametrize("C, Dq, reason", [
+    ([-1], 1, "mubar - nu has a negative coroot coefficient"),
+    ([1], 4, "non-integral coroot coefficient at simple root(s) (1,)"),
+    ([3], 1, "nu is not dominant"),
+])
+def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
+    # a leaf the walk should never give is dropped by the membership test,
+    # not trusted: nu = mubar - (C / Dq) coroot on A1 fails with reason
+    a1 = build_datum("A", 1)
+    mu = _coweight(a1, 1)
+    want = _certified(mu)
+    bogus = a1.cochar([m - F(C[0], Dq) * x for m, x in zip(mu.coords, a1.simple_coroots[0])])
+    assert is_in_bgmu(bogus, mu) == (False, reason)
+    walk = kottwitz._walk
+
+    def walk_and_a_bogus_leaf(block, M, D, bounds):
+        yield from walk(block, M, D, bounds)
+        if block[0]:  # the block of J = {}, once per enumeration
+            yield C, Dq
+
+    monkeypatch.setattr(kottwitz, "_walk", walk_and_a_bogus_leaf)
+    assert _certified(mu) == want
+
+
 def _exhaustive_scan(mu):
     """Reference: the exhaustive candidate scan enumerate_bgmu used before its
     depth-first walk, as sorted (nu, c, J) tuples.  For every J it tries every

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -30,6 +31,33 @@ ALL_TYPES = (
     + [("D", n) for n in range(3, 9)]
     + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
 )
+
+
+def _equal_pairs():
+    """Pairs of equal root data built apart: every type, flips, D4 triality,
+    products and a dataclasses.replace copy."""
+    pairs = [(build_datum(t, n), build_datum(t, n)) for t, n in ALL_TYPES]
+    pairs += [(build_datum(t, n, "flip"), build_datum(t, n, [*range(n, 0, -1)] if t == "A"
+                                                      else "flip"))
+              for t, n in (("A", 1), ("A", 4), ("A", 8), ("D", 4), ("D", 7), ("E6", 6))]
+    pairs.append((build_datum("D", 4, [3, 2, 4, 1]), build_datum("D", 4, (3, 2, 4, 1))))
+    factors = [build_datum("A", 2, "flip"), build_datum("G2", 2), build_datum("D", 4)]
+    pairs.append((product_datum(factors), product_datum([build_datum("A", 2, "flip"),
+                                                         build_datum("G2", 2),
+                                                         build_datum("D", 4)])))
+    e7 = build_datum("E7", 7)
+    pairs.append((e7, dataclasses.replace(e7)))
+    return pairs
+
+
+def test_equal_root_data_hash_equal():
+    # the hash reads a few fields only, and must stay consistent with ==
+    for a, b in _equal_pairs():
+        assert a is not b and a == b and hash(a) == hash(b), a.type_label
+        assert {a: 1}[b] == 1
+        assert hash(a.cochar([0] * a.ambient_dim)) == hash(b.cochar([0] * b.ambient_dim))
+    # data that differ in sigma alone are unequal
+    assert build_datum("D", 4) != build_datum("D", 4, [3, 2, 4, 1])
 
 
 def test_build_a3_epsilon_basis():
