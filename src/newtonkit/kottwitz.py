@@ -80,20 +80,30 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
             raise ValueError("mubar is not sigma-invariant")
         if sigma_apply(nu).coords != nu.coords:
             raise ValueError("nu is not sigma-invariant while sigma is nontrivial")
-    x, L = datum.kernel.scale(nu.coords + mubar.coords)
-    return _member(datum, x[:datum.ambient_dim], x[datum.ambient_dim:], L)
+    k = datum.kernel
+    x, L = k.scale(nu.coords + mubar.coords)
+    x_mubar = x[datum.ambient_dim:]
+    ok, cert = _member(datum, x[:datum.ambient_dim], x_mubar, k.root_pairings(x_mubar), L)
+    if not ok:
+        return ok, cert
+    C, J = cert
+    den = k.q * k.R * L
+    return ok, (tuple(Fraction(c, den) for c in C), J)
 
 
-def _member(datum, x_nu, x_mubar, L):
+def _member(datum, x_nu, x_mubar, p_mubar, L):
     """is_in_bgmu on the integer numerators x_nu and x_mubar of nu and mubar
-    over L: the root pairings of nu give the dominance test and the zero set
-    J, and the kernel's split of mubar - nu its coroot coefficients and
-    orthogonal part."""
+    over L, given p_mubar = root_pairings(x_mubar): the root pairings of nu
+    give the dominance test and the zero set J, and the kernel's split of
+    mubar - nu (whose pairings are p_mubar minus those of nu, the pairing
+    being linear) its coroot coefficients and orthogonal part.  A member's
+    certificate is (C, J) with C the coroot coefficients over q R L."""
     k = datum.kernel
     p_nu = k.root_pairings(x_nu)
     if any(p < 0 for p in p_nu):
         return False, "nu is not dominant"
-    C, P = k.split([a - b for a, b in zip(x_mubar, x_nu)])
+    C, P = k.split([a - b for a, b in zip(x_mubar, x_nu)],
+                   [a - b for a, b in zip(p_mubar, p_nu)])
     if any(P):
         return False, "mubar - nu is not in the coroot span"
     if any(c < 0 for c in C):
@@ -105,7 +115,7 @@ def _member(datum, x_nu, x_mubar, L):
             continue
         if sum(C[i - 1] for i in orbit) % den:
             return False, f"non-integral coroot coefficient at simple root(s) {orbit}"
-    return True, (tuple(Fraction(c, den) for c in C), zero_pairing)
+    return True, (C, zero_pairing)
 
 
 def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
@@ -145,14 +155,29 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     The walk's rows and steps depend on J and the Cartan matrix alone and
     are computed once per process (_BLOCKS).
 
+    The zero sets that hold a point are closed upward.  Take nu in the set
+    with zero set J, any J' containing J, and d = B' <nu, alpha_J'> with B'
+    the inverse of the principal block on J'.  Then d >= 0 (B' >= 0 is the
+    first sign fact), and nu' = nu - sum_{b in J'} d_b coroot_b pairs to 0
+    with every root in J'.  Its pairings outside J' only grow, since the
+    off-diagonal Cartan entries are <= 0, so nu' is dominant with zero set
+    exactly J'; its coroot coefficients outside J' are those of nu, so
+    they stay integral, and those in J' only grow.  Hence nu' is in the
+    set, and a J without a point has no point on any subset either.  So
+    the masks of J are visited in decreasing order, which puts every
+    superset of J before J.  A mask is dead, and is neither walked nor its
+    block built, when a one-larger superset is dead; otherwise it is
+    walked, and it is dead when its walk gives no leaf.
+
     The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
     lcm of their D q, each point nu = mubar - sum_a c_a coroot_a is an
     integer vector over the one denominator L S K, and must pass the tests
     of is_in_bgmu on those numerators (_member: dominance, coroot span,
     signs, integrality) to be kept with its certificate.  The kept points
     are sorted on their numerators, which over a shared positive
-    denominator is the order of their Fraction tuples, and each coordinate
-    becomes one Fraction at the end.
+    denominator is the order of their Fraction tuples, and each distinct
+    numerator, of a coordinate or of a certificate entry, becomes one
+    Fraction per call.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -173,27 +198,43 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
     blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
+    dead = [False] * (1 << n)
     leaves = []
-    for j_mask in range(1 << n):
+    for j_mask in reversed(range(1 << n)):
+        # j_mask | 1 << a is j_mask itself for a in J, not yet marked
+        if any(dead[j_mask | 1 << a] for a in range(n)):
+            dead[j_mask] = True
+            continue
         block = blocks[j_mask]
         if block is None:
             block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
+        before = len(leaves)
         leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(block, M, D, bounds))
+        dead[j_mask] = len(leaves) == before
     # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
     S = math.lcm(*(Dq for _, Dq in leaves))
     den = L * S * k.K
     x_mubar = [t * S * k.K for t in x]
+    p_mubar = [p * S * k.K for p in pairings]
     members = []
     for s, Dq in leaves:
         f = L * (S // Dq)
         x_nu = [t - f * u for t, u in zip(x_mubar, s)]
-        ok, cert = _member(datum, x_nu, x_mubar, den)
+        ok, cert = _member(datum, x_nu, x_mubar, p_mubar, den)
         if ok:
-            members.append((x_nu, cert))
+            members.append((x_nu, *cert))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
+    coords = _fractions((t for x_nu, _, _ in members for t in x_nu), den)
+    coefficients = _fractions((c for _, C, _ in members for c in C), k.q * k.R * den)
     return KottwitzSet(mu, mubar, tuple(
-        KottwitzElement(RationalCocharacter(tuple(Fraction(t, den) for t in x_nu), datum), *cert)
-        for x_nu, cert in members))
+        KottwitzElement(RationalCocharacter(tuple(map(coords.__getitem__, x_nu)), datum),
+                        tuple(map(coefficients.__getitem__, C)), J)
+        for x_nu, C, J in members))
+
+
+def _fractions(numerators, den):
+    """{t: Fraction(t, den)} for every distinct t of numerators."""
+    return {t: Fraction(t, den) for t in set(numerators)}
 
 
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit

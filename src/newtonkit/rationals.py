@@ -27,7 +27,10 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
             raise ValueError(f"not an exact rational string: {x!r}")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

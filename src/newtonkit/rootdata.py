@@ -161,12 +161,16 @@ class IntegerKernel:
         """K sum_k c_k coroot_k."""
         return [sum(map(mul, col, c)) for col in self._coroot_cols]
 
-    def split(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
+    def split(self, x: Sequence[int],
+              pairings: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
         """(C, P) for a numerator vector x over L: C = coefficients(root_pairings(x)),
         the coroot coefficients of x / L over q R L, and P the numerators over
         q R K L of the rest, x / L - sum_k C_k coroot_k / (q R L), which pairs
-        to zero with every root."""
-        C = self.coefficients(self.root_pairings(x))
+        to zero with every root.  A caller that already holds
+        root_pairings(x) passes it as pairings."""
+        if pairings is None:
+            pairings = self.root_pairings(x)
+        C = self.coefficients(pairings)
         return C, [t * self.qRK - s for t, s in zip(x, self.coroot_sum(C))]
 
 

@@ -396,6 +396,27 @@ def test_sequences_must_be_json_arrays_of_rationals(capsys):
         assert code == 2 and status == "error", argv
 
 
+_ZERO_PROFILE = '{"slopes":["1/0","0"],"mults":[1,1]}'
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["leq", "--type", "A", "--rank", "1", "--y", '["0","0"]'], "x", '["1/0","0"]'),
+    (["leq", "--type", "A", "--rank", "1", "--x", '["0","0"]'], "y", '["0","-1/0"]'),
+    (["slopes", "--dim", "4"], "nu", '["1/0","0"]'),
+    (["degrees"], "profile", _ZERO_PROFILE),
+    (["uniqueness", "--i", "1"], "profile", _ZERO_PROFILE),
+    (["mepsilon"], "full", '["0","0","1/0","1"]'),
+    (["lambdag"], "t", '["0","1/0"]'),
+    (["lambdag", "--t", '["0","1"]'], "s", "1/0"),
+])
+def test_a_zero_denominator_is_named(tmp_path, capsys, argv, key, value):
+    # Fraction("1/0") raises ZeroDivisionError, whose text was "Fraction(1, 0)"
+    bad = "-1/0" if "-1/0" in value else "1/0"
+    want = (2, ("error", {"error": f"zero denominator in {bad!r}", "schema": "newtonkit/1"}))
+    assert _payload_of(capsys, [*argv, f"--{key}", value]) == want
+    assert _run_with_file(tmp_path, capsys, argv, {key: value}) == want
+
+
 DEEP = "[" * 50_000  # deeper than the JSON decoder recurses
 
 

@@ -459,14 +459,17 @@ def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
     bogus = a1.cochar([m - F(C[0], Dq) * x for m, x in zip(mu.coords, a1.simple_coroots[0])])
     assert is_in_bgmu(bogus, mu) == (False, reason)
     walk = kottwitz._walk
+    offered = []
 
     def walk_and_a_bogus_leaf(block, M, D, bounds):
         yield from walk(block, M, D, bounds)
-        if block[0]:  # the block of J = {}, once per enumeration
+        if block[0]:  # the block of J = {}, walked since mu itself has that zero set
+            offered.append(block)
             yield C, Dq
 
     monkeypatch.setattr(kottwitz, "_walk", walk_and_a_bogus_leaf)
     assert _certified(mu) == want
+    assert len(offered) == 1
 
 
 def _exhaustive_scan(mu):
@@ -581,7 +584,7 @@ def test_walk_matches_the_exhaustive_scan_at_rational_mu(t, n, r):
     mu = datum.cochar([r * (a + b) for a, b in zip(coweights[0], coweights[-1])])
     pairings = [sum(x * y for x, y in zip(mu.coords, alpha)) for alpha in datum.simple_roots]
     assert math.lcm(*(x.denominator for x in pairings)) > 1
-    assert _certified(mu) == _exhaustive_scan(mu), (t, n, r)
+    assert _certified(mu) == _exhaustive_scan(mu) == _walk_every_mask(mu), (t, n, r)
 
 
 SIGN_FACT_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
@@ -627,6 +630,130 @@ def test_principal_blocks_are_inverted_once_per_cartan_matrix(monkeypatch):
     assert calls == []
 
 
+_EVERY_MASK_BLOCKS = {}
+
+
+def _walk_every_mask(mu):
+    """Reference: enumerate_bgmu before it skipped dead zero sets.  It walks
+    the principal block of every mask J in increasing order, tests each leaf
+    with _member and builds one Fraction per coordinate and certificate
+    entry; (nu, c, J) tuples in the enumeration's order."""
+    datum = mu.datum
+    k, n = datum.kernel, datum.rank
+    blocks = _EVERY_MASK_BLOCKS.setdefault(datum.cartan, {})
+    x, L = k.scale(mu.coords)  # trivial sigma: mubar = mu
+    pairings = k.root_pairings(x)
+    g = math.gcd(k.R * L, *pairings)
+    D = k.R * L // g
+    M = [p // g for p in pairings]
+    bounds = [w // (k.q * D) for w in k.coefficients(M)]
+    leaves = []
+    for j_mask in range(1 << n):
+        if j_mask not in blocks:
+            blocks[j_mask] = kottwitz._principal_block(datum.cartan, j_mask)
+        leaves += [(k.coroot_sum(C), Dq) for C, Dq in kottwitz._walk(blocks[j_mask], M, D, bounds)]
+    S = math.lcm(*(Dq for _, Dq in leaves))
+    den = L * S * k.K
+    x_mubar = [t * S * k.K for t in x]
+    p_mubar = k.root_pairings(x_mubar)
+    members = []
+    for s, Dq in leaves:
+        x_nu = [t - L * (S // Dq) * u for t, u in zip(x_mubar, s)]
+        ok, cert = kottwitz._member(datum, x_nu, x_mubar, p_mubar, den)
+        if ok:
+            members.append((x_nu, *cert))
+    members.sort(key=lambda m: m[0])
+    return [(tuple(F(t, den) for t in x_nu), tuple(F(c, k.q * k.R * den) for c in C), J)
+            for x_nu, C, J in members]
+
+
+@pytest.mark.parametrize("t,n", SIGN_FACT_TYPES)
+def test_skipping_dead_zero_sets_changes_nothing(t, n):
+    # every node and omega_1 + omega_n (the rational multiples of the latter
+    # are in test_walk_matches_the_exhaustive_scan_at_rational_mu): same
+    # elements, certificates and order as the walk over every mask
+    datum = build_datum(t, n)
+    coweights = fundamental_coweights(datum)
+    mus = [datum.cochar(c) for c in coweights]
+    mus.append(datum.cochar([a + b for a, b in zip(coweights[0], coweights[-1])]))
+    for mu in mus:
+        assert _certified(mu) == _walk_every_mask(mu), (t, n, mu.coords)
+
+
+# masks walked (of 2^n): a mask is skipped when a one-larger superset is dead
+WALKED_MASKS = {("E7", 7, 7): 29, ("A", 7, 4): 39,
+                **{("E8", 8, k): count for k, count in
+                   enumerate((56, 88, 107, 143, 129, 102, 77, 38), start=1)}}
+
+
+def test_only_the_zero_sets_that_can_hold_a_point_are_walked(monkeypatch):
+    walk = kottwitz._walk
+    walked = []
+
+    def counted(block, *args):
+        walked.append(block[0])
+        yield from walk(block, *args)
+
+    monkeypatch.setattr(kottwitz, "_walk", counted)
+    for (t, n, k), count in WALKED_MASKS.items():
+        walked.clear()
+        monkeypatch.setattr(kottwitz, "_BLOCKS", {})
+        datum = build_datum(t, n)
+        enumerate_bgmu(_coweight(datum, k))
+        assert len(walked) == len(set(walked)) == count, (t, n, k)
+        built = [b for b in kottwitz._BLOCKS[datum.cartan] if b is not None]
+        assert sorted(b[0] for b in built) == sorted(walked), (t, n, k)
+
+
+def _fraction_solve(m):
+    """Gauss-Jordan elimination on the rows m = [A | B] over Fractions, A
+    square and invertible: the columns of A^-1 B, row by row."""
+    n = len(m)
+    m = [list(row) for row in m]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _ip(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t, n in SIGN_FACT_TYPES if n <= 7] + [("E8", 8)])
+def test_the_zero_sets_that_hold_a_point_are_closed_upward(t, n):
+    # for nu with zero set J and a outside J, nu' = nu - sum_{b in J'} d_b
+    # coroot_b with J' = J + {a} and d = B_J' <nu, alpha_J'> (B_J' the inverse
+    # of the principal Cartan block on J'), in Fractions, has d >= 0 and is
+    # a point of the set whose certificate has the zero set J' (every node up
+    # to rank 7, and E8 nodes 1, 2, 7 and 8)
+    datum = build_datum(t, n)
+    roots, coroots = datum.simple_roots, datum.simple_coroots
+    inverses = {}  # J' -> B_J', 0-based
+
+    def inverse(J):
+        if J not in inverses:
+            inverses[J] = _fraction_solve([[_ip(coroots[b], roots[g]) for b in J]
+                                           + [F(int(g == h)) for h in J] for g in J])
+        return inverses[J]
+
+    for k in range(1, n + 1) if n <= 7 else (1, 2, 7, 8):
+        zero_set = {e.nu.coords: e.J for e in enumerate_bgmu(_coweight(datum, k)).elements}
+        for nu, J in zero_set.items():
+            pairings = [_ip(nu, root) for root in roots]
+            for a in set(range(1, n + 1)) - J:
+                bigger = tuple(sorted(b - 1 for b in J | {a}))
+                d = [_ip(row, [pairings[g] for g in bigger]) for row in inverse(bigger)]
+                assert all(x >= 0 for x in d), (t, n, k, nu, a)
+                pushed = tuple(x - _ip(d, [coroots[b][i] for b in bigger])
+                               for i, x in enumerate(nu))
+                assert zero_set.get(pushed) == J | {a}, (t, n, k, nu, a)
+
+
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 5), (4, 8), (5, 13), (6, 20), (7, 31)])
 def test_type_c_last_node_is_the_symmetric_polygon_set(n, count):
     # C_n node n: the concave lattice polygons from (0,0) to (2n, n) that are
@@ -653,7 +780,7 @@ def _classical_polygon_newton_points(t, n, k):
     inequality (Katz, Asterisque 63, 1979; Rapoport-Richartz, Compositio 103,
     1996) the Newton points are the concave lattice polygons on or below it
     with the same end points; those of G are the symmetric ones, and nu is
-    the upper n slopes minus the shift.
+    the upper n slopes minus the shift (_symmetric_polygon_upper_halves).
 
     Sp_2n is simply connected, so nothing else enters.  For B, the Kottwitz
     point must also agree in pi_1(SO_2n+1) = Z/2 (Kottwitz, "Isocrystals with
@@ -668,21 +795,46 @@ def _classical_polygon_newton_points(t, n, k):
     half = F(1, 2) if t == "C" and k == n else None
     mu = [half] * n if half else [F(1)] * k + [F(0)] * (n - k)
     shift = F(1, 2) if half else F(1)
-    hodge = sorted([m + shift for m in mu] + [shift] * (t == "B") + [shift - m for m in mu],
-                   reverse=True)
-    width = len(hodge)
     out = set()
-    for slopes in _concave_polygon_slopes(width, int(width * shift), int(2 * shift), hodge):
-        if any(a + b != 2 * shift for a, b in zip(slopes, reversed(slopes))):
-            continue
-        nu = tuple(s - shift for s in slopes[:n])
+    for slopes in _symmetric_polygon_upper_halves([m + shift for m in mu], shift):
+        nu = tuple(s - shift for s in slopes)
         if t == "B" and nu[-1] != 0 and (sum(nu) - sum(mu)) % 2:
             continue
         out.add(nu)
     return mu, out
 
 
-@pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 8)] + [("B", n) for n in range(2, 7)])
+def _symmetric_polygon_upper_halves(hodge, shift):
+    """The upper halves (s_1, ..., s_n), n = len(hodge), of the concave
+    polygons of width N = 2n or 2n + 1 with integral breakpoints, symmetric
+    (s_i + s_(N+1-i) = 2 shift, so s_(n+1) = shift when N is odd) and on or
+    below the symmetric polygon whose upper slopes are hodge (descending).
+
+    Symmetry makes y(N - x) = y(x) + shift (N - 2x), with N shift and 2 shift
+    integers, so the polygon is below on the whole width when it is below
+    on the upper half, and a mirrored breakpoint is integral when the
+    original is.  A half is thus a run of segments of integral ends and
+    slopes falling from at most 2 shift to above shift, below the hodge
+    sums at their ends, and then either x = n (a breakpoint, or the start
+    of the middle segment of slope shift when N is odd) or one segment of
+    slope shift from the last breakpoint through the middle to its mirror."""
+    n = len(hodge)
+    bound = list(itertools.accumulate(hodge, initial=0))
+    out = set()
+
+    def extend(x, y, last, slopes):
+        out.add(tuple(slopes + [shift] * (n - x)))  # end with slope shift
+        for dx in range(1, n - x + 1):
+            for dy in range(math.floor(shift * dx) + 1, math.floor(2 * shift * dx) + 1):
+                s = F(dy, dx)
+                if (last is None or s < last) and y + dy <= bound[x + dx]:
+                    extend(x + dx, y + dy, s, slopes + [s] * dx)
+
+    extend(0, 0, None, [])
+    return out
+
+
+@pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 9)] + [("B", n) for n in range(2, 9)])
 def test_types_b_and_c_every_node_is_the_symmetric_polygon_set(t, n):
     datum = build_datum(t, n)
     for k in range(1, n + 1):
@@ -756,20 +908,9 @@ def _solve_in_coroots(datum, v):
     """(c, perp): v = sum_k c_k coroot_k + perp with perp orthogonal to every
     root, by Fraction Gaussian elimination on <coroot_k, root_j> c = <v, root_j>."""
     roots, coroots, n = datum.simple_roots, datum.simple_coroots, datum.rank
-
-    def ip(a, b):
-        return sum((x * y for x, y in zip(a, b)), F(0))
-
-    m = [[ip(coroots[k], roots[j]) for k in range(n)] + [ip(v, roots[j])] for j in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [x / m[col][col] for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
-    c = [row[n] for row in m]
-    return c, tuple(x - ip(c, [a[t] for a in coroots]) for t, x in enumerate(v))
+    c = [x for x, in _fraction_solve([[_ip(coroots[k], roots[j]) for k in range(n)]
+                                      + [_ip(v, roots[j])] for j in range(n)])]
+    return c, tuple(x - _ip(c, [a[t] for a in coroots]) for t, x in enumerate(v))
 
 
 def _leq_oracle(x, y):
