@@ -296,12 +296,19 @@ class UnipotentShape:
     size: int
     groups: tuple[tuple[tuple[tuple[int, int], int], ...], ...]
 
-    def matrix(self, params: Sequence[int]) -> list[list[int]]:
-        m = [[int(i == j) for j in range(self.size)] for i in range(self.size)]
+    def flat(self, params: Sequence[int]) -> list[int]:
+        """The matrix at params, row-major in one list of size^2 entries."""
+        n = self.size
+        m = [0] * (n * n)
+        m[::n + 1] = [1] * n
         for g, value in zip(self.groups, params):
             for (i, j), sign in g:
-                m[i - 1][j - 1] = sign * value
+                m[(i - 1) * n + j - 1] = sign * value
         return m
+
+    def matrix(self, params: Sequence[int]) -> list[list[int]]:
+        m, n = self.flat(params), self.size
+        return [m[i:i + n] for i in range(0, n * n, n)]
 
 
 def upper_unipotent_shape(n: int) -> UnipotentShape:
@@ -337,49 +344,71 @@ def siegel_shape(n: int, lower: bool = True) -> UnipotentShape:
     return UnipotentShape(size, tuple(groups))
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    columns = list(zip(*b))
-    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+def _flat_element(shape: UnipotentShape, params: Sequence[int], mod: int) -> tuple[int, ...]:
+    """The shape's matrix at params as a flat row-major tuple reduced mod p^k.
+
+    The shape allows the sign -1, so an entry may be negative before the
+    reduction; a reduced tuple is the element's one key.
+    """
+    return tuple([x % mod for x in shape.flat(params)])
 
 
-def _conjugator(eps_entries: Sequence[Fraction]) -> tuple[list[list[int]],
-                                                         list[list[int]], int]:
+def _conjugator(eps_entries: Sequence[Fraction]) -> tuple[tuple[int, ...],
+                                                         tuple[int, ...], int]:
     """(E, F, q) with diag(eps) m diag(eps)^-1 = (E m F) / q for every m.
 
     diag(eps) = E / d and diag(eps)^-1 = F / f with E and F integral
-    diagonal matrices, and q = d f.
+    diagonal matrices, held by their diagonals, and q = d f.
     """
-    n = len(eps_entries)
     eps = [Fraction(v) for v in eps_entries]
     inv = [1 / x for x in eps]
     d = lcm(*(x.denominator for x in eps))
     f = lcm(*(x.denominator for x in inv))
-    e = [[int(eps[i] * d) if i == j else 0 for j in range(n)] for i in range(n)]
-    e_inv = [[int(inv[i] * f) if i == j else 0 for j in range(n)] for i in range(n)]
-    return e, e_inv, d * f
+    return tuple(int(x * d) for x in eps), tuple(int(x * f) for x in inv), d * f
 
 
-def _is_integral_conjugate(conjugator, m: list[list[int]]) -> bool:
-    """Is diag(eps) m diag(eps)^-1 integral?  The genuine integer products
-    E m F are taken and every entry is tested against q."""
-    e, e_inv, q = conjugator
-    return all(x % q == 0 for row in _matmul(_matmul(e, m), e_inv) for x in row)
+def _conjugate(conjugator, m: Sequence[int]) -> list[int]:
+    """The entries of E m F, row-major, for a flat row-major n x n matrix m.
+
+    E and F are diagonal, so the product is exact entry by entry:
+    (E m F)_ij = E_ii m_ij F_jj.
+    """
+    e, f, _ = conjugator
+    return [a * x * b for x, (a, b) in zip(m, itertools.product(e, f))]
+
+
+def _is_integral_conjugate(conjugator, m: Sequence[int]) -> bool:
+    """Is diag(eps) m diag(eps)^-1 integral, for a flat row-major m?  Every
+    one of the n^2 entries E_ii m_ij F_jj of E m F is tested against q."""
+    q = conjugator[2]
+    return not any([x % q for x in _conjugate(conjugator, m)])
 
 
 ENUMERATION_LIMIT = 100_000
 
 
+def _check_prime_power(p: int, k: int, name: str) -> None:
+    """Refuse p < 2 or an exponent k < 1 before any work is done."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if k < 1:
+        raise ValueError(f"{name} must be at least 1, got {k}")
+
+
 def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     """Count U(Z/p^k) / (eps U(Z/p^k) eps^-1  intersect  U(Z/p^k)) literally.
 
-    The subgroup is found by conjugating each shape matrix by the actual
-    diagonal matrix and testing p-integrality of the inverse conjugate.
-    Small groups are counted by marking cosets with genuine matrix
-    products; past ENUMERATION_LIMIT elements the per-parameter scaling
-    exponents (taken from honest conjugation of the group generators and
-    spot-checked against full-matrix conjugation on sample elements) count
-    the subgroup instead, and the coset count is the exact index.
+    The subgroup is found by conjugating each element, a flat row-major
+    tuple reduced mod p^k, by the actual diagonal matrices: every entry
+    E_ii w_ij F_jj of the conjugate is tested for p-integrality.  Small
+    groups are counted by marking cosets with genuine integer matrix
+    products (_coset_count_marking); past ENUMERATION_LIMIT elements the
+    per-parameter scaling exponents (read from the same entrywise
+    conjugate of the group generator, and spot-checked against the full
+    conjugate of sample elements) count the subgroup instead, and the
+    coset count is the exact index.
     """
+    _check_prime_power(p, k, "k")
     full = eps.full if isinstance(eps, HeckeValuation) else vec_parse(eps)
     if len(full) != shape.size:
         raise ValueError("valuation vector does not match the shape size")
@@ -401,13 +430,14 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     ngroups = len(shape.groups)
     total = mod ** ngroups
 
-    # Conjugating each one-parameter generator honestly gives the per-group
-    # constraint exponent; tied entries must scale identically.
-    e, e_inv, q = conjugator
-    generator_conj = _matmul(_matmul(e, shape.matrix([1] * ngroups)), e_inv)
+    # Conjugating the generator with every parameter 1 gives the per-group
+    # constraint exponent; tied entries must scale identically.  The
+    # generator stays unreduced, so an entry of sign -1 scales as -1.
+    n, q = shape.size, conjugator[2]
+    generator_conj = _conjugate(conjugator, shape.flat([1] * ngroups))
     scalings = []
     for g in shape.groups:
-        factors = {Fraction(generator_conj[i - 1][j - 1], q * s) for (i, j), s in g}
+        factors = {Fraction(generator_conj[(i - 1) * n + j - 1], q * s) for (i, j), s in g}
         if len(factors) != 1:
             raise ValueError("eps does not preserve the tied entries of the shape")
         den = factors.pop().denominator
@@ -427,7 +457,7 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     rng = random.Random(20240)
     for _ in range(50):
         params = [rng.randrange(mod) for _ in range(ngroups)]
-        honest = _is_integral_conjugate(conjugator, shape.matrix(params))
+        honest = _is_integral_conjugate(conjugator, _flat_element(shape, params, mod))
         entrywise = all(
             params[t] % p ** min(scalings[t], k) == 0 for t in range(ngroups)
         )
@@ -442,24 +472,30 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
 
 
 def _coset_count_marking(shape: UnipotentShape, conjugator, p: int, k: int) -> int:
-    """Count the cosets by marking: the members w are those whose conjugate
-    eps^-1 w eps is integral (conjugator holds eps^-1), and each new coset u
-    is marked by every product u v with a member v."""
+    """Count the cosets by marking.
+
+    Every element is built once as a flat row-major tuple reduced mod p^k,
+    which is also its key.  The members w are those whose conjugate
+    eps^-1 w eps is integral on all n^2 entries (conjugator holds eps^-1).
+    The columns of each member are taken once, and each new coset u is
+    marked by every product u v with a member v: the integer matrix
+    product, reduced mod p^k, in one fused pass over the members.
+    """
     mod = p ** k
-    ngroups = len(shape.groups)
-    elements = [shape.matrix(params)
-                for params in itertools.product(range(mod), repeat=ngroups)]
-    members = [w for w in elements if _is_integral_conjugate(conjugator, w)]
+    n = shape.size
+    elements = [_flat_element(shape, params, mod)
+                for params in itertools.product(range(mod), repeat=len(shape.groups))]
+    member_columns = [[w[j::n] for j in range(n)]
+                      for w in elements if _is_integral_conjugate(conjugator, w)]
     seen: set[tuple[int, ...]] = set()
     count = 0
     for u in elements:
-        key = tuple(x % mod for row in u for x in row)
-        if key in seen:
+        if u in seen:
             continue
         count += 1
-        for v in members:
-            prod = _matmul(u, v)
-            seen.add(tuple(x % mod for row in prod for x in row))
+        rows = [u[i:i + n] for i in range(0, n * n, n)]
+        seen.update(tuple([sum(map(mul, row, column)) % mod for row in rows for column in columns])
+                    for columns in member_columns)
     return count
 
 
@@ -492,6 +528,7 @@ def multiplicative_group_exponent(p: int, w: int) -> int:
     and takes the lcm of the multiplicative orders of all nonzero elements
     (_unit_orders).
     """
+    _check_prime_power(p, w, "w")
     if p ** w > 625:
         raise ValueError("field too large for the brute-force exponent")
     return lcm(*_unit_orders(p, w).values())

@@ -139,6 +139,12 @@ def test_coset_count_input_validation():
         coset_count_bruteforce([1, 0, 0], upper_unipotent_shape(2), 3, 2)
 
 
+@pytest.mark.parametrize("p,k", [(1, 1), (0, 1), (3, 0)])
+def test_coset_count_refuses_degenerate_p_and_k(p, k):
+    with pytest.raises(ValueError, match="at least"):
+        coset_count_bruteforce([0, 0], upper_unipotent_shape(2), p, k)
+
+
 def test_coset_count_fallback_agrees_with_marking():
     shape = upper_unipotent_shape(3)
     vals = [2, 1, 0]
@@ -261,6 +267,12 @@ def test_maximal_elements_reproduced_from_oracles_only():
         ks = enumerate_bgmu(mu)
         main_max = {e.nu.coords for e in maximal_elements(ks, exclude_top=True)}
         assert oracle_max == main_max, (t, n, k)
+
+
+@pytest.mark.parametrize("p,w", [(1, 1), (3, 0), (0, 1)])
+def test_multiplicative_group_exponent_refuses_degenerate_p_and_w(p, w):
+    with pytest.raises(ValueError, match="at least"):
+        multiplicative_group_exponent(p, w)
 
 
 def test_multiplicative_group_exponent():

@@ -394,13 +394,52 @@ def test_coset_marking_matches_fraction_conjugation():
         assert got == fraction_coset_marking(shape, vals, p, k), (shape.size, vals, p, k)
 
 
-def test_matmul_is_the_matrix_product():
-    rng = random.Random(5)
-    for n in (1, 2, 4):
-        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        want = [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        assert oracles._matmul(a, b) == want
+def _fraction_conjugate_is_integral(entries, m):
+    """Is diag(entries) m diag(entries)^-1 integral?  Genuine Fraction products."""
+    n = len(m)
+    left = [[entries[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    right = [[1 / entries[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    lm = [[sum(left[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    conj = [[sum(lm[i][t] * right[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return all(x.denominator == 1 for row in conj for x in row)
+
+
+def test_integral_conjugate_is_diag_eps_m_diag_eps_inverse():
+    """The conjugate is diag(e) m diag(e)^-1 and not diag(e)^-1 m diag(e):
+    on random full integer matrices the two differ, and the oracle must
+    agree with the first on every one."""
+    rng = random.Random(16)
+    outcomes, reversed_differs = set(), 0
+    for _ in range(400):
+        p, n = rng.choice((2, 3, 5)), rng.randint(1, 4)
+        entries = [F(1, p ** rng.randint(0, 3)) for _ in range(n)]
+        m = [[rng.randint(-4, 4) * p ** rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        want = _fraction_conjugate_is_integral(entries, m)
+        got = oracles._is_integral_conjugate(oracles._conjugator(entries),
+                                             tuple(x for row in m for x in row))
+        assert got == want, (entries, m)
+        outcomes.add(want)
+        reversed_differs += want != _fraction_conjugate_is_integral([1 / x for x in entries], m)
+    assert outcomes == {True, False} and reversed_differs > 20
+
+
+def test_coset_marking_reduces_entries_of_sign_minus_one():
+    """Shapes whose entries carry the sign -1 give negative matrix entries,
+    which must be reduced mod p^k before they are keys."""
+    upper = oracles.upper_unipotent_shape(3)
+    mixed = oracles.UnipotentShape(3, tuple(
+        tuple((pos, -sign if t % 2 == 0 else sign) for pos, sign in g)
+        for t, g in enumerate(upper.groups)))
+    assert {s for g in mixed.groups for _, s in g} == {-1, 1}
+    siegel = oracles.UnipotentShape(4, tuple(tuple((pos, -sign) for pos, sign in g)
+                                             for g in oracles.siegel_shape(2).groups))
+    cases = [(mixed, (1, 0, 0), 3, 2), (mixed, (1, 1, 0), 3, 2), (mixed, (2, 1, 0), 2, 3),
+             (siegel, (0, 0, 1, 1), 3, 2), (siegel, (0, 1, 1, 2), 2, 3)]
+    for shape, vals, p, k in cases:
+        conjugator = oracles._conjugator([F(1, p ** v) for v in vals])
+        got = oracles._coset_count_marking(shape, conjugator, p, k)
+        assert got == fraction_coset_marking(shape, vals, p, k) > 1, (shape, vals, p, k)
+        assert oracles.coset_count_bruteforce(list(vals), shape, p, k) == got
 
 
 # -- field exponents ----------------------------------------------------------
