@@ -8,7 +8,10 @@ comparison scans every integer height.  The orbit, the simplex tableau and
 the grid test run on integer numerators of their own (the oracle's own
 reflection, a fraction-free tableau, one Gram inverse scaled to integers);
 none of them uses the fast paths' integer kernel (RootDatum.kernel) or
-their linear algebra.  These routines back the test suite and the CLI
+their linear algebra.  The simplex enters on the largest reduced cost and
+falls back to Bland's rule after a degenerate pivot; the grid test takes
+one set of root pairings per point and gets those of mubar - nu from
+mubar's by linearity.  These routines back the test suite and the CLI
 verify mode only.
 """
 
@@ -34,6 +37,11 @@ def _denominator(vectors) -> int:
     return lcm(*(x.denominator for v in vectors for x in v))
 
 
+def _scaled(vector, D: int) -> list[int]:
+    """D * vector as integers, for a D that every denominator divides."""
+    return [x.numerator * (D // x.denominator) for x in vector]
+
+
 def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[int, ...]], int]:
     """The Weyl orbit of v as a set of integer vectors over one denominator D.
 
@@ -46,9 +54,9 @@ def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[i
     datum = v.datum
     R, K = _denominator(datum.simple_roots), _denominator(datum.simple_coroots)
     D = _denominator([v.coords]) * R * K
-    a = [[int(x * R) for x in alpha] for alpha in datum.simple_roots]
-    b = [[int(x * K) for x in coroot] for coroot in datum.simple_coroots]
-    start = tuple(int(x * D) for x in v.coords)
+    a = [_scaled(alpha, R) for alpha in datum.simple_roots]
+    b = [_scaled(coroot, K) for coroot in datum.simple_coroots]
+    start = tuple(_scaled(v.coords, D))
     seen = {start}
     frontier = [start]
     while frontier:
@@ -58,7 +66,7 @@ def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[i
             if r:
                 raise AssertionError("a reflection left the integer orbit lattice")
             if c:
-                image = tuple(t - c * s for t, s in zip(y, bi))
+                image = tuple([t - c * s for t, s in zip(y, bi)])
                 if image not in seen:
                     if len(seen) >= cap:
                         raise ValueError(f"Weyl orbit exceeds cap of {cap} elements")
@@ -84,13 +92,26 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
     """Is target a convex combination of the points?  Exact phase-1 simplex.
 
     Feasibility of  sum_k x_k P_k = target,  sum_k x_k = 1,  x >= 0, decided
-    by minimizing the sum of artificial variables with Bland's rule.  The
+    by minimizing the sum of artificial variables, which is feasible exactly
+    when that minimum is 0; the loop stops as soon as the sum reaches 0.  The
     points and the target are integer vectors over one common denominator.
     The tableau is fraction-free: each row is held as integers that a
     positive row factor, never formed, turns into the rational row.  A pivot
     replaces a row r by r * piv - r[enter] * pivot_row and divides it by the
-    gcd of its entries, and Bland's ratios are compared by
-    cross-multiplication, so every sign, ratio and tie is the rational one.
+    gcd of its entries, and ratios are compared by cross-multiplication, so
+    every sign, ratio and tie is the rational one.
+
+    Pivot rule: the entering column has the largest positive reduced cost
+    (the cost row is one integer row over one positive factor, so comparing
+    its entries is the rational order; ties go to the lowest column).  After
+    a degenerate pivot (min ratio 0) the entering column is the lowest one
+    with a positive reduced cost (Bland's rule) until a pivot moves the
+    objective.  The leaving row has the minimum ratio, ties to the lowest
+    basis index.  Termination: a pivot with a positive ratio strictly lowers
+    the objective, so no basis repeats across it and only finitely many such
+    pivots occur.  Once they stop, every pivot is degenerate, and every one
+    after the first follows Bland's rule with its leaving rule, which cannot
+    cycle (Bland, Math. Oper. Res. 1977).
     """
     m = len(target) + 1
     n = len(points)
@@ -107,10 +128,12 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
     cost = [sum(column) for column in zip(*tableau)]
     for t in range(n, ncols):
         cost[t] -= denominator
-    while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
-        if enter is None:
+    bland = False
+    while cost[-1]:
+        improving = [j for j in range(ncols) if cost[j] > 0]
+        if not improving:
             break
+        enter = improving[0] if bland else max(improving, key=cost.__getitem__)
         leave = None
         for i in range(m):
             a = tableau[i][enter]
@@ -130,9 +153,9 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
             if i != leave and f != 0:
                 tableau[i] = _primitive([x * piv - f * y for x, y in zip(tableau[i], pivot_row)])
         f = cost[enter]
-        if f != 0:
-            cost = _primitive([x * piv - f * y for x, y in zip(cost, pivot_row)])
+        cost = _primitive([x * piv - f * y for x, y in zip(cost, pivot_row)])
         basis[leave] = enter
+        bland = best_rhs == 0
     return cost[-1] == 0
 
 
@@ -145,7 +168,7 @@ def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bo
     orbit, D = _int_orbit(y)
     M = lcm(D, _denominator([x.coords]))
     points = [[t * (M // D) for t in pt] for pt in sorted(orbit)]
-    target = [c.numerator * (M // c.denominator) for c in x.coords]
+    target = _scaled(x.coords, M)
     return _simplex_feasible(points, target, M)
 
 
@@ -197,8 +220,13 @@ def default_grid_spec(mu: RationalCocharacter) -> GridSpec:
     lcm(den(mu coords), principal minors * coroot denominators).
     The box is the coordinate range of the orbit hull of mu.
     """
+    _require_trivial_sigma(mu.datum)
+    return _grid_spec(mu, *_int_orbit(mu))
+
+
+def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> GridSpec:
+    """default_grid_spec on the integer orbit of mu over D, built once."""
     datum = mu.datum
-    _require_trivial_sigma(datum)
     n = datum.rank
     minors = 1
     for mask in range(1, 1 << n):
@@ -208,7 +236,6 @@ def default_grid_spec(mu: RationalCocharacter) -> GridSpec:
             minors = lcm(minors, abs(d))
     denominator = lcm(_denominator([mu.coords]),
                       minors * _denominator(datum.simple_coroots))
-    orbit, D = _int_orbit(mu)
     box = Fraction(max(abs(t) for y in orbit for t in y), D)
     return GridSpec(denominator, box if box > 0 else Fraction(1))
 
@@ -220,23 +247,24 @@ def grid_enumerate_bgmu(mu: RationalCocharacter,
     All vectors with coordinates in (1/D) Z inside the orbit bounding box
     are tested against the membership criterion directly, by a test of its
     own (_grid_member) on their integer numerators.  Rank <= 3 and trivial
-    sigma only, so mubar is mu itself.
+    sigma only, so mubar is mu itself, which must be dominant (by the
+    oracle's own pairing test, as enumerate_bgmu requires).
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
     _require_trivial_sigma(datum)
-    if spec is None:
-        spec = default_grid_spec(mu)
     orbit, D = _int_orbit(mu)
+    if spec is None:
+        spec = _grid_spec(mu, orbit, D)
     bound = spec.box_bound
     d = spec.denominator_bound
+    member = _grid_member(datum, mu.coords, d)
     axes = []
     for j in range(datum.ambient_dim):
         lo = max(Fraction(min(y[j] for y in orbit), D), -bound)
         hi = min(Fraction(max(y[j] for y in orbit), D), bound)
         axes.append(range(ceil(lo * d), floor(hi * d) + 1))
-    member = _grid_member(datum, mu.coords, d)
     return {tuple(Fraction(t, d) for t in pt)
             for pt in itertools.product(*axes) if member(pt)}
 
@@ -248,10 +276,13 @@ def _grid_member(datum, mubar: Sequence[Fraction], d: int):
     elimination, and scaled to integers I / g.  With L the common
     denominator of mubar and 1/d, mubar - nu = diff / L, a_j = R root_j and
     b_i = K coroot_i, the coroot coefficients of mubar - nu are C / (g L R)
-    with C = I (diff . a_j)_j.  Per point pt the test is: pt . a_j >= 0 (nu
-    dominant), every C_i >= 0, sum_i C_i b_i = diff * g R K exactly (mubar - nu
-    lies in the coroot span), and C_i divisible by g L R wherever
-    pt . a_i != 0 (c_i integral where <nu, root_i> != 0).
+    with C = I (diff . a_j)_j.  Per point pt the pairings pt . a_j are taken
+    over the full integer rows a_j, and diff . a_j = top . a_j - step pt . a_j
+    by linearity, with top = L mubar and step = L / d.  The test is:
+    pt . a_j >= 0 (nu dominant), every C_i >= 0, sum_i C_i b_i = diff * g R K
+    exactly (mubar - nu lies in the coroot span), and C_i divisible by g L R
+    wherever pt . a_i != 0 (c_i integral where <nu, root_i> != 0).  Raises
+    ValueError unless top . a_j >= 0 for every j (mubar dominant).
     """
     roots, coroots = datum.simple_roots, datum.simple_coroots
     n = datum.rank
@@ -261,24 +292,28 @@ def _grid_member(datum, mubar: Sequence[Fraction], d: int):
     inverse = [[int(x * g) for x in row] for row in inverse]
     R, K = _denominator(roots), _denominator(coroots)
     L = lcm(_denominator([mubar]), d)
-    top = [x.numerator * (L // x.denominator) for x in mubar]
+    top = _scaled(mubar, L)
     step = L // d
-    # the nonzero entries of each integer root a_j: most roots have two
-    supports = [[(t, int(x * R)) for t, x in enumerate(alpha) if x] for alpha in roots]
-    coroot_columns = list(zip(*([int(x * K) for x in coroot] for coroot in coroots)))
+    a = [_scaled(alpha, R) for alpha in roots]
+    top_pairs = [sum(map(mul, top, aj)) for aj in a]
+    if any(p < 0 for p in top_pairs):
+        raise ValueError("mu must be dominant")
+    coroot_columns = list(zip(*(_scaled(coroot, K) for coroot in coroots)))
     span_scale, modulus = g * R * K, g * L * R
 
     def member(pt) -> bool:
-        pairs = [sum(pt[t] * x for t, x in support) for support in supports]
-        if any(p < 0 for p in pairs):
-            return False
-        diff = [a - step * b for a, b in zip(top, pt)]
-        dpairs = [sum(diff[t] * x for t, x in support) for support in supports]
+        pairs = []
+        for aj in a:
+            p = sum(map(mul, pt, aj))
+            if p < 0:
+                return False
+            pairs.append(p)
+        dpairs = [t - step * p for t, p in zip(top_pairs, pairs)]
         C = [sum(map(mul, row, dpairs)) for row in inverse]
         if any(c < 0 for c in C):
             return False
-        if any(sum(map(mul, C, column)) != dt * span_scale
-               for column, dt in zip(coroot_columns, diff)):
+        if any(sum(map(mul, C, column)) != (t - step * x) * span_scale
+               for column, t, x in zip(coroot_columns, top, pt)):
             return False
         return all(c % modulus == 0 or p == 0 for c, p in zip(C, pairs))
 

@@ -21,9 +21,11 @@ from newtonkit.oracles import (
     weyl_orbit,
 )
 from newtonkit.rootdata import (
+    RootDatum,
     build_datum,
     dominant_representative,
     fundamental_coweights,
+    reflect_simple,
 )
 
 
@@ -88,14 +90,14 @@ def test_grid_matches_enumeration_a2():
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 
-_NON_MINUSCULE = [(t, n, i, j) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2)]
-                  for i in range(1, n + 1) for j in range(i, n + 1)] + [("A", 3, 1, 3)]
+_NON_MINUSCULE = [(t, n, i, j) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2),
+                                             ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
+                  for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
 @pytest.mark.parametrize("t, n, i, j", _NON_MINUSCULE)
 def test_grid_matches_enumeration_non_minuscule(t, n, i, j):
-    # mu = omega_i + omega_j: every sum of two fundamental coweights at rank <= 2,
-    # and the adjoint coweight of A3
+    # mu = omega_i + omega_j: every sum of two fundamental coweights at rank <= 3
     datum = build_datum(t, n)
     mu = datum.cochar([a + b for a, b in zip(_coweight(datum, i).coords,
                                              _coweight(datum, j).coords)])
@@ -106,6 +108,36 @@ def test_grid_rank_cap():
     a4 = build_datum("A", 4)
     with pytest.raises(ValueError):
         grid_enumerate_bgmu(_coweight(a4, 1))
+
+
+def test_grid_refuses_a_non_dominant_mu_like_the_enumeration():
+    a2 = build_datum("A", 2)
+    mu = a2.cochar([0, 0, 1])
+    for enumerate_ in (enumerate_bgmu, grid_enumerate_bgmu):
+        with pytest.raises(ValueError, match="mu must be dominant"):
+            enumerate_(mu)
+    # s_k omega_k pairs to -1 with the k-th simple root
+    for t, n in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("G2", 2)]:
+        datum = build_datum(t, n)
+        for k in range(1, n + 1):
+            nu = reflect_simple(_coweight(datum, k), k)
+            for enumerate_ in (enumerate_bgmu, grid_enumerate_bgmu):
+                with pytest.raises(ValueError, match="mu must be dominant"):
+                    enumerate_(nu)
+
+
+def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
+    # rootdata.is_dominant reads the fast paths' kernel; the grid oracle never does
+    def no_kernel(datum):
+        raise AssertionError("the grid oracle used RootDatum.kernel")
+
+    mu = _coweight(build_datum("A", 2), 1)
+    want = grid_enumerate_bgmu(mu)
+    monkeypatch.setattr(RootDatum, "kernel", property(no_kernel))
+    a2 = build_datum("A", 2)
+    with pytest.raises(ValueError, match="mu must be dominant"):
+        grid_enumerate_bgmu(a2.cochar([0, 0, 1]))
+    assert grid_enumerate_bgmu(a2.cochar(mu.coords)) == want
 
 
 def test_default_grid_spec_covers_half_coroot():

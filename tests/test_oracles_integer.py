@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import newtonkit.oracles as oracles
+from newtonkit.kottwitz import enumerate_bgmu
 from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
@@ -338,6 +339,59 @@ def test_simplex_degenerate_cases():
     for points, target, want in cases:
         assert fraction_simplex(points, target) == want
         assert oracles._simplex_feasible(*_integer_problem(points, target)) == want
+
+
+def _degenerate_problems(datum):
+    """(points, target) pairs whose phase-1 runs hit degenerate pivots: targets
+    at an orbit point, at the midpoint of two orbit points and at 0, over the
+    orbit and over the orbit with repeated points."""
+    rng = random.Random(f"degenerate-{datum.type_label}{datum.rank}")
+    vectors = [_coweight(datum, k) for k in range(1, datum.rank + 1)]
+    vectors.append(datum.cochar([F(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(datum.ambient_dim)]))
+    zero = tuple(F(0) for _ in range(datum.ambient_dim))
+    for v in vectors:
+        orbit = fraction_orbit(v)
+        a, b = orbit[0], orbit[-1]
+        targets = [a, b, tuple((x + y) / 2 for x, y in zip(a, b)), zero,
+                   tuple(2 * x for x in a)]
+        for points in (orbit, orbit * 2, orbit + orbit[::2]):
+            for target in targets:
+                yield points, target
+
+
+@pytest.mark.parametrize("t,n", RANK3_DATA)
+def test_simplex_matches_fraction_simplex_on_degenerate_orbit_problems(t, n):
+    answers = set()
+    for points, target in _degenerate_problems(build_datum(t, n)):
+        want = fraction_simplex(points, target)
+        assert oracles._simplex_feasible(*_integer_problem(points, target)) == want, \
+            (points, target)
+        answers.add(want)
+    assert answers == {True, False}
+
+
+# E8 node 1 (2160 orbit points, 84 elements) is left out: it takes about 4 s
+# on a two-core x86-64 machine, against about 0.2 s for the four cases below.
+@pytest.mark.parametrize("t,n,k", [("E6", 6, 1), ("A", 7, 4), ("E7", 7, 7), ("E8", 8, 8)])
+def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
+    # the public hull oracle stops at rank 3; its orbit and simplex do not
+    datum = build_datum(t, n)
+    mubar = _coweight(datum, k)
+    orbit, D = oracles._int_orbit(mubar)
+    points = sorted(orbit)
+
+    def in_hull(nu):
+        M = lcm(D, *(x.denominator for x in nu))
+        return oracles._simplex_feasible([[c * (M // D) for c in pt] for pt in points],
+                                         [int(x * M) for x in nu], M)
+
+    elements = list(enumerate_bgmu(mubar).points())
+    assert len(elements) > 1 and all(in_hull(nu) for nu in elements)
+    assert not in_hull(tuple(2 * x for x in mubar.coords))
+    for j in range(1, n + 1):
+        assert not in_hull(tuple(x + y for x, y in zip(mubar.coords,
+                                                       _coweight(datum, j).coords)))
 
 
 # -- grid ---------------------------------------------------------------------
