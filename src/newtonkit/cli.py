@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -64,13 +63,13 @@ def _json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def _max_rank() -> int:
-    return int(os.environ.get("NEWTONKIT_MAX_RANK", "8"))
+# The largest rank the CLI accepts: the Kottwitz walk keeps 2^rank masks.
+MAX_RANK = 8
 
 
 def _get_datum(args) -> rootdata.RootDatum:
-    if args.rank > _max_rank():
-        raise ValueError(f"rank {args.rank} exceeds NEWTONKIT_MAX_RANK={_max_rank()}")
+    if args.rank > MAX_RANK:
+        raise ValueError(f"rank {args.rank} exceeds the rank cap {MAX_RANK}")
     sigma = args.sigma
     if isinstance(sigma, str) and sigma.startswith("["):
         sigma = _json(sigma)
@@ -81,7 +80,7 @@ def _node_coweight(datum, node: int):
     coweights = rootdata.fundamental_coweights(datum)
     if not 1 <= node <= datum.rank:
         raise ValueError(f"node {node} out of range 1..{datum.rank}")
-    return rootdata.RationalCocharacter(coweights[node - 1], datum)
+    return datum.cochar(coweights[node - 1])
 
 
 def _vec(arg: str) -> tuple[Fraction, ...]:
@@ -148,8 +147,8 @@ def _cmd_maximal(args):
 
 def _cmd_leq(args):
     datum = _get_datum(args)
-    x = rootdata.RationalCocharacter(_vec(args.x), datum)
-    y = rootdata.RationalCocharacter(_vec(args.y), datum)
+    x = datum.cochar(_vec(args.x))
+    y = datum.cochar(_vec(args.y))
     if not (rootdata.is_dominant(x) and rootdata.is_dominant(y)):
         raise ValueError("leq compares dominant points: --x and --y must pair "
                          "non-negatively with every simple root")
@@ -211,8 +210,8 @@ def _cmd_uniqueness(args):
 def _cmd_mepsilon(args):
     full = _vec(args.full)
     hecke.require_prime(args.p)
-    if len(full) > 2 * _max_rank():
-        raise ValueError(f"--full is longer than 2 * NEWTONKIT_MAX_RANK = {2 * _max_rank()}")
+    if len(full) > 2 * MAX_RANK:
+        raise ValueError(f"--full is longer than twice the rank cap {MAX_RANK}")
     if not full or (args.shape == "siegel" and len(full) % 2):
         raise ValueError("--full must be non-empty, and of even length for --shape siegel")
     if args.shape == "siegel":

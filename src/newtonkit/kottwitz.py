@@ -58,8 +58,9 @@ def galois_average(mu: RationalCocharacter) -> RationalCocharacter:
     images = [mu]
     for _ in range(r - 1):
         images.append(sigma_apply(images[-1]))
+    L = math.lcm(*(v.L for v in images))
     return RationalCocharacter(
-        tuple(Fraction(sum(c), r) for c in zip(*(v.coords for v in images))), mu.datum)
+        tuple(map(sum, zip(*(v.over(L) for v in images)))), r * L, mu.datum)
 
 
 def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
@@ -69,21 +70,21 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     When sigma is nontrivial the integrality condition is taken over
     sigma-orbits of simple roots (orbit-summed fundamental weights); this
     folded path requires nu to be sigma-invariant.  nu and mubar are
-    scaled to integer numerators over one common denominator and tested
-    there (_member).
+    put over one common denominator and tested on those integer
+    numerators (_member).
     """
     datum = nu.datum
     if mubar.datum != datum:
         raise ValueError("nu and mubar live over different root data")
     if datum.sigma_order > 1:
-        if sigma_apply(mubar).coords != mubar.coords:
+        if sigma_apply(mubar) != mubar:
             raise ValueError("mubar is not sigma-invariant")
-        if sigma_apply(nu).coords != nu.coords:
+        if sigma_apply(nu) != nu:
             raise ValueError("nu is not sigma-invariant while sigma is nontrivial")
     k = datum.kernel
-    x, L = k.scale(nu.coords + mubar.coords)
-    x_mubar = x[datum.ambient_dim:]
-    ok, cert = _member(datum, x[:datum.ambient_dim], x_mubar, k.root_pairings(x_mubar), L)
+    L = math.lcm(nu.L, mubar.L)
+    x_mubar = mubar.over(L)
+    ok, cert = _member(datum, nu.over(L), x_mubar, k.root_pairings(x_mubar), L)
     if not ok:
         return ok, cert
     C, J = cert
@@ -175,9 +176,9 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     of is_in_bgmu on those numerators (_member: dominance, coroot span,
     signs, integrality) to be kept with its certificate.  The kept points
     are sorted on their numerators, which over a shared positive
-    denominator is the order of their Fraction tuples, and each distinct
-    numerator, of a coordinate or of a certificate entry, becomes one
-    Fraction per call.
+    denominator is the order of their Fraction tuples, and each becomes a
+    cocharacter on those numerators; each distinct certificate numerator
+    becomes one Fraction per call.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -188,7 +189,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     mubar = galois_average(mu)
     n = datum.rank
     k = datum.kernel
-    x, L = k.scale(mubar.coords)
+    x, L = mubar.x, mubar.L
     pairings = k.root_pairings(x)  # R L <mubar, alpha_g>
     g = math.gcd(k.R * L, *pairings)
     D = k.R * L // g
@@ -224,17 +225,12 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         if ok:
             members.append((x_nu, *cert))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
-    coords = _fractions((t for x_nu, _, _ in members for t in x_nu), den)
-    coefficients = _fractions((c for _, C, _ in members for c in C), k.q * k.R * den)
+    cden = k.q * k.R * den
+    coefficients = {c: Fraction(c, cden) for c in {c for _, C, _ in members for c in C}}
     return KottwitzSet(mu, mubar, tuple(
-        KottwitzElement(RationalCocharacter(tuple(map(coords.__getitem__, x_nu)), datum),
+        KottwitzElement(RationalCocharacter(x_nu, den, datum),
                         tuple(map(coefficients.__getitem__, C)), J)
         for x_nu, C, J in members))
-
-
-def _fractions(numerators, den):
-    """{t: Fraction(t, den)} for every distinct t of numerators."""
-    return {t: Fraction(t, den) for t in set(numerators)}
 
 
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
@@ -327,10 +323,8 @@ def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
     """
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
-    k = x.datum.kernel
-    v, _ = k.scale(y.coords + x.coords)
-    dim = x.datum.ambient_dim
-    C, P = k.split([a - b for a, b in zip(v[:dim], v[dim:])])
+    L = math.lcm(x.L, y.L)
+    C, P = x.datum.kernel.split([a - b for a, b in zip(y.over(L), x.over(L))])
     return not any(P) and all(c >= 0 for c in C)
 
 
@@ -352,14 +346,12 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     """
     pool = list(ks.elements)
     if exclude_top:
-        pool = [e for e in pool if e.nu.coords != ks.mubar.coords]
+        pool = [e for e in pool if e.nu != ks.mubar]
     if not pool:
         raise ValueError("empty element set")
-    datum = ks.mubar.datum
-    k = datum.kernel
-    x, _ = k.scale([t for e in pool for t in e.nu.coords])
-    dim = datum.ambient_dim
-    parts = [(e, *k.split(x[i * dim:(i + 1) * dim])) for i, e in enumerate(pool)]
+    k = ks.mubar.datum.kernel
+    L = math.lcm(*(e.nu.L for e in pool))
+    parts = [(e, *k.split(e.nu.over(L))) for e in pool]
     parts.sort(key=lambda part: sum(part[1]), reverse=True)  # stable: pool order on ties
     maxima = {}  # orthogonal part -> coroot coefficients of the maxima kept so far
     out = set()
@@ -375,8 +367,8 @@ def minuscule_coweights(datum: RootDatum) -> set[RationalCocharacter]:
     """Zero together with the fundamental coweights at special simple roots."""
     if datum.is_product:
         raise ValueError("minuscule coweights of a product datum: use per-factor calls")
-    out = {RationalCocharacter((Fraction(0),) * datum.ambient_dim, datum)}
+    out = {datum.cochar((0,) * datum.ambient_dim)}
     coweights = fundamental_coweights(datum)
     for i in special_roots(datum):
-        out.add(RationalCocharacter(coweights[i - 1], datum))
+        out.add(datum.cochar(coweights[i - 1]))
     return out

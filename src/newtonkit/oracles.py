@@ -240,8 +240,7 @@ def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> GridSpec:
     return GridSpec(denominator, box if box > 0 else Fraction(1))
 
 
-def grid_enumerate_bgmu(mu: RationalCocharacter,
-                        spec: GridSpec | None = None) -> set[tuple[Fraction, ...]]:
+def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
     """Re-derive the Kottwitz set by scanning every grid point.
 
     All vectors with coordinates in (1/D) Z inside the orbit bounding box
@@ -255,8 +254,7 @@ def grid_enumerate_bgmu(mu: RationalCocharacter,
         raise ValueError("rank too large for the grid oracle (max 3)")
     _require_trivial_sigma(datum)
     orbit, D = _int_orbit(mu)
-    if spec is None:
-        spec = _grid_spec(mu, orbit, D)
+    spec = _grid_spec(mu, orbit, D)
     bound = spec.box_bound
     d = spec.denominator_bound
     member = _grid_member(datum, mu.coords, d)

@@ -14,8 +14,8 @@ and the exceptional types use the Bourbaki realizations (E6/E7 sit inside
 the 8-dimensional E8 ambient space, F4 in dimension 4, G2 in dimension 3).
 Coroots are 2a/(a,a), which is rational for every type above.
 
-All arithmetic is exact: values are fractions.Fraction, and the linear
-algebra runs on their integer numerators (IntegerKernel, whose split
+All arithmetic is exact: a cocharacter holds integer numerators over one
+denominator, and the linear algebra runs on them (IntegerKernel, whose split
 gives coroot coefficients plus orthogonal part to sigma_apply and to the
 order and membership tests in kottwitz); nothing here ever touches a float.
 """
@@ -90,28 +90,49 @@ class RootDatum:
         return IntegerKernel(self)
 
     def cochar(self, coords) -> "RationalCocharacter":
-        return RationalCocharacter(vec_parse(coords), self)
+        """The cocharacter with these coordinates: Fractions, ints or strings."""
+        coords = vec_parse(coords)
+        L, (x,) = _integer_rows([coords])
+        v = RationalCocharacter(x, L, self)
+        v.__dict__["coords"] = coords  # its Fraction view, already at hand
+        return v
 
 
 @dataclass(frozen=True)
 class RationalCocharacter:
-    """An exact rational vector in the cocharacter space of a fixed datum."""
+    """The exact rational vector x / L in the cocharacter space of a fixed datum,
+    in lowest terms: L > 0 and gcd(L, *x) = 1 (zero is stored over 1), so each
+    vector has one stored form, and equality and hashing are the vector's."""
 
-    coords: tuple[Fraction, ...]
+    x: tuple[int, ...]
+    L: int
     datum: RootDatum
 
     def __post_init__(self):
-        if len(self.coords) != self.datum.ambient_dim:
+        if len(self.x) != self.datum.ambient_dim:
             raise ValueError(
-                f"coordinate length {len(self.coords)} != ambient dimension "
+                f"coordinate length {len(self.x)} != ambient dimension "
                 f"{self.datum.ambient_dim}"
             )
+        if self.L <= 0:
+            raise ValueError(f"denominator {self.L} is not positive")
+        g = math.gcd(self.L, *self.x)
+        object.__setattr__(self, "x", tuple(self.x) if g == 1 else tuple([t // g for t in self.x]))
+        object.__setattr__(self, "L", self.L // g)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.L) for t in self.x)
+
+    def over(self, M: int) -> list[int]:
+        """The numerators of the vector over M, a multiple of L."""
+        return [t * (M // self.L) for t in self.x]
 
 
 def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, rows) with vectors = rows / d, d the lcm of all denominators."""
-    d = math.lcm(*(x.denominator for v in vectors for x in v))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
+    d = math.lcm(*[x.denominator for v in vectors for x in v])
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in v]) for v in vectors])
 
 
 class IntegerKernel:
@@ -122,10 +143,9 @@ class IntegerKernel:
     of the Cartan matrix is Q / q (linalg.invert), inverted once per datum.
     The inverses of its principal blocks, which only the Kottwitz
     enumeration needs, live in kottwitz's table per Cartan matrix, not
-    here.  A rational vector enters as (x, L) = scale(coords): x = coords
-    * L with L the lcm of its denominators.  Every product is then an
-    integer mat-vec product, and callers build one Fraction per output
-    coordinate, if any.  ``split`` is the one place that cuts x / L into
+    here.  A cocharacter enters as its numerators x over its denominator L,
+    so every product is an integer mat-vec product, and callers build their
+    results from integers.  ``split`` is the one place that cuts x / L into
     coroot coefficients and a part orthogonal to the roots.
     """
 
@@ -137,11 +157,6 @@ class IntegerKernel:
         self.qRK = self.q * self.R * self.K
         self._root_cols = tuple(zip(*self.roots))
         self._coroot_cols = tuple(zip(*self.coroots))
-
-    @staticmethod
-    def scale(coords: Sequence[Fraction]) -> tuple[list[int], int]:
-        L = math.lcm(*(x.denominator for x in coords))
-        return [x.numerator * (L // x.denominator) for x in coords], L
 
     def root_pairings(self, x: Sequence[int]) -> list[int]:
         """R <x, root_j> for every simple root."""
@@ -402,40 +417,36 @@ def special_roots(datum: RootDatum) -> frozenset[int]:
 
 
 def is_dominant(v: RationalCocharacter) -> bool:
-    k = v.datum.kernel
-    return all(p >= 0 for p in k.root_pairings(k.scale(v.coords)[0]))
+    return all(p >= 0 for p in v.datum.kernel.root_pairings(v.x))
 
 
 def reflect_simple(v: RationalCocharacter, i: int) -> RationalCocharacter:
     """Simple reflection s_i acting on the cocharacter side (1-based i)."""
     datum = v.datum
     c = dot(v.coords, datum.simple_roots[i - 1])
-    return RationalCocharacter(
-        tuple(a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])), datum)
+    return datum.cochar(
+        tuple(a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])))
 
 
 def dominant_representative(v: RationalCocharacter) -> RationalCocharacter:
     """The unique dominant element of the Weyl orbit, by reflection descent."""
-    current = v
+    coords = v.coords
     while True:
-        for i, alpha in enumerate(current.datum.simple_roots, start=1):
-            if dot(current.coords, alpha) < 0:
-                current = reflect_simple(current, i)
+        for alpha, coroot in zip(v.datum.simple_roots, v.datum.simple_coroots):
+            c = dot(coords, alpha)
+            if c < 0:
+                coords = tuple(a - c * b for a, b in zip(coords, coroot))
                 break
         else:
-            return current
+            return v if coords is v.coords else v.datum.cochar(coords)
 
 
 def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
     """Apply sigma, the only code that says how it acts: the coroot coefficient
     at node i moves to node sigma(i), and the part orthogonal to the roots is fixed."""
-    datum = v.datum
-    k = datum.kernel
-    x, L = k.scale(v.coords)
-    C, P = k.split(x)
-    moved = [0] * datum.rank
-    for c, s in zip(C, datum.sigma):
-        moved[s - 1] = c
+    k = v.datum.kernel
+    C, P = k.split(v.x)
+    moved = [C[v.datum.sigma.index(j)] for j in range(1, v.datum.rank + 1)]
     # the orthogonal part plus sum_i c_i coroot_sigma(i), over q R K L
-    return RationalCocharacter(tuple(
-        Fraction(p + t, k.qRK * L) for p, t in zip(P, k.coroot_sum(moved))), datum)
+    return RationalCocharacter(
+        tuple(p + t for p, t in zip(P, k.coroot_sum(moved))), k.qRK * v.L, v.datum)

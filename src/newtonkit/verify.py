@@ -57,8 +57,7 @@ def order():
                     Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in
                     range(datum.ambient_dim)
                 )
-                pts.append(rootdata.dominant_representative(
-                    rootdata.RationalCocharacter(coords, datum)))
+                pts.append(rootdata.dominant_representative(datum.cochar(coords)))
             x, y = pts
             agree &= kottwitz.newton_leq(x, y) == oracles.convex_hull_membership(x, y)
         yield f"order-vs-hull {t}{n} x60", agree

@@ -30,6 +30,6 @@ def polarized_profiles(max_n=5, max_r=4):
 def coroot_span_decomposition(datum, coords):
     """(coroot coefficients, orthogonal part) of coords, from the kernel's split."""
     k = datum.kernel
-    x, L = k.scale(coords)
-    C, P = k.split(x)
-    return tuple(F(c, k.q * k.R * L) for c in C), tuple(F(t, k.qRK * L) for t in P)
+    v = datum.cochar(coords)
+    C, P = k.split(v.x)
+    return tuple(F(c, k.q * k.R * v.L) for c in C), tuple(F(t, k.qRK * v.L) for t in P)

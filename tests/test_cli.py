@@ -107,12 +107,14 @@ def test_domain_error_exit_code(capsys):
     assert "rank" in payload["error"]
 
 
-def test_rank_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NEWTONKIT_MAX_RANK", "3")
-    code, out = _capture(capsys, ["datum", "--type", "A", "--rank", "4"])
-    assert code == 2
-    status, payload = _payload(out)
-    assert "NEWTONKIT_MAX_RANK" in payload["error"]
+def test_rank_9_is_refused(capsys):
+    # the Kottwitz walk keeps 2^rank masks, so the CLI caps the rank at 8
+    for argv in (["datum", "--type", "A", "--rank", "9"],
+                 ["bgmu", "--type", "A", "--rank", "9", "--node", "5"]):
+        code, out = _capture(capsys, argv)
+        assert code == 2
+        status, payload = _payload(out)
+        assert status == "error" and "rank cap 8" in payload["error"]
 
 
 def test_input_file(tmp_path, capsys):
@@ -184,7 +186,7 @@ def test_inputs_that_would_run_for_minutes_return_promptly(capsys):
         # an exponent string would build a 200-million-digit integer
         (["leq", "--type", "A", "--rank", "1", "--x", '["1e200000000","0"]',
           "--y", '["1","0"]'], 2),
-        # 400 entries: over twice NEWTONKIT_MAX_RANK, the radical has 20100 roots
+        # 400 entries: over twice the rank cap 8, the radical has 20100 roots
         (["mepsilon", "--full", json.dumps(["0"] * 400)], 2),
         # every height below h_2 = 10^12 + 2 used to be tested
         (["uniqueness", "--profile",
@@ -602,6 +604,14 @@ _PROFILE = '{"mults":[1,2,1],"polarized":true,"slopes":["1/1","1/2","0/1"]}'
      "72dfb863548a56236937e35114f40653f15e66dd5115ffa62da8226af2a04176"),
     (["verify-all"], 0,
      "3d0f7c505057d425598aa7582ae2ee2331442e97ad5607c1c5cf28cefd492de6"),
+    (["bgmu", "--type", "E6", "--rank", "6", "--node", "1"], 0,
+     "9a65ce6c364358b39362613fc7ae4e414dffa9f9bb97f1be7408eff0c25a206e"),
+    (["bgmu", "--type", "E7", "--rank", "7", "--node", "7"], 0,
+     "c8db7563fdbacd842d1f7c72e0eb858898636f40e0987fc43f8cd1f58554f55a"),
+    (["bgmu", "--type", "E8", "--rank", "8", "--node", "4"], 0,
+     "ad1200a3ff846d35eccb885370e2a5522690273df13c0d612e0a1c081d629a9b"),
+    (["maximal", "--type", "E8", "--rank", "8", "--node", "4", "--exclude-top"], 0,
+     "977f01a39aa7bb758ad540d716d330e68e42905ed1fbeb8bf5a4694113cdde13"),
 ])
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     exit_code, out = _capture(capsys, argv)

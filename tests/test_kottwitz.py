@@ -378,9 +378,8 @@ def _pairwise_maximal(ks, exclude_top=False):
     every other one."""
     pool = [e for e in ks.elements if not exclude_top or e.nu.coords != ks.mubar.coords]
     k = ks.mubar.datum.kernel
-    dim = ks.mubar.datum.ambient_dim
-    x, _ = k.scale([t for e in pool for t in e.nu.coords])
-    parts = [(e, *k.split(x[i * dim:(i + 1) * dim])) for i, e in enumerate(pool)]
+    L = math.lcm(*(e.nu.L for e in pool))
+    parts = [(e, *k.split(e.nu.over(L))) for e in pool]
     return {e for e, ce, pe in parts
             if all(f is e or pf != pe or any(a < b for a, b in zip(cf, ce))
                    for f, cf, pf in parts)}
@@ -641,7 +640,7 @@ def _walk_every_mask(mu):
     datum = mu.datum
     k, n = datum.kernel, datum.rank
     blocks = _EVERY_MASK_BLOCKS.setdefault(datum.cartan, {})
-    x, L = k.scale(mu.coords)  # trivial sigma: mubar = mu
+    x, L = mu.x, mu.L  # trivial sigma: mubar = mu
     pairings = k.root_pairings(x)
     g = math.gcd(k.R * L, *pairings)
     D = k.R * L // g
@@ -790,7 +789,9 @@ def _classical_polygon_newton_points(t, n, k):
     has an SO factor, which absorbs the parity.
 
     D is left out: the polygon of (nu, -nu) loses the sign of nu_n, and the
-    pi_1 condition there is finer (a slope-0 SO_2 part is a torus).
+    pi_1 condition there is finer (a slope-0 SO_2 part is a torus).  Chai's
+    length needs no model, and checks the maximal elements of D, E, F and G
+    up to rank 8 (test_maximal_elements_below_the_top_are_chais_length_one).
     """
     half = F(1, 2) if t == "C" and k == n else None
     mu = [half] * n if half else [F(1)] * k + [F(0)] * (n - k)
@@ -957,3 +958,39 @@ def test_newton_leq_matches_a_fraction_gauss_solve(case):
     for a, b in ((x, y), (y, x), (x, y_shifted), (y_shifted, x), (x, z), (z, x), (z, y)):
         assert newton_leq(a, b) == _leq_oracle(a, b), (a.coords, b.coords)
 
+
+
+def _fundamental_weights(datum):
+    """Vectors w_i of the root span with <coroot_j, w_i> = delta_ij, by
+    Fraction Gauss-Jordan elimination on the Gram matrix <coroot_j, root_k>."""
+    roots, coroots, n = datum.simple_roots, datum.simple_coroots, datum.rank
+    inverse = _fraction_solve([[_ip(coroots[j], roots[k]) for k in range(n)]
+                               + [F(int(j == i)) for i in range(n)] for j in range(n)])
+    return [[_ip([inverse[k][i] for k in range(n)], [a[s] for a in roots])
+             for s in range(datum.ambient_dim)] for i in range(n)]
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t in _RANKS for n in _RANKS[t]])
+def test_maximal_elements_below_the_top_are_chais_length_one(t, n):
+    # For trivial sigma B(G, mu) is graded (Chai, "Newton polygons as lattice
+    # points", Amer. J. Math. 2000): every maximal chain from nu up to mubar
+    # has length l(nu) = sum_i ceil(<mubar - nu, w_i>), w_i the fundamental
+    # weights.  So the maximal elements below the top, the points mubar
+    # covers, are exactly those with l = 1.  Every node up to rank 8, with
+    # mu = w_k and mu = w_k + w_1 (types D, E, F and G included, which no
+    # polygon model here reaches); l is read off coords alone, with no
+    # certificate, no newton_leq and no integer kernel.
+    datum = build_datum(t, n)
+    weights = _fundamental_weights(datum)
+    coweights = fundamental_coweights(datum)
+    for k in range(1, n + 1):
+        for mu in (coweights[k - 1], [a + b for a, b in zip(coweights[k - 1], coweights[0])]):
+            ks = enumerate_bgmu(datum.cochar(mu))
+            top = [_ip(ks.mubar.coords, w) for w in weights]
+
+            def length(nu):
+                return sum(math.ceil(m - _ip(nu, w)) for m, w in zip(top, weights))
+
+            below = {e.nu.coords for e in maximal_elements(ks, exclude_top=True)}
+            assert below == {e.nu.coords for e in ks.elements if length(e.nu.coords) == 1}, \
+                (t, n, k, mu)

@@ -276,7 +276,39 @@ def test_product_datum_basics():
 def test_cocharacter_dimension_checked():
     c2 = build_datum("C", 2)
     with pytest.raises(ValueError):
-        RationalCocharacter((F(1), F(0), F(0)), c2)
+        RationalCocharacter((1, 0, 0), 1, c2)
+    with pytest.raises(ValueError):
+        c2.cochar(("1/2",))
+
+
+@pytest.mark.parametrize("L", [0, -1, -6])
+def test_cocharacter_denominator_must_be_positive(L):
+    with pytest.raises(ValueError):
+        RationalCocharacter((1, 0), L, build_datum("C", 2))
+
+
+def test_cocharacter_is_stored_in_lowest_terms():
+    c2 = build_datum("C", 2)
+    forms = [RationalCocharacter((3 * m, -2 * m), 6 * m, c2) for m in (1, 2, 5, 12)]
+    assert {(v.x, v.L) for v in forms} == {((3, -2), 6)}
+    assert len(set(forms)) == 1 and len({hash(v) for v in forms}) == 1
+    assert forms[0] == c2.cochar(("1/2", "-1/3"))
+    assert forms[0].coords == (F(1, 2), F(-1, 3))
+    zero = [RationalCocharacter((0, 0), L, c2) for L in (1, 4, 9)]
+    assert {(v.x, v.L) for v in zero} == {((0, 0), 1)} and len(set(zero)) == 1
+    assert RationalCocharacter((2, 4), 2, c2) == c2.cochar((1, 2))
+
+
+def test_cochar_reads_ints_strings_and_fractions():
+    a2 = build_datum("A", 2)
+    for coords in [(1, -2, 0), ("1/2", "-3", "0/5"), (F(2, 3), F(-1, 6), F(0)),
+                   (F(4, 6), "-1/6", 0)]:
+        v = a2.cochar(coords)
+        assert v.coords == tuple(F(t) for t in coords)
+        assert all(type(t) is F for t in v.coords)
+        assert v.L == math.lcm(*(F(t).denominator for t in coords))
+    with pytest.raises(ValueError):
+        a2.cochar(("1/0", "0", "0"))
 
 
 def _gauss_solve(a, b):
@@ -418,8 +450,9 @@ def test_kernel_split_solves_the_cartan_system(t, n):
     rng = random.Random(n)
     for _ in range(4):
         coords = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(datum.ambient_dim)]
-        x, L = k.scale(coords)
-        C, P = k.split(x)
+        w = datum.cochar(coords)
+        L = w.L
+        C, P = k.split(w.x)
         c = [F(v, k.q * k.R * L) for v in C]
         perp = [F(v, k.q * k.R * k.K * L) for v in P]
         for j, root in enumerate(datum.simple_roots):
