@@ -8,6 +8,7 @@ from .rootdata import (
     product_datum,
     pairing,
     fundamental_weights,
+    fundamental_coweight,
     fundamental_coweights,
     highest_root,
     special_roots,

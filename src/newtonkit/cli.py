@@ -76,13 +76,6 @@ def _get_datum(args) -> rootdata.RootDatum:
     return rootdata.build_datum(args.type, args.rank, sigma)
 
 
-def _node_coweight(datum, node: int):
-    coweights = rootdata.fundamental_coweights(datum)
-    if not 1 <= node <= datum.rank:
-        raise ValueError(f"node {node} out of range 1..{datum.rank}")
-    return datum.cochar(coweights[node - 1])
-
-
 def _vec(arg: str) -> tuple[Fraction, ...]:
     """A JSON array of rationals."""
     doc = _json(arg)
@@ -127,7 +120,7 @@ def _labeling_payload(datum, requested: str) -> dict:
 
 
 def _kottwitz_set(args) -> kottwitz.KottwitzSet:
-    return kottwitz.enumerate_bgmu(_node_coweight(_get_datum(args), args.node))
+    return kottwitz.enumerate_bgmu(rootdata.fundamental_coweight(_get_datum(args), args.node))
 
 
 def _cmd_bgmu(args):

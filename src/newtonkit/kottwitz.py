@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import ge, itemgetter, mul
 
 from .linalg import invert
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
-    fundamental_coweights,
+    fundamental_coweight,
     is_dominant,
     sigma_apply,
     special_roots,
@@ -101,22 +101,23 @@ def _member(datum, x_nu, x_mubar, p_mubar, L):
     certificate is (C, J) with C the coroot coefficients over q R L."""
     k = datum.kernel
     p_nu = k.root_pairings(x_nu)
-    if any(p < 0 for p in p_nu):
+    if min(p_nu) < 0:
         return False, "nu is not dominant"
     C, P = k.split([a - b for a, b in zip(x_mubar, x_nu)],
                    [a - b for a, b in zip(p_mubar, p_nu)])
     if any(P):
         return False, "mubar - nu is not in the coroot span"
-    if any(c < 0 for c in C):
+    if min(C) < 0:
         return False, "mubar - nu has a negative coroot coefficient"
-    zero_pairing = frozenset(i for i, p in enumerate(p_nu, start=1) if p == 0)
-    den = k.q * k.R * L  # c = C / den
-    for orbit in datum.sigma_orbits:
-        if all(i in zero_pairing for i in orbit):
-            continue
-        if sum(C[i - 1] for i in orbit) % den:
-            return False, f"non-integral coroot coefficient at simple root(s) {orbit}"
-    return True, (C, zero_pairing)
+    den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
+    if datum.sigma_order == 1:
+        bad = [(i,) for i, (c, p) in enumerate(zip(C, p_nu), start=1) if p and c % den]
+    else:
+        bad = [orbit for orbit in datum.sigma_orbits
+               if any(p_nu[i - 1] for i in orbit) and sum(C[i - 1] for i in orbit) % den]
+    if bad:
+        return False, f"non-integral coroot coefficient at simple root(s) {bad[0]}"
+    return True, (C, frozenset(i for i, p in enumerate(p_nu, start=1) if not p))
 
 
 def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
@@ -167,7 +168,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     set, and a J without a point has no point on any subset either.  So
     the masks of J are visited in decreasing order, which puts every
     superset of J before J.  A mask is dead, and is neither walked nor its
-    block built, when a one-larger superset is dead; otherwise it is
+    block built, when a one-larger superset is dead (one AND of the bitset
+    of dead masks with the mask's row of _SUPERSETS); otherwise it is
     walked, and it is dead when its walk gives no leaf.
 
     The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
@@ -178,7 +180,9 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     are sorted on their numerators, which over a shared positive
     denominator is the order of their Fraction tuples, and each becomes a
     cocharacter on those numerators; each distinct certificate numerator
-    becomes one Fraction per call.
+    becomes one Fraction per call.  Each one's split view is mubar's split
+    minus the test's split of mubar - nu (whose orthogonal part is 0), so
+    maximal_elements splits no element of the set again.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -199,19 +203,21 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
     blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
-    dead = [False] * (1 << n)
+    supersets = _SUPERSETS.get(n) or _SUPERSETS.setdefault(n, [
+        sum(1 << (j | 1 << a) for a in range(n) if not j >> a & 1) for j in range(1 << n)])
+    dead = 0  # bit j_mask set when j_mask is dead
     leaves = []
     for j_mask in reversed(range(1 << n)):
-        # j_mask | 1 << a is j_mask itself for a in J, not yet marked
-        if any(dead[j_mask | 1 << a] for a in range(n)):
-            dead[j_mask] = True
+        if dead & supersets[j_mask]:
+            dead |= 1 << j_mask
             continue
         block = blocks[j_mask]
         if block is None:
             block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
         before = len(leaves)
         leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(block, M, D, bounds))
-        dead[j_mask] = len(leaves) == before
+        if len(leaves) == before:
+            dead |= 1 << j_mask
     # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
     S = math.lcm(*(Dq for _, Dq in leaves))
     den = L * S * k.K
@@ -227,15 +233,22 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
     cden = k.q * k.R * den
     coefficients = {c: Fraction(c, cden) for c in {c for _, C, _ in members for c in C}}
-    return KottwitzSet(mu, mubar, tuple(
-        KottwitzElement(RationalCocharacter(x_nu, den, datum),
-                        tuple(map(coefficients.__getitem__, C)), J)
-        for x_nu, C, J in members))
+    C_mubar, P_mubar = k.split(x_mubar, p_mubar)
+    elements = []
+    for x_nu, C, J in members:
+        nu = RationalCocharacter(x_nu, den, datum)
+        g = den // nu.L  # the gcd taken out of (x_nu, den)
+        nu.__dict__["split"] = ([(a - c) // g for a, c in zip(C_mubar, C)],
+                                [p // g for p in P_mubar])
+        elements.append(KottwitzElement(nu, tuple(map(coefficients.__getitem__, C)), J))
+    return KottwitzSet(mu, mubar, tuple(elements))
 
 
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
 # mask of J: every datum and call with that matrix shares the list.
 _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
+# By rank n, for each mask j: the bitset (bit m for mask m) of the masks one larger.
+_SUPERSETS: dict[int, list[int]] = {}
 
 
 def _principal_block(cartan, j_mask):
@@ -333,8 +346,9 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
 
     The kernel's split is linear, so e <= f (newton_leq) exactly when e and
     f have the same orthogonal part and every coroot coefficient of f is at
-    least that of e: each element is split once, all over one common
-    denominator, so every test compares integer numerators.
+    least that of e: each element's split view (filled by enumerate_bgmu,
+    computed on first read for a nu built any other way) is scaled to one
+    common denominator, so every test compares integer numerators.
 
     Only the maxima need to be compared against.  f > e makes the
     coefficient sum of f strictly larger than that of e, and every element
@@ -349,15 +363,18 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
         pool = [e for e in pool if e.nu != ks.mubar]
     if not pool:
         raise ValueError("empty element set")
-    k = ks.mubar.datum.kernel
     L = math.lcm(*(e.nu.L for e in pool))
-    parts = [(e, *k.split(e.nu.over(L))) for e in pool]
+    parts = []
+    for e in pool:
+        f = L // e.nu.L
+        C, P = e.nu.split
+        parts.append((e, [c * f for c in C], [p * f for p in P]))
     parts.sort(key=lambda part: sum(part[1]), reverse=True)  # stable: pool order on ties
     maxima = {}  # orthogonal part -> coroot coefficients of the maxima kept so far
     out = set()
     for e, ce, pe in parts:
         above = maxima.setdefault(tuple(pe), [])
-        if not any(all(a >= b for a, b in zip(cf, ce)) for cf in above):
+        if not any(all(map(ge, cf, ce)) for cf in above):
             above.append(ce)
             out.add(e)
     return out
@@ -368,7 +385,6 @@ def minuscule_coweights(datum: RootDatum) -> set[RationalCocharacter]:
     if datum.is_product:
         raise ValueError("minuscule coweights of a product datum: use per-factor calls")
     out = {datum.cochar((0,) * datum.ambient_dim)}
-    coweights = fundamental_coweights(datum)
     for i in special_roots(datum):
-        out.add(datum.cochar(coweights[i - 1]))
+        out.add(fundamental_coweight(datum, i))
     return out

@@ -76,7 +76,7 @@ class RootDatum:
                 orbits.append(tuple(orbit))
         return tuple(orbits)
 
-    @property
+    @cached_property
     def sigma_order(self) -> int:
         return math.lcm(*map(len, self.sigma_orbits))
 
@@ -102,7 +102,10 @@ class RootDatum:
 class RationalCocharacter:
     """The exact rational vector x / L in the cocharacter space of a fixed datum,
     in lowest terms: L > 0 and gcd(L, *x) = 1 (zero is stored over 1), so each
-    vector has one stored form, and equality and hashing are the vector's."""
+    vector has one stored form, and equality and hashing are the vector's.
+    The views coords (Fractions) and split (kernel.split(x): C over q R L, P
+    over q R K L) are cached on first read; kottwitz.enumerate_bgmu fills
+    the split of its elements from its membership test."""
 
     x: tuple[int, ...]
     L: int
@@ -123,6 +126,10 @@ class RationalCocharacter:
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, self.L) for t in self.x)
+
+    @cached_property
+    def split(self) -> tuple[list[int], list[int]]:
+        return self.datum.kernel.split(self.x)
 
     def over(self, M: int) -> list[int]:
         """The numerators of the vector over M, a multiple of L."""
@@ -175,6 +182,12 @@ class IntegerKernel:
     def coroot_sum(self, c: Sequence[int]) -> list[int]:
         """K sum_k c_k coroot_k."""
         return [sum(map(mul, col, c)) for col in self._coroot_cols]
+
+    @cached_property
+    def coweights(self) -> tuple[tuple[int, ...], ...]:
+        """The fundamental coweights w_i = sum_k inv[k][i] coroot_k over q K,
+        one row per node: coroot_sum of column i of Q."""
+        return tuple(tuple(self.coroot_sum(col)) for col in zip(*self.Q))
 
     def split(self, x: Sequence[int],
               pairings: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
@@ -353,14 +366,20 @@ def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
     return [tuple(Fraction(x, den) for x in k.root_sum(row)) for row in k.Q]
 
 
-def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
-    """Vectors w_i in the coroot span with <w_i, root_j> = delta_ij.
+def fundamental_coweight(datum: RootDatum, i: int) -> RationalCocharacter:
+    """The vector w_i (1-based i) in the coroot span with <w_i, root_j> = delta_ij,
+    built from the kernel's integer numerators (IntegerKernel.coweights)."""
+    if not 1 <= i <= datum.rank:
+        raise ValueError(f"node {i} out of range 1..{datum.rank}")
+    k = datum.kernel
+    return RationalCocharacter(k.coweights[i - 1], k.q * k.K, datum)
 
-    w_i = sum_k inv[k][i] coroot_k pairs with root_j to (cartan . inv)[j][i].
-    """
+
+def fundamental_coweights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
+    """The coordinates of every fundamental_coweight, in node order."""
     k = datum.kernel
     den = k.q * k.K
-    return [tuple(Fraction(x, den) for x in k.coroot_sum(col)) for col in zip(*k.Q)]
+    return [tuple(Fraction(x, den) for x in w) for w in k.coweights]
 
 
 def _root_vectors(datum: RootDatum) -> set[tuple[int, ...]]:

@@ -14,10 +14,6 @@ from fractions import Fraction
 from . import hecke, kottwitz, muordinary, oracles, rootdata
 
 
-def _node_mu(datum, k: int) -> rootdata.RationalCocharacter:
-    return datum.cochar(rootdata.fundamental_coweights(datum)[k - 1])
-
-
 def maximal_theorem():
     cases = [("A", n, k) for n in range(1, 5) for k in range(1, n + 1)]
     cases += [("B", n, 1) for n in (2, 3, 4)]
@@ -25,7 +21,7 @@ def maximal_theorem():
     cases += [("D", n, k) for n in (3, 4) for k in (1, n - 1, n)]
     for t, n, k in cases:
         datum = rootdata.build_datum(t, n)
-        ks = kottwitz.enumerate_bgmu(_node_mu(datum, k))
+        ks = kottwitz.enumerate_bgmu(rootdata.fundamental_coweight(datum, k))
         mx = kottwitz.maximal_elements(ks, exclude_top=True)
         half = Fraction(1, 2)
         expected = tuple(
@@ -40,7 +36,7 @@ def grid():
                  ("C", 2), ("C", 3), ("D", 3)]:
         datum = rootdata.build_datum(t, n)
         for k in sorted(rootdata.special_roots(datum)):
-            mu = _node_mu(datum, k)
+            mu = rootdata.fundamental_coweight(datum, k)
             main = {e.nu.coords for e in kottwitz.enumerate_bgmu(mu).elements}
             yield f"grid-enumeration {t}{n} node {k}", main == oracles.grid_enumerate_bgmu(mu)
 

@@ -13,6 +13,7 @@ from newtonkit.rootdata import (
     RationalCocharacter,
     build_datum,
     dominant_representative,
+    fundamental_coweight,
     fundamental_coweights,
     fundamental_weights,
     highest_root,
@@ -124,6 +125,13 @@ def test_fundamental_coweights_examples():
     assert fundamental_coweights(c2)[1] == (F(1, 2), F(1, 2))
     b3 = build_datum("B", 3)
     assert fundamental_coweights(b3)[0] == (1, 0, 0)
+    # each coordinate list is the view of one cocharacter built from integers
+    for d in (a3, c2, b3):
+        for i, coords in enumerate(fundamental_coweights(d), start=1):
+            assert fundamental_coweight(d, i) == d.cochar(coords)
+        for i in (0, d.rank + 1):
+            with pytest.raises(ValueError, match=f"node {i} out of range 1..{d.rank}"):
+                fundamental_coweight(d, i)
 
 
 def test_dual_basis_identities_all_types():
