@@ -110,11 +110,8 @@ def _member(datum, x_nu, x_mubar, p_mubar, L):
     if min(C) < 0:
         return False, "mubar - nu has a negative coroot coefficient"
     den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
-    if datum.sigma_order == 1:
-        bad = [(i,) for i, (c, p) in enumerate(zip(C, p_nu), start=1) if p and c % den]
-    else:
-        bad = [orbit for orbit in datum.sigma_orbits
-               if any(p_nu[i - 1] for i in orbit) and sum(C[i - 1] for i in orbit) % den]
+    bad = [orbit for orbit in datum.sigma_orbits
+           if any(p_nu[i - 1] for i in orbit) and sum(C[i - 1] for i in orbit) % den]
     if bad:
         return False, f"non-integral coroot coefficient at simple root(s) {bad[0]}"
     return True, (C, frozenset(i for i, p in enumerate(p_nu, start=1) if not p))
@@ -168,8 +165,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     set, and a J without a point has no point on any subset either.  So
     the masks of J are visited in decreasing order, which puts every
     superset of J before J.  A mask is dead, and is neither walked nor its
-    block built, when a one-larger superset is dead (one AND of the bitset
-    of dead masks with the mask's row of _SUPERSETS); otherwise it is
+    block built, when a one-larger superset is dead; otherwise it is
     walked, and it is dead when its walk gives no leaf.
 
     The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
@@ -203,21 +199,19 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
     blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
-    supersets = _SUPERSETS.get(n) or _SUPERSETS.setdefault(n, [
-        sum(1 << (j | 1 << a) for a in range(n) if not j >> a & 1) for j in range(1 << n)])
-    dead = 0  # bit j_mask set when j_mask is dead
+    dead = [False] * (1 << n)
     leaves = []
     for j_mask in reversed(range(1 << n)):
-        if dead & supersets[j_mask]:
-            dead |= 1 << j_mask
+        # j_mask | 1 << a is j_mask itself for a in J, not yet marked
+        if any(dead[j_mask | 1 << a] for a in range(n)):
+            dead[j_mask] = True
             continue
         block = blocks[j_mask]
         if block is None:
             block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
         before = len(leaves)
         leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(block, M, D, bounds))
-        if len(leaves) == before:
-            dead |= 1 << j_mask
+        dead[j_mask] = len(leaves) == before
     # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
     S = math.lcm(*(Dq for _, Dq in leaves))
     den = L * S * k.K
@@ -238,8 +232,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     for x_nu, C, J in members:
         nu = RationalCocharacter(x_nu, den, datum)
         g = den // nu.L  # the gcd taken out of (x_nu, den)
-        nu.__dict__["split"] = ([(a - c) // g for a, c in zip(C_mubar, C)],
-                                [p // g for p in P_mubar])
+        nu.__dict__["split"] = (tuple([(a - c) // g for a, c in zip(C_mubar, C)]),
+                                tuple([p // g for p in P_mubar]))
         elements.append(KottwitzElement(nu, tuple(map(coefficients.__getitem__, C)), J))
     return KottwitzSet(mu, mubar, tuple(elements))
 
@@ -247,8 +241,6 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
 # mask of J: every datum and call with that matrix shares the list.
 _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
-# By rank n, for each mask j: the bitset (bit m for mask m) of the masks one larger.
-_SUPERSETS: dict[int, list[int]] = {}
 
 
 def _principal_block(cartan, j_mask):

@@ -103,9 +103,10 @@ class RationalCocharacter:
     """The exact rational vector x / L in the cocharacter space of a fixed datum,
     in lowest terms: L > 0 and gcd(L, *x) = 1 (zero is stored over 1), so each
     vector has one stored form, and equality and hashing are the vector's.
-    The views coords (Fractions) and split (kernel.split(x): C over q R L, P
-    over q R K L) are cached on first read; kottwitz.enumerate_bgmu fills
-    the split of its elements from its membership test."""
+    The views coords (Fractions) and split (kernel.split(x) as two tuples: C
+    over q R L, P over q R K L) are cached on first read;
+    kottwitz.enumerate_bgmu fills the split of its elements from its
+    membership test."""
 
     x: tuple[int, ...]
     L: int
@@ -128,8 +129,9 @@ class RationalCocharacter:
         return tuple(Fraction(t, self.L) for t in self.x)
 
     @cached_property
-    def split(self) -> tuple[list[int], list[int]]:
-        return self.datum.kernel.split(self.x)
+    def split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        C, P = self.datum.kernel.split(self.x)
+        return tuple(C), tuple(P)
 
     def over(self, M: int) -> list[int]:
         """The numerators of the vector over M, a multiple of L."""

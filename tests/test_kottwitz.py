@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -995,7 +997,29 @@ def test_enumerated_elements_carry_their_split(t, n):
         for mu in (coweights[node - 1], [a + b for a, b in zip(coweights[node - 1], coweights[0])]):
             for e in enumerate_bgmu(datum.cochar(mu)).elements:
                 assert "split" in e.nu.__dict__, (t, n, node, mu)
-                assert e.nu.split == k.split(e.nu.x), (t, n, node, mu, e.nu.coords)
+                assert e.nu.split == tuple(map(tuple, k.split(e.nu.x))), (
+                    t, n, node, mu, e.nu.coords)
+
+
+def test_enumeration_above_rank_8_stays_small():
+    # The dead-mask test is one list entry per mask of J: A14 with mu = w_7
+    # (2^14 masks) enumerates in well under a second and a few MiB, where a
+    # table of 2^n-bit masks per rank would take tens of MiB here, and GiB by
+    # rank 18.
+    datum = build_datum("A", 14)
+    mu = _coweight(datum, 7)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        ks = enumerate_bgmu(mu)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ks.mubar in {e.nu for e in ks.elements}
+    assert len({e.nu for e in ks.elements}) == len(ks.elements)
+    assert peak < 16 * 2**20, peak
+    assert elapsed < 30, elapsed
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t in _RANKS for n in _RANKS[t]])

@@ -461,6 +461,7 @@ def test_kernel_split_solves_the_cartan_system(t, n):
         w = datum.cochar(coords)
         L = w.L
         C, P = k.split(w.x)
+        assert w.split == (tuple(C), tuple(P))  # the cached view, immutable
         c = [F(v, k.q * k.R * L) for v in C]
         perp = [F(v, k.q * k.R * k.K * L) for v in P]
         for j, root in enumerate(datum.simple_roots):
