@@ -6,7 +6,6 @@ from .rootdata import (
     RationalCocharacter,
     build_datum,
     product_datum,
-    pairing,
     fundamental_weights,
     fundamental_coweight,
     fundamental_coweights,
@@ -39,7 +38,6 @@ from .hecke import (
     HeckeValuation,
     filtration_element,
     m_epsilon_valuation,
-    x_epsilon_valuation,
     lambda_g_valuation,
     epsilon_prime_valuations,
     n_g_constant,

@@ -180,8 +180,8 @@ def _profile(arg: str) -> muordinary.SlopeProfile:
     polarized = doc.get("polarized", False)
     if not isinstance(polarized, bool):
         raise ValueError(f"polarized must be a boolean, not {type(polarized).__name__}")
-    return muordinary.SlopeProfile(tuple(rat(s) for s in doc["slopes"]),
-                                   tuple(int(m) for m in mults), polarized=polarized)
+    return muordinary.SlopeProfile(doc["slopes"], tuple(int(m) for m in mults),
+                                   polarized=polarized)
 
 
 def _cmd_degrees(args):

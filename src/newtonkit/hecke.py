@@ -29,6 +29,8 @@ class HeckeValuation:
 
     def __post_init__(self):
         require_prime(self.p)
+        object.__setattr__(self, "full", vec_parse(self.full))
+        object.__setattr__(self, "s", rat(self.s))
         if len(self.full) % 2 != 0 or not self.full:
             raise ValueError("full valuation vector must have positive even length")
 
@@ -47,28 +49,6 @@ class HeckeValuation:
             raise ValueError("first-block valuations must be weakly increasing")
         full = tv + tuple(sv - x for x in reversed(tv))
         return cls(full, sv, p)
-
-    @property
-    def n(self) -> int:
-        return len(self.full) // 2
-
-    @property
-    def t(self) -> tuple[Fraction, ...]:
-        return self.full[: self.n]
-
-    def antisymmetric(self) -> bool:
-        m = len(self.full)
-        return all(self.full[j] + self.full[m - 1 - j] == self.s for j in range(m))
-
-    def compose(self, other: "HeckeValuation") -> "HeckeValuation":
-        """Valuation vector of a product of diagonal elements: add entrywise."""
-        if len(self.full) != len(other.full) or self.p != other.p:
-            raise ValueError("incompatible valuation vectors")
-        return HeckeValuation(
-            tuple(a + b for a, b in zip(self.full, other.full)),
-            self.s + other.s,
-            self.p,
-        )
 
 
 def filtration_element(h: int, dim_v: int, p: int) -> HeckeValuation:
@@ -104,16 +84,6 @@ def m_epsilon_valuation(eps, parabolic_roots: Sequence[Sequence]) -> Fraction:
             )
         total += v
     return total
-
-
-def x_epsilon_valuation(eps, parabolic_roots: Sequence[Sequence]) -> Fraction:
-    """val_p of the number of single cosets in the double coset of eps.
-
-    Numerically identical to m_epsilon_valuation (both count the same
-    unipotent index); kept as its own operation because multiplicativity
-    of the coset counts is a statement about these numbers.
-    """
-    return m_epsilon_valuation(eps, parabolic_roots)
 
 
 def lambda_g_valuation(eps) -> Fraction:

@@ -1,20 +1,8 @@
 """Exact integer linear algebra: the inverse of an integer matrix.
 
-Small dense matrices only (rank <= 8 throughout the library).  Nothing
-here solves a linear system per call: every root datum inverts its Cartan
-matrix once, lazily, into its integer kernel (``RootDatum.kernel``, a
-``rootdata.IntegerKernel``), which holds the simple roots and coroots as
-integer rows over common denominators and the inverse as (Q, q) from
-``invert``.  Root pairings, fundamental (co)weights and the dominance
-test are integer matrix-vector products on the numerators that each
-cocharacter holds over its denominator; one kernel method, ``split``,
-cuts a vector into its coroot coefficients and its part orthogonal to the
-roots, and the dominance order, Kottwitz membership, maximal elements and
-the action of sigma all read that split.
-The Kottwitz enumeration inverts each principal Cartan block once per
-Cartan matrix per process, into a table shared by every datum with that
-matrix, and walks its candidates in integer numerators (see
-``kottwitz.enumerate_bgmu``).
+invert returns the inverse as integer numerators over one least positive
+denominator, by fraction-free elimination: no Fraction is built and
+nothing is rounded.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ class SlopeProfile:
     origin: tuple["SlopeProfile", int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "slopes", vec_parse(self.slopes))
         if len(self.slopes) != len(self.mults) or not self.slopes:
             raise ValueError("slopes and multiplicities must be non-empty and aligned")
-        if any(m <= 0 or not isinstance(m, int) for m in self.mults):
+        if any(not isinstance(m, int) or isinstance(m, bool) or m <= 0 for m in self.mults):
             raise ValueError("multiplicities must be positive integers")
         if any(s < 0 or s > 1 for s in self.slopes):
             raise ValueError("slopes must lie in [0, 1]")
@@ -124,6 +125,8 @@ def degrees(profile: SlopeProfile) -> DegreeData:
 
 def max_degree_bound(profile: SlopeProfile, h: int) -> Fraction:
     """Largest possible degree of a subgroup of height h: the concave envelope."""
+    if not isinstance(h, int) or isinstance(h, bool):
+        raise ValueError(f"height {h!r} is not an integer")
     if h < 0 or h > profile.total_height:
         raise ValueError(f"height {h} out of range 0..{profile.total_height}")
     acc = Fraction(0)

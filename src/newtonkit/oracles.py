@@ -42,14 +42,15 @@ def _scaled(vector, D: int) -> list[int]:
     return [x.numerator * (D // x.denominator) for x in vector]
 
 
-def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[int, ...]], int]:
+def _int_orbit(v: RationalCocharacter) -> tuple[set[tuple[int, ...]], int]:
     """The Weyl orbit of v as a set of integer vectors over one denominator D.
 
     L, R and K are the common denominators of v, of the simple roots and of
     the simple coroots, D = L R K, a_i = R root_i and b_i = K coroot_i.  Every
     pairing <w v, root_i> lies in (1/(L R)) Z, because the Cartan entries are
     integers, so every orbit point y = D w v is integral and the reflection
-    s_i y = y - ((y . a_i) / (R K)) b_i divides exactly.
+    s_i y = y - ((y . a_i) / (R K)) b_i divides exactly.  An orbit of more
+    than WEYL_CAP points raises ValueError.
     """
     datum = v.datum
     R, K = _denominator(datum.simple_roots), _denominator(datum.simple_coroots)
@@ -68,17 +69,11 @@ def _int_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> tuple[set[tuple[i
             if c:
                 image = tuple([t - c * s for t, s in zip(y, bi)])
                 if image not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"Weyl orbit exceeds cap of {cap} elements")
+                    if len(seen) >= WEYL_CAP:
+                        raise ValueError(f"Weyl orbit exceeds cap of {WEYL_CAP} elements")
                     seen.add(image)
                     frontier.append(image)
     return seen, D
-
-
-def weyl_orbit(v: RationalCocharacter, cap: int = WEYL_CAP) -> list[tuple[Fraction, ...]]:
-    """The full Weyl orbit of v, closed under simple reflections, sorted."""
-    orbit, D = _int_orbit(v, cap)
-    return [tuple(Fraction(t, D) for t in y) for y in sorted(orbit)]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -196,23 +191,9 @@ def _gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]]
     return det, [row[n:] for row in m]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    denominator_bound: int
-    box_bound: Fraction
-
-    def __post_init__(self):
-        if self.denominator_bound <= 0 or self.box_bound <= 0:
-            raise ValueError("grid bounds must be positive")
-
-
-def _require_trivial_sigma(datum) -> None:
-    if datum.sigma != tuple(range(1, datum.rank + 1)):
-        raise ValueError("the grid oracle supports trivial sigma only")
-
-
-def default_grid_spec(mu: RationalCocharacter) -> GridSpec:
-    """Denominator and box bounds that provably cover every member.
+def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> tuple[int, Fraction]:
+    """(denominator, box): grid bounds that provably cover every member,
+    from the integer orbit of mu over D.
 
     With trivial sigma (the only case the grid oracle takes) mubar is mu.
     Coroot coefficients arise from solving principal Cartan submatrices
@@ -220,12 +201,6 @@ def default_grid_spec(mu: RationalCocharacter) -> GridSpec:
     lcm(den(mu coords), principal minors * coroot denominators).
     The box is the coordinate range of the orbit hull of mu.
     """
-    _require_trivial_sigma(mu.datum)
-    return _grid_spec(mu, *_int_orbit(mu))
-
-
-def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> GridSpec:
-    """default_grid_spec on the integer orbit of mu over D, built once."""
     datum = mu.datum
     n = datum.rank
     minors = 1
@@ -237,7 +212,7 @@ def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> GridSpec:
     denominator = lcm(_denominator([mu.coords]),
                       minors * _denominator(datum.simple_coroots))
     box = Fraction(max(abs(t) for y in orbit for t in y), D)
-    return GridSpec(denominator, box if box > 0 else Fraction(1))
+    return denominator, box if box > 0 else Fraction(1)
 
 
 def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
@@ -252,11 +227,10 @@ def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
-    _require_trivial_sigma(datum)
+    if datum.sigma != tuple(range(1, datum.rank + 1)):
+        raise ValueError("the grid oracle supports trivial sigma only")
     orbit, D = _int_orbit(mu)
-    spec = _grid_spec(mu, orbit, D)
-    bound = spec.box_bound
-    d = spec.denominator_bound
+    d, bound = _grid_spec(mu, orbit, D)
     member = _grid_member(datum, mu.coords, d)
     axes = []
     for j in range(datum.ambient_dim):
@@ -338,10 +312,6 @@ class UnipotentShape:
             for (i, j), sign in g:
                 m[(i - 1) * n + j - 1] = sign * value
         return m
-
-    def matrix(self, params: Sequence[int]) -> list[list[int]]:
-        m, n = self.flat(params), self.size
-        return [m[i:i + n] for i in range(0, n * n, n)]
 
 
 def upper_unipotent_shape(n: int) -> UnipotentShape:

@@ -341,12 +341,6 @@ def product_datum(factors: Sequence[RootDatum]) -> RootDatum:
                      tuple(sigma), factors)
 
 
-def pairing(cochar, char_vector) -> Fraction:
-    """Canonical pairing of a cocharacter against a character-space vector."""
-    coords = cochar.coords if isinstance(cochar, RationalCocharacter) else cochar
-    return dot(coords, char_vector)
-
-
 def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
     """Vectors w_i with <coroot_j, w_i> = delta_ij.
 
@@ -409,11 +403,6 @@ def _ambient_root(datum: RootDatum, b: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(t, k.R) for t in k.root_sum(b))
 
 
-def all_roots(datum: RootDatum) -> set[tuple[Fraction, ...]]:
-    """The full root system, generated by closing simple reflections."""
-    return {_ambient_root(datum, b) for b in _root_vectors(datum)}
-
-
 def highest_root(datum: RootDatum) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The highest root and its coefficient vector over the simple roots.
 
@@ -439,14 +428,6 @@ def special_roots(datum: RootDatum) -> frozenset[int]:
 
 def is_dominant(v: RationalCocharacter) -> bool:
     return all(p >= 0 for p in v.datum.kernel.root_pairings(v.x))
-
-
-def reflect_simple(v: RationalCocharacter, i: int) -> RationalCocharacter:
-    """Simple reflection s_i acting on the cocharacter side (1-based i)."""
-    datum = v.datum
-    c = dot(v.coords, datum.simple_roots[i - 1])
-    return datum.cochar(
-        tuple(a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])))
 
 
 def dominant_representative(v: RationalCocharacter) -> RationalCocharacter:

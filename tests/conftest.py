@@ -1,7 +1,9 @@
 import itertools
 from fractions import Fraction as F
 
+from newtonkit.hecke import HeckeValuation
 from newtonkit.muordinary import SlopeProfile
+from newtonkit.rationals import dot
 
 _SLOPES_BY_R = {
     1: [(F(1, 2),)],
@@ -33,3 +35,15 @@ def coroot_span_decomposition(datum, coords):
     v = datum.cochar(coords)
     C, P = k.split(v.x)
     return tuple(F(c, k.q * k.R * v.L) for c in C), tuple(F(t, k.qRK * v.L) for t in P)
+
+
+def reflect(v, i):
+    """The simple reflection s_i (1-based i) of a cocharacter, in Fractions."""
+    datum = v.datum
+    c = dot(v.coords, datum.simple_roots[i - 1])
+    return datum.cochar([a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])])
+
+
+def valuation_product(e1, e2):
+    """The valuation of a product of two diagonal elements: the entrywise sum."""
+    return HeckeValuation(tuple(a + b for a, b in zip(e1.full, e2.full)), e1.s + e2.s, e1.p)

@@ -13,13 +13,13 @@ import sys
 import time
 from fractions import Fraction as F
 
+from conftest import valuation_product
 from newtonkit.hecke import (
     HeckeValuation,
     gl_upper_roots,
     hasse_number,
     m_epsilon_valuation,
     siegel_radical_roots,
-    x_epsilon_valuation,
 )
 from newtonkit.kottwitz import (
     enumerate_bgmu,
@@ -218,8 +218,8 @@ def test_criterion_5_hecke_index_oracle():
         t2 = sorted(rng.randint(0, 3) for _ in range(3))
         e1 = HeckeValuation.from_blocks(t1, 2 * max(t1) + rng.randint(0, 2), 3)
         e2 = HeckeValuation.from_blocks(t2, 2 * max(t2) + rng.randint(0, 2), 3)
-        lhs = x_epsilon_valuation(e1.compose(e2), roots)
-        rhs = x_epsilon_valuation(e1, roots) + x_epsilon_valuation(e2, roots)
+        lhs = m_epsilon_valuation(valuation_product(e1, e2), roots)
+        rhs = m_epsilon_valuation(e1, roots) + m_epsilon_valuation(e2, roots)
         if lhs != rhs:
             mult_bad += 1
     elapsed = time.monotonic() - start

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import valuation_product
 from newtonkit.hecke import (
     HeckeValuation,
     c_constant,
@@ -14,14 +15,18 @@ from newtonkit.hecke import (
     m_epsilon_valuation,
     n_g_constant,
     siegel_radical_roots,
-    x_epsilon_valuation,
 )
+
+
+def _antisymmetric(e):
+    """Is the full vector anti-symmetric about s/2?"""
+    return all(x + y == e.s for x, y in zip(e.full, reversed(e.full)))
 
 
 def test_valuation_invariants():
     e = HeckeValuation.from_blocks([0, 1], 1, 3)
     assert e.full == (0, 1, 0, 1)
-    assert e.antisymmetric()
+    assert _antisymmetric(e)
     with pytest.raises(ValueError):
         HeckeValuation.from_blocks([1, 0], 1, 3)  # not weakly increasing
     with pytest.raises(ValueError):
@@ -44,6 +49,16 @@ def test_every_valuation_needs_a_prime_p(p):
         n_g_constant([(2, F(2))], p, dim_v=4)
     with pytest.raises(ValueError, match="prime"):
         c_constant([(2, F(2))], siegel_radical_roots(2, lower=False), p, dim_v=4)
+
+
+def test_valuation_entries_are_exact_rationals():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        HeckeValuation((0.5, 0.5), 1.0, 3)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        HeckeValuation((F(1, 2), F(1, 2)), 1.0, 3)
+    e = HeckeValuation(["1/2", "1/2"], "1", 3)
+    assert e.full == (F(1, 2), F(1, 2)) and e.s == F(1)
+    assert m_epsilon_valuation(e, [(1, -1)]) == 0
 
 
 def test_m_epsilon_examples():
@@ -70,22 +85,24 @@ def test_m_epsilon_additivity():
         s1, s2 = 2 * max(t1) + rng.randint(0, 2), 2 * max(t2) + rng.randint(0, 2)
         e1 = HeckeValuation.from_blocks(t1, s1, 3)
         e2 = HeckeValuation.from_blocks(t2, s2, 3)
-        prod = e1.compose(e2)
+        prod = valuation_product(e1, e2)
         assert m_epsilon_valuation(prod, roots) == (
             m_epsilon_valuation(e1, roots) + m_epsilon_valuation(e2, roots)
         )
 
 
 def test_x_epsilon_matches_m_epsilon_and_multiplies():
+    # x_eps, the number of single cosets in the double coset of eps, is the
+    # unipotent index that m_epsilon_valuation counts
     roots = siegel_radical_roots(2)
     e = HeckeValuation.from_blocks([0, 1], 2, 3)
-    assert x_epsilon_valuation(e, roots) == m_epsilon_valuation(e, roots)
+    assert m_epsilon_valuation(e, roots) == 3  # (2 - 0) + (2 - 1) + (1 - 1)
     identity = HeckeValuation.from_blocks([0, 0], 0, 3)
-    assert x_epsilon_valuation(identity, roots) == 0
+    assert m_epsilon_valuation(identity, roots) == 0
     siegel = HeckeValuation.from_blocks([0, 0], 1, 3)
-    assert x_epsilon_valuation(siegel, roots) == 3
-    ee = e.compose(e)
-    assert x_epsilon_valuation(ee, roots) == 2 * x_epsilon_valuation(e, roots)
+    assert m_epsilon_valuation(siegel, roots) == 3
+    ee = valuation_product(e, e)
+    assert m_epsilon_valuation(ee, roots) == 2 * m_epsilon_valuation(e, roots)
 
 
 def test_lambda_g_examples():
@@ -101,7 +118,7 @@ def test_lambda_g_additive():
         t2 = sorted(rng.randint(0, 3) for _ in range(3))
         e1 = HeckeValuation.from_blocks(t1, max(t1) + 1, 5)
         e2 = HeckeValuation.from_blocks(t2, max(t2) + 1, 5)
-        assert lambda_g_valuation(e1.compose(e2)) == (
+        assert lambda_g_valuation(valuation_product(e1, e2)) == (
             lambda_g_valuation(e1) + lambda_g_valuation(e2)
         )
 
@@ -109,7 +126,7 @@ def test_lambda_g_additive():
 def test_filtration_element_layout():
     e = filtration_element(2, 4, 3)
     assert e.full == (1, 1, 0, 0) and e.s == 1
-    assert e.antisymmetric()
+    assert _antisymmetric(e)
     with pytest.raises(ValueError):
         filtration_element(5, 4, 3)
 

@@ -25,6 +25,27 @@ def test_profile_invariants_enforced():
         SlopeProfile((F(1), F(1, 3)), (1, 1), polarized=True)  # asymmetric
 
 
+def test_slopes_are_exact_rationals():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        SlopeProfile((0.75, 0.25), (1, 1), polarized=True)
+    profile = SlopeProfile(("3/4", "1/4"), (1, 1), polarized=True)
+    assert profile.slopes == (F(3, 4), F(1, 4))
+    dd = degrees(profile)
+    assert dd.d == (F(3, 4), F(1)) and dd.delta == F(1, 8)
+
+
+@pytest.mark.parametrize("mults", [(True,), ("2",), (2.0,)], ids=repr)
+def test_multiplicities_are_positive_ints_not_bools(mults):
+    with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+        SlopeProfile((F(1, 2),), mults)
+
+
+@pytest.mark.parametrize("h", [0.5, 2.0, True, "1"], ids=repr)
+def test_max_degree_bound_takes_an_int_height(h):
+    with pytest.raises(ValueError, match="is not an integer"):
+        max_degree_bound(SlopeProfile((F(1), F(0)), (2, 2)), h)
+
+
 def test_profile_from_newton_c2_ordinary():
     c2 = build_datum("C", 2)
     p = profile_from_newton(c2.cochar([F(1, 2), F(1, 2)]), 4)

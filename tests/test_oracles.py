@@ -4,28 +4,25 @@ from fractions import Fraction as F
 import pytest
 
 import newtonkit.oracles as oracles_mod
+from conftest import reflect
 from newtonkit.hecke import gl_upper_roots, m_epsilon_valuation, siegel_radical_roots
 from newtonkit.kottwitz import enumerate_bgmu, newton_leq
 from newtonkit.muordinary import SlopeProfile, next_to_max_profile
 from newtonkit.oracles import (
-    GridSpec,
     convex_hull_membership,
     coset_count_bruteforce,
-    default_grid_spec,
     grid_enumerate_bgmu,
     multiplicative_group_exponent,
     polygon_envelope,
     polygon_leq,
     siegel_shape,
     upper_unipotent_shape,
-    weyl_orbit,
 )
 from newtonkit.rootdata import (
     RootDatum,
     build_datum,
     dominant_representative,
     fundamental_coweights,
-    reflect_simple,
 )
 
 
@@ -33,18 +30,23 @@ def _coweight(datum, node):
     return datum.cochar(fundamental_coweights(datum)[node - 1])
 
 
+def _orbit_size(v):
+    return len(oracles_mod._int_orbit(v)[0])
+
+
 def test_weyl_orbit_sizes():
     a2 = build_datum("A", 2)
-    assert len(weyl_orbit(a2.cochar([1, 0, -1]))) == 6
+    assert _orbit_size(a2.cochar([1, 0, -1])) == 6
     c2 = build_datum("C", 2)
-    assert len(weyl_orbit(c2.cochar([2, 1]))) == 8
-    assert len(weyl_orbit(c2.cochar([0, 0]))) == 1
+    assert _orbit_size(c2.cochar([2, 1])) == 8
+    assert _orbit_size(c2.cochar([0, 0])) == 1
 
 
-def test_weyl_orbit_cap():
+def test_weyl_orbit_cap(monkeypatch):
     c2 = build_datum("C", 2)
+    monkeypatch.setattr(oracles_mod, "WEYL_CAP", 4)
     with pytest.raises(ValueError):
-        weyl_orbit(c2.cochar([2, 1]), cap=4)
+        _orbit_size(c2.cochar([2, 1]))
 
 
 def test_hull_membership_examples():
@@ -120,7 +122,7 @@ def test_grid_refuses_a_non_dominant_mu_like_the_enumeration():
     for t, n in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("G2", 2)]:
         datum = build_datum(t, n)
         for k in range(1, n + 1):
-            nu = reflect_simple(_coweight(datum, k), k)
+            nu = reflect(_coweight(datum, k), k)
             for enumerate_ in (enumerate_bgmu, grid_enumerate_bgmu):
                 with pytest.raises(ValueError, match="mu must be dominant"):
                     enumerate_(nu)
@@ -142,16 +144,9 @@ def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
 
 def test_default_grid_spec_covers_half_coroot():
     # the second-largest element mubar - coroot/2 must be on the grid
-    a2 = build_datum("A", 2)
-    spec = default_grid_spec(_coweight(a2, 1))
-    assert spec.denominator_bound % 6 == 0
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(0, F(1))
-    with pytest.raises(ValueError):
-        GridSpec(2, F(-1))
+    mu = _coweight(build_datum("A", 2), 1)
+    denominator, _ = oracles_mod._grid_spec(mu, *oracles_mod._int_orbit(mu))
+    assert denominator % 6 == 0
 
 
 def test_coset_count_examples():
@@ -204,8 +199,8 @@ def test_coset_count_matches_valuation_formula_sample():
 def test_shape_constructions():
     sh = siegel_shape(2)
     assert sh.size == 4 and len(sh.groups) == 3
-    m = sh.matrix([5, 7, 11])
-    assert m[2][0] == m[3][1]  # tied entries
+    m = sh.flat([5, 7, 11])
+    assert m[2 * 4 + 0] == m[3 * 4 + 1]  # tied entries (3, 1) and (4, 2)
     up = upper_unipotent_shape(3)
     assert len(up.groups) == 3
 

@@ -38,10 +38,17 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), F(0))
 
 
+def int_orbit(v):
+    """The oracle's integer orbit of v, as sorted Fraction vectors."""
+    orbit, D = oracles._int_orbit(v)
+    return sorted(tuple(F(t, D) for t in y) for y in orbit)
+
+
 # -- test-local Fraction copies ----------------------------------------------
 
-def fraction_orbit(v, cap=oracles.WEYL_CAP):
+def fraction_orbit(v):
     datum = v.datum
+    cap = oracles.WEYL_CAP
     seen = {v.coords}
     frontier = [v.coords]
     while frontier:
@@ -202,7 +209,11 @@ def fraction_coset_marking(shape, vals, p, k):
         return [[sum(lw[i][t] * right[t][j] for t in range(n)) for j in range(n)]
                 for i in range(n)]
 
-    elements = [shape.matrix(params) for params in itertools.product(range(mod), repeat=ngroups)]
+    def matrix(params):
+        m = shape.flat(params)
+        return [m[i:i + n] for i in range(0, n * n, n)]
+
+    elements = [matrix(params) for params in itertools.product(range(mod), repeat=ngroups)]
     members = [w for w in elements
                if all(x.denominator == 1 for row in conj_inverse(w) for x in row)]
     seen = set()
@@ -246,23 +257,24 @@ def test_orbit_matches_fraction_reflections_on_special_nodes(t, n):
     vectors += [datum.cochar([F(rng.randint(-6, 6), rng.randint(1, 6))
                               for _ in range(datum.ambient_dim)]) for _ in range(5)]
     for v in vectors:
-        assert oracles.weyl_orbit(v) == fraction_orbit(v), v.coords
+        assert int_orbit(v) == fraction_orbit(v), v.coords
 
 
-def test_orbit_g2_every_node_and_cap():
+def test_orbit_g2_every_node_and_cap(monkeypatch):
     g2 = build_datum("G2", 2)
     assert oracles._denominator(g2.simple_coroots) == 3
     for k in (1, 2):
         mu = _coweight(g2, k)
-        orbit = oracles.weyl_orbit(mu)
+        orbit = int_orbit(mu)
         assert orbit == fraction_orbit(mu) and len(orbit) == 6
     v = g2.cochar([F(1, 2), F(-1, 3), F(1, 5)])
-    assert oracles.weyl_orbit(v) == fraction_orbit(v) and len(oracles.weyl_orbit(v)) == 12
+    assert int_orbit(v) == fraction_orbit(v) and len(int_orbit(v)) == 12
     for cap in (1, 5, 11, 12):
+        monkeypatch.setattr(oracles, "WEYL_CAP", cap)
         outcomes = []
-        for orbit in (oracles.weyl_orbit, fraction_orbit):
+        for orbit in (int_orbit, fraction_orbit):
             try:
-                outcomes.append(orbit(v, cap=cap))
+                outcomes.append(orbit(v))
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], cap
@@ -401,17 +413,15 @@ def test_grid_matches_fraction_grid_on_criterion_3(t, n):
     datum = build_datum(t, n)
     for k in sorted(special_roots(datum)):
         mu = _coweight(datum, k)
-        spec = oracles.default_grid_spec(mu)
-        assert (spec.denominator_bound, spec.box_bound) == fraction_grid_spec(mu)
+        assert oracles._grid_spec(mu, *oracles._int_orbit(mu)) == fraction_grid_spec(mu)
         assert oracles.grid_enumerate_bgmu(mu) == fraction_grid(mu), (t, n, k)
 
 
 def test_grid_takes_trivial_sigma_only():
     a2 = build_datum("A", 2, "flip")
     mu = _coweight(a2, 1)
-    for oracle in (oracles.default_grid_spec, oracles.grid_enumerate_bgmu):
-        with pytest.raises(ValueError, match="trivial sigma"):
-            oracle(mu)
+    with pytest.raises(ValueError, match="trivial sigma"):
+        oracles.grid_enumerate_bgmu(mu)
 
 
 # -- cosets -------------------------------------------------------------------
