@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import hecke, kottwitz, muordinary, rootdata
-from .rationals import rat, rat_str, vec_str
+from .rationals import rat_str, vec_parse, vec_str
 
 SCHEMA = "newtonkit/1"
 
@@ -81,7 +81,7 @@ def _vec(arg: str) -> tuple[Fraction, ...]:
     doc = _json(arg)
     if not isinstance(doc, list):
         raise ValueError(f"expected a JSON array of rationals, got {type(doc).__name__}")
-    return tuple(rat(x) for x in doc)
+    return vec_parse(doc)
 
 
 def _cmd_datum(args):
@@ -222,7 +222,7 @@ def _cmd_mepsilon(args):
 
 def _cmd_lambdag(args):
     t = _vec(args.t)
-    eps = hecke.HeckeValuation.from_blocks(t, rat(args.s), args.p)
+    eps = hecke.HeckeValuation.from_blocks(t, args.s, args.p)
     return {"valuation": rat_str(hecke.lambda_g_valuation(eps))}
 
 

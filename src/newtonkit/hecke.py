@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import dot, rat, vec_parse
+from .rationals import dot, integer, rat, vec_parse
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class HeckeValuation:
 def filtration_element(h: int, dim_v: int, p: int) -> HeckeValuation:
     """The diagonal element inducing the canonical step of height h:
     valuation 1 on the top h slots of the full vector, 0 elsewhere, s = 1."""
-    if not 1 <= h <= dim_v:
-        raise ValueError(f"height {h} out of range 1..{dim_v}")
+    integer(h, "height", 1, integer(dim_v, "dim_v", 1))
     full = (Fraction(1),) * h + (Fraction(0),) * (dim_v - h)
     return HeckeValuation(full, Fraction(1), p)
 
@@ -105,15 +104,12 @@ def epsilon_prime_valuations(h_i: int, deg_i: Fraction,
     """
     deg_i = rat(deg_i)
     dim_v = len(base_eps.full)
+    integer(h_i, "height", 1, dim_v)
     if not 0 < deg_i <= h_i:
         raise ValueError(f"degree {deg_i} out of range (0, {h_i}]")
-    lo = max(h_i - 1, 1)
-    hi = dim_v - h_i + 1
-    if not (1 <= lo <= dim_v and 1 <= hi <= dim_v):
-        raise ValueError(f"perturbation slots {lo}, {hi} out of range 1..{dim_v}")
     full = list(base_eps.full)
-    full[lo - 1] += deg_i - 1
-    full[hi - 1] += 1 - deg_i
+    full[max(h_i - 1, 1) - 1] += deg_i - 1
+    full[dim_v - h_i] += 1 - deg_i
     return HeckeValuation(tuple(full), base_eps.s, base_eps.p)
 
 
@@ -208,10 +204,10 @@ def _is_prime(p: int) -> bool:
 def require_prime(p) -> None:
     """ValueError unless p is a prime with 3 <= p < HASSE_P_BOUND (about
     3.3e24), the range in which the primality test is exact."""
-    if isinstance(p, int) and p >= HASSE_P_BOUND:
+    if integer(p, "p", 3, error="p must be a prime >= 3") >= HASSE_P_BOUND:
         raise ValueError(f"p must be below {HASSE_P_BOUND}, where the primality "
                          "test is exact")
-    if not isinstance(p, int) or p < 3 or not _is_prime(p):
+    if not _is_prime(p):
         raise ValueError("p must be a prime >= 3")
 
 
@@ -222,8 +218,7 @@ def hasse_number(w: int, p: int) -> int:
     decimal digits (bounded_power; p^w itself has as many digits, since a
     power of an odd prime is never a power of ten).
     """
-    if not isinstance(w, int) or w < 1:
-        raise ValueError("w must be a positive integer")
+    integer(w, "w", 1, error="w must be a positive integer")
     require_prime(p)
     return bounded_power(p, w, "p^w - 1") - 1
 

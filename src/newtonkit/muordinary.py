@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import vec_parse
-from .rootdata import RationalCocharacter
+from .rationals import integer, vec_parse
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,8 @@ class SlopeProfile:
         object.__setattr__(self, "slopes", vec_parse(self.slopes))
         if len(self.slopes) != len(self.mults) or not self.slopes:
             raise ValueError("slopes and multiplicities must be non-empty and aligned")
-        if any(not isinstance(m, int) or isinstance(m, bool) or m <= 0 for m in self.mults):
-            raise ValueError("multiplicities must be positive integers")
+        for m in self.mults:
+            integer(m, "multiplicity", 1, error="multiplicities must be positive integers")
         if any(s < 0 or s > 1 for s in self.slopes):
             raise ValueError("slopes must lie in [0, 1]")
         if any(a <= b for a, b in zip(self.slopes, self.slopes[1:])):
@@ -78,7 +77,8 @@ def profile_from_newton(nu, embedding_dim: int) -> SlopeProfile:
     is) or the symplectic half (length == embedding_dim/2, completed by the
     polarization rule: slopes 1/2 + nu_i together with their 1-complements).
     """
-    coords = nu.coords if isinstance(nu, RationalCocharacter) else vec_parse(nu)
+    integer(embedding_dim, "embedding dimension", 1)
+    coords = nu.coords if hasattr(nu, "coords") else vec_parse(nu)
     if len(coords) == embedding_dim:
         values = sorted(coords, reverse=True)
         polarized = all(
@@ -125,10 +125,7 @@ def degrees(profile: SlopeProfile) -> DegreeData:
 
 def max_degree_bound(profile: SlopeProfile, h: int) -> Fraction:
     """Largest possible degree of a subgroup of height h: the concave envelope."""
-    if not isinstance(h, int) or isinstance(h, bool):
-        raise ValueError(f"height {h!r} is not an integer")
-    if h < 0 or h > profile.total_height:
-        raise ValueError(f"height {h} out of range 0..{profile.total_height}")
+    integer(h, "height", 0, profile.total_height)
     acc = Fraction(0)
     remaining = h
     for s, m in zip(profile.slopes, profile.mults):
@@ -154,8 +151,7 @@ def check_uniqueness(dd: DegreeData, i: int):
     failing heights form an interval ending at h_i - 1, found by bisection.
     """
     profile = dd.profile
-    if not 1 <= i <= profile.r:
-        raise ValueError(f"index {i} out of range 1..{profile.r}")
+    integer(i, "index", 1, profile.r)
     if dd.delta is None:
         return True, None
     if dd.delta <= 0:
@@ -190,10 +186,8 @@ def next_to_max_profile(profile: SlopeProfile, i: int, split: int) -> SlopeProfi
     if not profile.polarized:
         raise ValueError("next-to-maximal splitting requires a polarized profile")
     r = profile.r
-    if not 1 <= i < r:
-        raise ValueError(f"insertion index {i} out of range 1..{r - 1}")
-    if not isinstance(split, int) or split <= 0:
-        raise ValueError("split must be a positive integer")
+    integer(i, "insertion index", 1, r - 1)
+    integer(split, "split", 1, error="split must be a positive integer")
     slots = sorted({i, r - i})
     reductions = [0] * (r + 1)
     for j in slots:

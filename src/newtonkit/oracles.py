@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .hecke import HeckeValuation
-from .muordinary import SlopeProfile
-from .rationals import dot, rat, vec_parse
-from .rootdata import RationalCocharacter
+from .rationals import dot, integer, vec_parse
+
+if TYPE_CHECKING:
+    from .muordinary import SlopeProfile
+    from .rootdata import RationalCocharacter
 
 WEYL_CAP = 50_000
 
@@ -390,14 +391,6 @@ def _is_integral_conjugate(conjugator, m: Sequence[int]) -> bool:
 ENUMERATION_LIMIT = 100_000
 
 
-def _check_prime_power(p: int, k: int, name: str) -> None:
-    """Refuse p < 2 or an exponent k < 1 before any work is done."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    if k < 1:
-        raise ValueError(f"{name} must be at least 1, got {k}")
-
-
 def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     """Count U(Z/p^k) / (eps U(Z/p^k) eps^-1  intersect  U(Z/p^k)) literally.
 
@@ -411,15 +404,15 @@ def coset_count_bruteforce(eps, shape: UnipotentShape, p: int, k: int) -> int:
     conjugate of sample elements) count the subgroup instead, and the
     coset count is the exact index.
     """
-    _check_prime_power(p, k, "k")
-    full = eps.full if isinstance(eps, HeckeValuation) else vec_parse(eps)
+    integer(p, "p", 2)
+    integer(k, "k", 1)
+    full = vec_parse(eps)
     if len(full) != shape.size:
         raise ValueError("valuation vector does not match the shape size")
     if p ** k > 625:
         raise ValueError("modulus too large for the brute-force oracle")
     vals = []
     for x in full:
-        x = rat(x)
         if x.denominator != 1:
             raise ValueError("brute-force oracle requires integral valuations")
         vals.append(int(x))
@@ -531,7 +524,8 @@ def multiplicative_group_exponent(p: int, w: int) -> int:
     and takes the lcm of the multiplicative orders of all nonzero elements
     (_unit_orders).
     """
-    _check_prime_power(p, w, "w")
+    integer(p, "p", 2)
+    integer(w, "w", 1)
     if p ** w > 625:
         raise ValueError("field too large for the brute-force exponent")
     return lcm(*_unit_orders(p, w).values())

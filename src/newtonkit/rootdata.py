@@ -30,7 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import invert
-from .rationals import dot, vec_parse
+from .rationals import dot, integer, vec_parse
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -281,10 +281,11 @@ def _resolve_sigma(type_label: str, rank: int, sigma_spec) -> tuple[int, ...]:
         if maker is None:
             raise ValueError(f"type {type_label} has no named flip automorphism")
         return maker(rank)
-    if not isinstance(sigma_spec, (list, tuple)) or any(type(i) is not int for i in sigma_spec):
+    if not isinstance(sigma_spec, (list, tuple)):
         raise ValueError(f"sigma {sigma_spec!r} is not identity, id, flip or a list of ints")
-    if sorted(sigma_spec) != list(range(1, rank + 1)):
-        raise ValueError(f"sigma {sigma_spec!r} is not a permutation of 1..{rank}")
+    error = f"sigma {sigma_spec!r} is not a permutation of 1..{rank}"
+    if sorted(integer(i, "sigma", 1, rank, error) for i in sigma_spec) != list(range(1, rank + 1)):
+        raise ValueError(error)
     return tuple(sigma_spec)
 
 
@@ -297,9 +298,7 @@ def build_datum(type_label: str, rank: int, sigma_spec=None) -> RootDatum:
     """
     if type_label not in INDECOMPOSABLE_TYPES:
         raise ValueError(f"unknown type label {type_label!r}")
-    lo, hi = _RANK_RANGE[type_label]
-    if rank < lo or (hi is not None and rank > hi):
-        raise ValueError(f"invalid rank {rank} for type {type_label}")
+    integer(rank, "rank", *_RANK_RANGE[type_label], f"invalid rank {rank} for type {type_label}")
     roots = tuple(_simple_roots_for(type_label, rank))
     coroots = tuple(_coroot(r) for r in roots)
     cartan = tuple(
@@ -365,8 +364,7 @@ def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
 def fundamental_coweight(datum: RootDatum, i: int) -> RationalCocharacter:
     """The vector w_i (1-based i) in the coroot span with <w_i, root_j> = delta_ij,
     built from the kernel's integer numerators (IntegerKernel.coweights)."""
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"node {i} out of range 1..{datum.rank}")
+    integer(i, "node", 1, datum.rank)
     k = datum.kernel
     return RationalCocharacter(k.coweights[i - 1], k.q * k.K, datum)
 

@@ -22,6 +22,7 @@ from newtonkit.kottwitz import (
 )
 from conftest import coroot_span_decomposition
 from newtonkit.linalg import invert
+from newtonkit.muordinary import SlopeProfile, next_to_max_profile, profile_from_newton
 from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
@@ -1046,3 +1047,29 @@ def test_maximal_elements_below_the_top_are_chais_length_one(t, n):
             below = {e.nu.coords for e in maximal_elements(ks, exclude_top=True)}
             assert below == {e.nu.coords for e in ks.elements if length(e.nu.coords) == 1}, \
                 (t, n, k, mu)
+
+
+def test_siegel_polygons_are_points_of_the_kottwitz_set():
+    # GSp_2n is C_n with mu = w_n.  For f = 1..n the next-to-maximal profile
+    # of the ordinary polygon (1, 0) x (n, n) at f is ordinary^(n-f) +
+    # supersingular^f, a point of B(G, mu) whose Chai length is its
+    # codimension f(f+1)/2 - floor(f^2/4) in A_n (Li-Oort: the supersingular
+    # locus of A_f has dimension floor(f^2/4)); the f = 1 point is the one
+    # maximal element below the top.  Chai's length is read off coords as in
+    # test_maximal_elements_below_the_top_are_chais_length_one.
+    for n in range(2, 9):
+        datum = build_datum("C", n)
+        weights = _fundamental_weights(datum)
+        ks = enumerate_bgmu(_coweight(datum, n))
+        top = [_ip(ks.mubar.coords, w) for w in weights]
+        profiles = {e: profile_from_newton(e.nu, 2 * n) for e in ks.elements}
+        assert len(set(profiles.values())) == len(profiles), n
+        assert all(q.polarized for q in profiles.values()), n
+        ordinary = SlopeProfile((F(1), F(0)), (n, n), polarized=True)
+        found = {}
+        for f in range(1, n + 1):
+            (e,) = [e for e, q in profiles.items() if q == next_to_max_profile(ordinary, 1, f)]
+            length = sum(math.ceil(m - _ip(e.nu.coords, w)) for m, w in zip(top, weights))
+            assert length == f * (f + 1) // 2 - f * f // 4, (n, f)
+            found[f] = e
+        assert maximal_elements(ks, exclude_top=True) == {found[1]}, n

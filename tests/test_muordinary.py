@@ -11,7 +11,20 @@ from newtonkit.muordinary import (
     next_to_max_profile,
     profile_from_newton,
 )
-from newtonkit.rootdata import build_datum
+from newtonkit.hecke import (
+    c_constant,
+    epsilon_prime_valuations,
+    filtration_element,
+    hasse_number,
+    n_g_constant,
+    siegel_radical_roots,
+)
+from newtonkit.oracles import (
+    coset_count_bruteforce,
+    multiplicative_group_exponent,
+    upper_unipotent_shape,
+)
+from newtonkit.rootdata import build_datum, fundamental_coweight
 
 
 def test_profile_invariants_enforced():
@@ -44,6 +57,45 @@ def test_multiplicities_are_positive_ints_not_bools(mults):
 def test_max_degree_bound_takes_an_int_height(h):
     with pytest.raises(ValueError, match="is not an integer"):
         max_degree_bound(SlopeProfile((F(1), F(0)), (2, 2)), h)
+
+
+_ORDINARY = SlopeProfile((F(1), F(0)), (2, 2), polarized=True)
+
+# Every integer argument of a public entry point, as a function of that
+# argument alone; the other arguments are valid.
+_INTEGER_ARGUMENTS = {
+    "build_datum rank": lambda x: build_datum("A", x),
+    "build_datum sigma": lambda x: build_datum("A", 2, [x, 2]),
+    "fundamental_coweight i": lambda x: fundamental_coweight(build_datum("C", 2), x),
+    "SlopeProfile mults": lambda x: SlopeProfile((F(1, 2),), (x,)),
+    "max_degree_bound h": lambda x: max_degree_bound(_ORDINARY, x),
+    "check_uniqueness i": lambda x: check_uniqueness(degrees(_ORDINARY), x),
+    "next_to_max_profile i": lambda x: next_to_max_profile(_ORDINARY, x, 1),
+    "next_to_max_profile split": lambda x: next_to_max_profile(_ORDINARY, 1, x),
+    "profile_from_newton embedding_dim": lambda x: profile_from_newton([F(1, 2), F(0)], x),
+    "filtration_element h": lambda x: filtration_element(x, 4, 3),
+    "filtration_element dim_v": lambda x: filtration_element(1, x, 3),
+    "filtration_element p": lambda x: filtration_element(1, 4, x),
+    "n_g_constant dim_v": lambda x: n_g_constant([(2, F(1))], 3, dim_v=x),
+    "c_constant dim_v": lambda x: c_constant([(2, F(1))], siegel_radical_roots(2), 3, dim_v=x),
+    "epsilon_prime_valuations h_i":
+        lambda x: epsilon_prime_valuations(x, F(1), filtration_element(2, 4, 3)),
+    "hasse_number w": lambda x: hasse_number(x, 3),
+    "hasse_number p": lambda x: hasse_number(1, x),
+    "coset_count_bruteforce p":
+        lambda x: coset_count_bruteforce([0, 0], upper_unipotent_shape(2), x, 2),
+    "coset_count_bruteforce k":
+        lambda x: coset_count_bruteforce([0, 0], upper_unipotent_shape(2), 3, x),
+    "multiplicative_group_exponent p": lambda x: multiplicative_group_exponent(x, 1),
+    "multiplicative_group_exponent w": lambda x: multiplicative_group_exponent(3, x),
+}
+
+
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("x", [True, 2.0, "1"], ids=repr)
+def test_integer_arguments_refuse_bools_floats_and_strings(call, x):
+    with pytest.raises(ValueError):
+        call(x)
 
 
 def test_profile_from_newton_c2_ordinary():

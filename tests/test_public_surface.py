@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import newtonkit
 
 # Every public name of the package: the paper's objects and the functions
@@ -24,3 +27,37 @@ def test_the_public_surface_is_pinned():
     # the benchmark builds its radicals from these two
     assert callable(newtonkit.hecke.gl_upper_roots)
     assert callable(newtonkit.hecke.siegel_radical_roots)
+
+
+# The layers each module imports at run time: module-level imports of
+# newtonkit modules, outside "if TYPE_CHECKING:".  Imports inside a function
+# (cli's lazy oracles and verify) are not edges of this graph.
+LAYERS = {
+    "__init__": {"hecke", "kottwitz", "muordinary", "rootdata"},
+    "cli": {"hecke", "kottwitz", "muordinary", "rationals", "rootdata"},
+    "hecke": {"rationals"},
+    "kottwitz": {"linalg", "rootdata"},
+    "linalg": set(),
+    "muordinary": {"rationals"},
+    "oracles": {"rationals"},
+    "rationals": set(),
+    "rootdata": {"linalg", "rationals"},
+    "verify": {"hecke", "kottwitz", "muordinary", "oracles", "rootdata"},
+}
+
+
+def _runtime_imports(body):
+    found = set()
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.If) and ast.unparse(node.test) != "TYPE_CHECKING":
+            found |= _runtime_imports(node.body + node.orelse)
+    return found
+
+
+def test_the_layer_graph_is_pinned():
+    package = Path(newtonkit.__file__).parent
+    graph = {path.stem: _runtime_imports(ast.parse(path.read_text(encoding="utf-8")).body)
+             for path in package.glob("*.py")}
+    assert graph == LAYERS
