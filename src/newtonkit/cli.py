@@ -10,10 +10,12 @@ This module is the only one that builds or parses a ``newtonkit/1``
 document: the library layers return Fractions and dataclasses, and the
 handlers below turn them into JSON.
 
-Each process loads only the layers its subcommand runs: the brute-force
-oracles (``newtonkit.oracles``) are imported by ``leq --verify`` and
-``verify-all`` alone, and the verify-all check table lives in
-``newtonkit.verify``.
+Each process loads only the layers its subcommand runs, inside its handler:
+``datum`` imports ``rootdata``; ``bgmu``, ``maximal`` and ``leq`` also
+``kottwitz``; ``slopes``, ``degrees`` and ``uniqueness`` ``muordinary``;
+``mepsilon``, ``lambdag`` and ``hasse`` ``hecke``.  The brute-force oracles
+(``newtonkit.oracles``) are imported by ``leq --verify`` and ``verify-all``
+alone, and the verify-all check table lives in ``newtonkit.verify``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import hecke, kottwitz, muordinary, rootdata
 from .rationals import rat_str, vec_parse, vec_str
+
+if TYPE_CHECKING:
+    from . import kottwitz, muordinary, rootdata
 
 SCHEMA = "newtonkit/1"
 
@@ -68,6 +73,7 @@ MAX_RANK = 8
 
 
 def _get_datum(args) -> rootdata.RootDatum:
+    from . import rootdata
     if args.rank > MAX_RANK:
         raise ValueError(f"rank {args.rank} exceeds the rank cap {MAX_RANK}")
     sigma = args.sigma
@@ -85,6 +91,7 @@ def _vec(arg: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_datum(args):
+    from . import rootdata
     datum = _get_datum(args)
     return {
         "type": datum.type_label,
@@ -120,6 +127,7 @@ def _labeling_payload(datum, requested: str) -> dict:
 
 
 def _kottwitz_set(args) -> kottwitz.KottwitzSet:
+    from . import kottwitz, rootdata
     return kottwitz.enumerate_bgmu(rootdata.fundamental_coweight(_get_datum(args), args.node))
 
 
@@ -134,11 +142,13 @@ def _cmd_bgmu(args):
 
 
 def _cmd_maximal(args):
+    from . import kottwitz
     mx = kottwitz.maximal_elements(_kottwitz_set(args), exclude_top=args.exclude_top)
     return {"maximal": [vec_str(e.nu.coords) for e in sorted(mx, key=lambda e: e.nu.coords)]}
 
 
 def _cmd_leq(args):
+    from . import kottwitz, rootdata
     datum = _get_datum(args)
     x = datum.cochar(_vec(args.x))
     y = datum.cochar(_vec(args.y))
@@ -154,6 +164,7 @@ def _cmd_leq(args):
 
 
 def _cmd_slopes(args):
+    from . import muordinary
     profile = muordinary.profile_from_newton(_vec(args.nu), args.dim)
     return {"slopes": vec_str(profile.slopes), "mults": list(profile.mults),
             "polarized": profile.polarized}
@@ -162,6 +173,7 @@ def _cmd_slopes(args):
 def _profile(arg: str) -> muordinary.SlopeProfile:
     """A JSON object: slopes, an array of rationals; mults, an array of JSON
     integers or ASCII digit strings; polarized, if given, a JSON boolean."""
+    from . import muordinary
     doc = _json(arg)
     if not isinstance(doc, dict):
         raise ValueError(f"a profile is a JSON object, not {type(doc).__name__}")
@@ -185,6 +197,7 @@ def _profile(arg: str) -> muordinary.SlopeProfile:
 
 
 def _cmd_degrees(args):
+    from . import muordinary
     profile = _profile(args.profile)
     dd = muordinary.degrees(profile)
     return {
@@ -195,12 +208,14 @@ def _cmd_degrees(args):
 
 
 def _cmd_uniqueness(args):
+    from . import muordinary
     dd = muordinary.degrees(_profile(args.profile))
     ok, bad_h = muordinary.check_uniqueness(dd, args.i)
     return {"unique": ok, "violating_height": bad_h}
 
 
 def _cmd_mepsilon(args):
+    from . import hecke
     full = _vec(args.full)
     hecke.require_prime(args.p)
     if len(full) > 2 * MAX_RANK:
@@ -221,18 +236,19 @@ def _cmd_mepsilon(args):
 
 
 def _cmd_lambdag(args):
+    from . import hecke
     t = _vec(args.t)
     eps = hecke.HeckeValuation.from_blocks(t, args.s, args.p)
     return {"valuation": rat_str(hecke.lambda_g_valuation(eps))}
 
 
 def _cmd_hasse(args):
+    from . import hecke
     return {"hasse_number": hecke.hasse_number(args.w, args.p)}
 
 
 def _cmd_verify_all(args):
     from .verify import CHECKS
-
     report = [check for verify in CHECKS for check in verify()]
     failures = sum(1 for _, passed in report if not passed)
     return {

@@ -1,5 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import newtonkit
 
 from newtonkit.hecke import HeckeValuation
 from newtonkit.muordinary import SlopeProfile
@@ -47,3 +53,15 @@ def reflect(v, i):
 def valuation_product(e1, e2):
     """The valuation of a product of two diagonal elements: the entrywise sum."""
     return HeckeValuation(tuple(a + b for a, b in zip(e1.full, e2.full)), e1.s + e2.s, e1.p)
+
+
+def fresh_python(script, *args):
+    """The stdout of script run in a fresh interpreter that imports this
+    checkout's newtonkit; a failure raises with the child's stderr."""
+    src = str(Path(newtonkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

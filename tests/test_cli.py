@@ -1,15 +1,11 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
-import newtonkit
 from newtonkit.cli import _SUBCOMMANDS, run
 from newtonkit.kottwitz import enumerate_bgmu
 from newtonkit.rootdata import build_datum, fundamental_coweights
@@ -635,12 +631,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("newtonkit
 
 
 def _loaded_modules(argv):
-    src = str(Path(newtonkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, check=True)
-    code, modules = json.loads(proc.stdout)
+    code, modules = json.loads(fresh_python(_LOADED, json.dumps(argv)))
     return code, set(modules)
 
 
@@ -672,9 +663,23 @@ def test_subcommands_with_oracles_load_them(argv):
     assert ("newtonkit.verify" in modules) == (argv == ["verify-all"])
 
 
-def test_the_package_imports_its_layers_eagerly():
-    # a tracer that wraps the loaded newtonkit modules sees every core layer
-    _, modules = _loaded_modules(None)
-    assert {"newtonkit.rootdata", "newtonkit.kottwitz", "newtonkit.muordinary",
-            "newtonkit.hecke"} <= modules
-    assert not modules & _ORACLE_LAYER
+_PROFILE = '{"slopes":["1","0"],"mults":[1,1]}'
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, None, set()),
+    (["hasse", "--w", "2", "--p", "3"], 0, {"hecke"}),
+    (["slopes", "--nu", '["1/2","0"]', "--dim", "4"], 0, {"muordinary"}),
+    (["degrees", "--profile", _PROFILE], 0, {"muordinary"}),
+    (["uniqueness", "--profile", _PROFILE, "--i", "1"], 0, {"muordinary"}),
+    (["datum", "--type", "C", "--rank", "4"], 0, {"linalg", "rootdata"}),
+    (["frobnicate"], 1, set()),
+    (["bgmu", "--type", "C", "--rank", "2", "--node", "1", "--bogus"], 1, set()),
+], ids=["import", "hasse", "slopes", "degrees", "uniqueness", "datum", "no-such-command",
+        "unknown-flag"])
+def test_each_process_loads_only_the_layers_it_runs(argv, code, loaded):
+    # import newtonkit loads no submodule; cli itself needs rationals alone
+    exit_code, modules = _loaded_modules(argv)
+    base = set() if argv is None else {"cli", "rationals"}
+    assert exit_code == code
+    assert modules == {f"newtonkit.{m}" for m in base | loaded}

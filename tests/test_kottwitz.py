@@ -1073,3 +1073,54 @@ def test_siegel_polygons_are_points_of_the_kottwitz_set():
             assert length == f * (f + 1) // 2 - f * f // 4, (n, f)
             found[f] = e
         assert maximal_elements(ks, exclude_top=True) == {found[1]}, n
+
+
+def _up_sets(points):
+    """up[x]: the bitmask of the points y with y_i >= x_i for every i."""
+    up = [(1 << len(points)) - 1] * len(points)
+    for i in range(len(points[0])):
+        at_least = 0
+        by_value = sorted(range(len(points)), key=lambda x: points[x][i], reverse=True)
+        for _, tied in itertools.groupby(by_value, key=lambda x: points[x][i]):
+            tied = list(tied)
+            at_least |= sum(1 << x for x in tied)
+            for x in tied:
+                up[x] &= at_least
+    return up
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t in _RANKS for n in _RANKS[t]])
+def test_the_kottwitz_set_is_graded_by_chais_length(t, n):
+    # Chai's theorem itself (check (b); check (a) is the test above): for
+    # e < f, l(e) > l(f), and some g with e < g <= f has l(g) = l(e) - 1, for
+    # mu = w_k at every node up to rank 8.  nu <= nu' iff nu' - nu is a
+    # non-negative sum of simple coroots, so the coefficients <nu, w_i>
+    # order the set once every nu has the same part orthogonal to the roots;
+    # all of it in test-local Fractions, as l is in the test above.  The
+    # up-set of each point is a bitmask, so E8 node 4 (980 points) is in.
+    datum = build_datum(t, n)
+    weights = _fundamental_weights(datum)
+    coweights = fundamental_coweights(datum)
+    for k in range(1, n + 1):
+        ks = enumerate_bgmu(datum.cochar(coweights[k - 1]))
+        points = [[_ip(e.nu.coords, w) for w in weights] for e in ks.elements]
+        perps = {tuple(x - _ip(c, [a[s] for a in datum.simple_coroots])
+                       for s, x in enumerate(e.nu.coords))
+                 for e, c in zip(ks.elements, points)}
+        assert len(perps) == 1, (t, n, k)
+        top = [_ip(ks.mubar.coords, w) for w in weights]
+        length = [sum(math.ceil(m - c) for m, c in zip(top, p)) for p in points]
+        up = _up_sets(points)
+        with_length = {}
+        for x, l_x in enumerate(length):
+            with_length[l_x] = with_length.get(l_x, 0) | 1 << x
+        for e, l_e in enumerate(length):
+            above = up[e] & ~(1 << e)
+            not_shorter = sum(m for l_x, m in with_length.items() if l_x >= l_e)
+            assert above & not_shorter == 0, (t, n, k, ks.elements[e].nu.coords)
+            covers = above & with_length.get(l_e - 1, 0)
+            reached = 0
+            for g in range(len(points)):
+                if covers >> g & 1:
+                    reached |= up[g]
+            assert reached == above, (t, n, k, ks.elements[e].nu.coords)
