@@ -12,7 +12,8 @@ given by the dot product.  Classical types use the epsilon bases
 
 and the exceptional types use the Bourbaki realizations (E6/E7 sit inside
 the 8-dimensional E8 ambient space, F4 in dimension 4, G2 in dimension 3).
-Coroots are 2a/(a,a), which is rational for every type above.
+Coroots 2a/(a,a) and the Cartan matrix come from one integer Gram matrix of
+the simple roots' numerators, each Cartan entry checked to be an integer.
 
 All arithmetic is exact: a cocharacter holds integer numerators over one
 denominator, and the linear algebra runs on them (IntegerKernel, whose split
@@ -261,11 +262,6 @@ def _simple_roots_for(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
     raise ValueError(f"unknown type label {type_label!r}")
 
 
-def _coroot(root: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    norm = dot(root, root)
-    return tuple(2 * x / norm for x in root)
-
-
 _NAMED_FLIPS = {
     "A": lambda n: tuple(n + 1 - i for i in range(1, n + 1)),
     "D": lambda n: tuple(range(1, n - 1)) + (n, n - 1),
@@ -300,10 +296,15 @@ def build_datum(type_label: str, rank: int, sigma_spec=None) -> RootDatum:
         raise ValueError(f"unknown type label {type_label!r}")
     integer(rank, "rank", *_RANK_RANGE[type_label], f"invalid rank {rank} for type {type_label}")
     roots = tuple(_simple_roots_for(type_label, rank))
-    coroots = tuple(_coroot(r) for r in roots)
-    cartan = tuple(
-        tuple(int(dot(roots[i], coroots[j])) for j in range(rank)) for i in range(rank)
-    )
+    R, rows = _integer_rows(roots)
+    gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]  # R^2 (a_i, a_j)
+    norms = [gram[j][j] for j in range(rank)]
+    coroots = tuple(tuple(Fraction(2 * R * x, d) for x in a) for a, d in zip(rows, norms))
+    inexact = [(i + 1, j + 1) for i, g in enumerate(gram)
+               for j, d in enumerate(norms) if 2 * g[j] % d]
+    if inexact:
+        raise AssertionError(f"Cartan entry {inexact[0]} is not an integer")
+    cartan = tuple(tuple(2 * x // d for x, d in zip(g, norms)) for g in gram)
     sigma = _resolve_sigma(type_label, rank, sigma_spec)
     for i in range(rank):
         for j in range(rank):
@@ -321,6 +322,8 @@ def product_datum(factors: Sequence[RootDatum]) -> RootDatum:
     roots: list[tuple[Fraction, ...]] = []
     coroots: list[tuple[Fraction, ...]] = []
     sigma: list[int] = []
+    cartan: list[tuple[int, ...]] = []
+    rank = sum(f.rank for f in factors)
     offset = 0
     node_offset = 0
     for f in factors:
@@ -329,14 +332,12 @@ def product_datum(factors: Sequence[RootDatum]) -> RootDatum:
         roots.extend(pad_left + r + pad_right for r in f.simple_roots)
         coroots.extend(pad_left + r + pad_right for r in f.simple_coroots)
         sigma.extend(node_offset + s for s in f.sigma)
+        cartan.extend((0,) * node_offset + row + (0,) * (rank - node_offset - f.rank)
+                      for row in f.cartan)
         offset += f.ambient_dim
         node_offset += f.rank
-    rank = len(roots)
-    cartan = tuple(
-        tuple(int(dot(roots[i], coroots[j])) for j in range(rank)) for i in range(rank)
-    )
     label = "x".join(f"{f.type_label}{f.rank}" for f in factors)
-    return RootDatum(label, rank, dim, tuple(roots), tuple(coroots), cartan,
+    return RootDatum(label, rank, dim, tuple(roots), tuple(coroots), tuple(cartan),
                      tuple(sigma), factors)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coroot_span_decomposition, reflect
+from newtonkit import rootdata
 from newtonkit.linalg import invert
 from newtonkit.rationals import dot
 from newtonkit.rootdata import (
@@ -110,6 +111,69 @@ def test_cartan_shape_all_types():
             for j in range(n):
                 if i != j:
                     assert d.cartan[i][j] <= 0
+
+
+def _pair(u, v):
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+
+def _det(m):
+    """The determinant by Fraction Gaussian elimination."""
+    m = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+# det of the Cartan matrix (Bourbaki, Lie groups and Lie algebras, Ch. VI,
+# Plates I-IX); A_n has n + 1
+_CARTAN_DET = {"B": 2, "C": 2, "D": 4, "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1}
+
+
+@pytest.mark.parametrize("t,n", ALL_TYPES, ids=lambda v: str(v))
+def test_coroots_and_cartan_match_fraction_pairings(t, n):
+    # the integer Gram construction against 2a/(a,a) and <a_i, a_j^vee>
+    # computed here in Fractions
+    d = build_datum(t, n)
+    coroots = [tuple(2 * F(x) / _pair(a, a) for x in a) for a in d.simple_roots]
+    assert [list(c) for c in d.simple_coroots] == [list(c) for c in coroots]
+    assert all(type(x) is F for c in d.simple_coroots for x in c)
+    assert d.cartan == tuple(tuple(_pair(a, c) for c in coroots) for a in d.simple_roots)
+    assert _det(d.cartan) == (n + 1 if t == "A" else _CARTAN_DET[t])
+
+
+def test_product_cartan_is_block_diagonal():
+    factors = [build_datum("A", 2, "flip"), build_datum("D", 4, (3, 2, 4, 1)),
+               build_datum("E6", 6), build_datum("G2", 2)]
+    d = product_datum(factors)
+    blocks = [[0] * d.rank for _ in range(d.rank)]
+    start = 0
+    for f in factors:
+        for i in range(f.rank):
+            blocks[start + i][start:start + f.rank] = f.cartan[i]
+        start += f.rank
+    assert d.cartan == tuple(map(tuple, blocks))
+    assert d.cartan == tuple(tuple(_pair(a, c) for c in d.simple_coroots)
+                             for a in d.simple_roots)
+    assert all(type(x) is int for row in d.cartan for x in row)
+
+
+def test_a_non_integral_cartan_entry_is_refused(monkeypatch):
+    # (1, 0) and (1, 2) are not crystallographic: <a_1, a_2^vee> = 2/5
+    monkeypatch.setattr(rootdata, "_simple_roots_for",
+                        lambda t, n: [(F(1), F(0)), (F(1), F(2))])
+    with pytest.raises(AssertionError, match=r"Cartan entry \(1, 2\) is not an integer"):
+        build_datum("A", 2)
 
 
 def test_fundamental_weights_examples():
