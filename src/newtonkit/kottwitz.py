@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, itemgetter, mul
+from operator import ge, itemgetter, mul, sub
 
 from .linalg import invert
 from .rootdata import (
@@ -95,26 +95,24 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
 def _member(datum, x_nu, x_mubar, p_mubar, L):
     """is_in_bgmu on the integer numerators x_nu and x_mubar of nu and mubar
     over L, given p_mubar = root_pairings(x_mubar): the root pairings of nu
-    give the dominance test and the zero set J, and the kernel's split of
-    mubar - nu (whose pairings are p_mubar minus those of nu, the pairing
-    being linear) its coroot coefficients and orthogonal part.  A member's
-    certificate is (C, J) with C the coroot coefficients over q R L."""
+    give the dominance test and the zero set J, the kernel's complement basis
+    the coroot-span test of mubar - nu, and Q times its pairings (p_mubar
+    minus those of nu, the pairing being linear) its coroot coefficients; no
+    orthogonal part is formed.  A member's certificate is (C, J), C over q R L."""
     k = datum.kernel
     p_nu = k.root_pairings(x_nu)
     if min(p_nu) < 0:
         return False, "nu is not dominant"
-    C, P = k.split([a - b for a, b in zip(x_mubar, x_nu)],
-                   [a - b for a, b in zip(p_mubar, p_nu)])
-    if any(P):
+    if not k.in_coroot_span(list(map(sub, x_mubar, x_nu))):
         return False, "mubar - nu is not in the coroot span"
+    C = k.coefficients(list(map(sub, p_mubar, p_nu)))
     if min(C) < 0:
         return False, "mubar - nu has a negative coroot coefficient"
     den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
-    bad = [orbit for orbit in datum.sigma_orbits
-           if any(p_nu[i - 1] for i in orbit) and sum(C[i - 1] for i in orbit) % den]
-    if bad:
-        return False, f"non-integral coroot coefficient at simple root(s) {bad[0]}"
-    return True, (C, frozenset(i for i, p in enumerate(p_nu, start=1) if not p))
+    for orbit in datum.sigma_orbits:
+        if sum([C[i - 1] for i in orbit]) % den and any([p_nu[i - 1] for i in orbit]):
+            return False, f"non-integral coroot coefficient at simple root(s) {orbit}"
+    return True, (C, frozenset([i for i, p in enumerate(p_nu, start=1) if not p]))
 
 
 def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
@@ -166,7 +164,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     the masks of J are visited in decreasing order, which puts every
     superset of J before J.  A mask is dead, and is neither walked nor its
     block built, when a one-larger superset is dead; otherwise it is
-    walked, and it is dead when its walk gives no leaf.
+    walked, and it is dead when its walk gives no leaf.  A dead mask marks
+    its one-smaller subsets dead, so each mask reads only its own entry.
 
     The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
     lcm of their D q, each point nu = mubar - sum_a c_a coroot_a is an
@@ -177,7 +176,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     denominator is the order of their Fraction tuples, and each becomes a
     cocharacter on those numerators; each distinct certificate numerator
     becomes one Fraction per call.  Each one's split view is mubar's split
-    minus the test's split of mubar - nu (whose orthogonal part is 0), so
+    less the test's coefficients of mubar - nu (in the coroot span, so the
+    orthogonal part is mubar's): split runs on mubar alone, and
     maximal_elements splits no element of the set again.
     """
     datum = mu.datum
@@ -198,20 +198,19 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     if any(w < 0 for w in weights):
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
-    blocks = _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
+    blocks = _BLOCKS.get(datum.cartan) or _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
     dead = [False] * (1 << n)
     leaves = []
     for j_mask in reversed(range(1 << n)):
-        # j_mask | 1 << a is j_mask itself for a in J, not yet marked
-        if any(dead[j_mask | 1 << a] for a in range(n)):
-            dead[j_mask] = True
-            continue
-        block = blocks[j_mask]
-        if block is None:
-            block = blocks[j_mask] = _principal_block(datum.cartan, j_mask)
-        before = len(leaves)
-        leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(block, M, D, bounds))
-        dead[j_mask] = len(leaves) == before
+        if not dead[j_mask]:
+            if blocks[j_mask] is None:
+                blocks[j_mask] = _principal_block(datum.cartan, j_mask)
+            before = len(leaves)
+            leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(blocks[j_mask], M, D, bounds))
+            if len(leaves) > before:
+                continue
+        for a in range(n):  # dead: so is each one-smaller subset (j_mask for a not in J)
+            dead[j_mask & ~(1 << a)] = True
     # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
     S = math.lcm(*(Dq for _, Dq in leaves))
     den = L * S * k.K
@@ -322,15 +321,16 @@ def _walk(block, M, D, bounds):
 
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
-    """Dominance order: y - x is a non-negative combination of simple coroots
-    with equal orthogonal-complement components, read off the kernel's split
-    of y - x over one common denominator.  Callers pass dominant points.
+    """Dominance order: y - x is a non-negative combination of simple coroots.
+    Over one common denominator the kernel's complement basis kills y - x,
+    and Q times its root pairings is >= 0.  Callers pass dominant points.
     """
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
+    k = x.datum.kernel
     L = math.lcm(x.L, y.L)
-    C, P = x.datum.kernel.split([a - b for a, b in zip(y.over(L), x.over(L))])
-    return not any(P) and all(c >= 0 for c in C)
+    d = list(map(sub, y.over(L), x.over(L)))
+    return k.in_coroot_span(d) and min(k.coefficients(k.root_pairings(d))) >= 0
 
 
 def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[KottwitzElement]:

@@ -16,9 +16,9 @@ Coroots 2a/(a,a) and the Cartan matrix come from one integer Gram matrix of
 the simple roots' numerators, each Cartan entry checked to be an integer.
 
 All arithmetic is exact: a cocharacter holds integer numerators over one
-denominator, and the linear algebra runs on them (IntegerKernel, whose split
-gives coroot coefficients plus orthogonal part to sigma_apply and to the
-order and membership tests in kottwitz); nothing here ever touches a float.
+denominator, and the linear algebra runs on them (IntegerKernel: split gives
+coroot coefficients plus orthogonal part, complement decides the coroot span
+for the tests in kottwitz); nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ class IntegerKernel:
     here.  A cocharacter enters as its numerators x over its denominator L,
     so every product is an integer mat-vec product, and callers build their
     results from integers.  ``split`` is the one place that cuts x / L into
-    coroot coefficients and a part orthogonal to the roots.
+    coroot coefficients and a part orthogonal to the roots; ``complement``
+    decides coroot-span membership without forming that part.
     """
 
     def __init__(self, datum: "RootDatum"):
@@ -191,6 +192,28 @@ class IntegerKernel:
         """The fundamental coweights w_i = sum_k inv[k][i] coroot_k over q K,
         one row per node: coroot_sum of column i of Q."""
         return tuple(tuple(self.coroot_sum(col)) for col in zip(*self.Q))
+
+    @cached_property
+    def complement(self) -> tuple[tuple[int, ...], ...]:
+        """An integer basis Z of the roots' orthogonal complement (ambient_dim -
+        rank rows, echelon form) from split's P of the unit vectors: coroots are
+        positive multiples of roots, so x / L is in the coroot span iff Z x = 0."""
+        dim, basis = len(self._root_cols), []  # (pivot, row), zero at earlier pivots
+        for i in range(dim):
+            z = self.split([int(i == j) for j in range(dim)])[1]
+            for h, b in basis:
+                z = [b[h] * t - z[h] * u for t, u in zip(z, b)]
+            if any(z):
+                g = math.gcd(*z)
+                basis.append((next(h for h, t in enumerate(z) if t), [t // g for t in z]))
+        return tuple(tuple(b) for _, b in basis)
+
+    def in_coroot_span(self, x: Sequence[int]) -> bool:
+        """Z x = 0 for x over any L; a loop, as it runs on every enumerated point."""
+        for z in self.complement:
+            if sum(map(mul, z, x)):
+                return False
+        return True
 
     def split(self, x: Sequence[int],
               pairings: Sequence[int] | None = None) -> tuple[list[int], list[int]]:

@@ -285,6 +285,41 @@ def test_folded_membership_orbit_integrality():
     assert (ok, reason) == (False, "non-integral coroot coefficient at simple root(s) (1, 3)")
 
 
+SPAN_CASES = [("A", 1, 1), ("A", 4, 2), ("A", 8, 5), ("G2", 2, 1), ("E6", 6, 1), ("E6", 6, 2),
+              ("E7", 7, 7), ("A2xG2xE6", 10, 1), ("A2xG2xE6", 10, 3)]
+
+
+@pytest.mark.parametrize("t,n,node", SPAN_CASES)
+def test_a_point_off_the_coroot_span_is_refused_with_its_reason(t, n, node):
+    # nu = e + s z, e an element of the set and z a combination of the
+    # complement rows: nu pairs with every root as e does, so it is dominant,
+    # and its coroot coefficients are e's, but mubar - nu is off the span
+    if t == "A2xG2xE6":
+        datum = product_datum([build_datum("A", 2), build_datum("G2", 2), build_datum("E6", 6)])
+    else:
+        datum = build_datum(t, n)
+    assert datum.rank == n
+    ks = enumerate_bgmu(_coweight(datum, node))
+    Z = datum.kernel.complement
+    assert Z
+    moves = list(Z) + [[sum(col) for col in zip(*Z)]]
+    for e in (ks.elements[0], ks.elements[-1]):
+        for z in moves:
+            for scale in (F(1, 3), -2):
+                nu = datum.cochar([a + scale * b for a, b in zip(e.nu.coords, z)])
+                assert is_dominant(nu)
+                assert is_in_bgmu(nu, ks.mubar) == (False, "mubar - nu is not in the coroot span")
+                assert not newton_leq(nu, ks.mubar) and not newton_leq(e.nu, nu)
+        assert is_in_bgmu(e.nu, ks.mubar) == (True, (e.c, e.J))
+
+
+def test_only_types_a_e6_e7_and_g2_have_a_complement():
+    # the roots of B, C, D, E8 and F4 span the ambient space, so "mubar - nu
+    # is not in the coroot span" is never their reason
+    for t, n in SIGN_FACT_TYPES:
+        assert bool(build_datum(t, n).kernel.complement) == (t in ("A", "E6", "E7", "G2")), (t, n)
+
+
 def test_galois_average_e6_flip():
     e6 = build_datum("E6", 6, "flip")
     cw = fundamental_coweights(e6)

@@ -530,3 +530,58 @@ def test_kernel_split_solves_the_cartan_system(t, n):
             assert sum(datum.cartan[j][i] * c[i] for i in range(n)) == dot(coords, root)
         assert [sum((ci * a[s] for ci, a in zip(c, datum.simple_coroots)), perp[s])
                 for s in range(datum.ambient_dim)] == coords
+
+
+def _rank(rows):
+    """The rank of a list of rational rows, by Gaussian elimination over Fractions."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# every datum up to rank 8, two with a diagram automorphism, and a product
+COMPLEMENT_DATA = ([(t, n, None) for t, n in ALL_TYPES]
+                   + [("A", 3, "flip"), ("E6", 6, "flip"), ("A2xE6xG2", 10, None)])
+
+
+@pytest.mark.parametrize("t,n,sigma", COMPLEMENT_DATA, ids=str)
+def test_the_complement_basis_spans_the_roots_orthogonal_complement(t, n, sigma):
+    # Z has ambient_dim - rank independent integer rows, each pairing to 0
+    # with every simple root, and Z x = 0 exactly when split leaves no
+    # orthogonal part: checked on random vectors, coroot combinations and
+    # coroot combinations moved off the span by a complement row
+    if t == "A2xE6xG2":
+        datum = product_datum([build_datum("A", 2), build_datum("E6", 6), build_datum("G2", 2)])
+    else:
+        datum = build_datum(t, n, sigma)
+    k = datum.kernel
+    Z = k.complement
+    assert len(Z) == datum.ambient_dim - datum.rank
+    assert all(isinstance(x, int) for z in Z for x in z)
+    assert all(dot(z, root) == 0 for z in Z for root in datum.simple_roots)
+    assert _rank(Z) == len(Z)
+    rng = random.Random(datum.ambient_dim * 100 + datum.rank)
+    verdicts = set()
+    for _ in range(30):
+        x = [rng.randint(-9, 9) for _ in range(datum.ambient_dim)]
+        inside = k.coroot_sum([rng.randint(-5, 5) for _ in range(datum.rank)])
+        moved = list(inside)
+        for z in Z:
+            moved = [a + rng.randint(1, 3) * b for a, b in zip(moved, z)]
+        for v in (x, inside, moved):
+            got = k.in_coroot_span(v)
+            assert got == (not any(k.split(v)[1])), (t, n, v)
+            verdicts.add(got)
+        assert k.in_coroot_span(inside)
+        assert k.in_coroot_span(moved) == (not Z)
+    assert verdicts == ({True, False} if Z else {True})
