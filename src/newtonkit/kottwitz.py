@@ -93,12 +93,12 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
 
 
 def _member(datum, x_nu, x_mubar, p_mubar, L):
-    """is_in_bgmu on the integer numerators x_nu and x_mubar of nu and mubar
-    over L, given p_mubar = root_pairings(x_mubar): the root pairings of nu
-    give the dominance test and the zero set J, the kernel's complement basis
-    the coroot-span test of mubar - nu, and Q times its pairings (p_mubar
-    minus those of nu, the pairing being linear) its coroot coefficients; no
-    orthogonal part is formed.  A member's certificate is (C, J), C over q R L."""
+    """The test of is_in_bgmu, its one caller, on the integer numerators x_nu
+    and x_mubar of nu and mubar over L, given p_mubar = root_pairings(x_mubar):
+    the root pairings of nu give the dominance test and the zero set J, the
+    complement basis the coroot-span test of mubar - nu, and Q times its
+    pairings (p_mubar minus those of nu) its coroot coefficients; no
+    orthogonal part is formed.  A certificate is (C, J), C over q R L."""
     k = datum.kernel
     p_nu = k.root_pairings(x_nu)
     if min(p_nu) < 0:
@@ -167,18 +167,18 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     walked, and it is dead when its walk gives no leaf.  A dead mask marks
     its one-smaller subsets dead, so each mask reads only its own entry.
 
-    The candidates are collected as (K sum_a C_a coroot_a, D q).  With S the
-    lcm of their D q, each point nu = mubar - sum_a c_a coroot_a is an
-    integer vector over the one denominator L S K, and must pass the tests
-    of is_in_bgmu on those numerators (_member: dominance, coroot span,
-    signs, integrality) to be kept with its certificate.  The kept points
-    are sorted on their numerators, which over a shared positive
-    denominator is the order of their Fraction tuples, and each becomes a
-    cocharacter on those numerators; each distinct certificate numerator
-    becomes one Fraction per call.  Each one's split view is mubar's split
-    less the test's coefficients of mubar - nu (in the coroot span, so the
-    orthogonal part is mubar's): split runs on mubar alone, and
-    maximal_elements splits no element of the set again.
+    Each leaf (C, D q) of the walk on J is thus a member with certificate
+    (C / (D q), J), and is not tested again: mubar - nu = sum_a c_a coroot_a,
+    and the facts above make c >= 0, integral off J, and nu dominant with
+    zero set J.  With S the lcm of the leaves' D q, each point nu is an
+    integer vector over the one denominator L S K, and c one over
+    q R L S K.  The points are sorted on their numerators, which over a
+    shared positive denominator is the order of their Fraction tuples, and
+    each becomes a cocharacter on those numerators; each distinct
+    certificate numerator becomes one Fraction per call.  Each one's split
+    view is mubar's split less the coefficients of mubar - nu (in the
+    coroot span, so the orthogonal part is mubar's): split runs on mubar
+    alone, and maximal_elements splits no element of the set again.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -206,25 +206,24 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
             if blocks[j_mask] is None:
                 blocks[j_mask] = _principal_block(datum.cartan, j_mask)
             before = len(leaves)
-            leaves += ((k.coroot_sum(C), Dq) for C, Dq in _walk(blocks[j_mask], M, D, bounds))
+            J = frozenset([i + 1 for i in range(n) if j_mask >> i & 1])  # every leaf's zero set
+            leaves += ((C, Dq, J) for C, Dq in _walk(blocks[j_mask], M, D, bounds))
             if len(leaves) > before:
                 continue
         for a in range(n):  # dead: so is each one-smaller subset (j_mask for a not in J)
             dead[j_mask & ~(1 << a)] = True
-    # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K
-    S = math.lcm(*(Dq for _, Dq in leaves))
+    # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K, c over cden
+    S = math.lcm(*(Dq for _, Dq, _ in leaves))
     den = L * S * k.K
+    cden = k.q * k.R * den
     x_mubar = [t * S * k.K for t in x]
     p_mubar = [p * S * k.K for p in pairings]
     members = []
-    for s, Dq in leaves:
-        f = L * (S // Dq)
-        x_nu = [t - f * u for t, u in zip(x_mubar, s)]
-        ok, cert = _member(datum, x_nu, x_mubar, p_mubar, den)
-        if ok:
-            members.append((x_nu, *cert))
+    for C, Dq, J in leaves:
+        f, e = L * (S // Dq), cden // Dq
+        members.append(([t - f * u for t, u in zip(x_mubar, k.coroot_sum(C))],
+                        [e * c for c in C], J))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
-    cden = k.q * k.R * den
     coefficients = {c: Fraction(c, cden) for c in {c for _, C, _ in members for c in C}}
     C_mubar, P_mubar = k.split(x_mubar, p_mubar)
     elements = []

@@ -209,7 +209,7 @@ class IntegerKernel:
         return tuple(tuple(b) for _, b in basis)
 
     def in_coroot_span(self, x: Sequence[int]) -> bool:
-        """Z x = 0 for x over any L; a loop, as it runs on every enumerated point."""
+        """Z x = 0 for x over any L; a loop, as it runs on every membership and order test."""
         for z in self.complement:
             if sum(map(mul, z, x)):
                 return False

@@ -608,6 +608,15 @@ _PROFILE = '{"mults":[1,2,1],"polarized":true,"slopes":["1/1","1/2","0/1"]}'
      "ad1200a3ff846d35eccb885370e2a5522690273df13c0d612e0a1c081d629a9b"),
     (["maximal", "--type", "E8", "--rank", "8", "--node", "4", "--exclude-top"], 0,
      "977f01a39aa7bb758ad540d716d330e68e42905ed1fbeb8bf5a4694113cdde13"),
+    # D8 at the vector node and at both spin nodes, where pi_1 is finest
+    (["bgmu", "--type", "D", "--rank", "8", "--node", "1"], 0,
+     "328f8dd84dd4f0b215b86f5601ffa44535797c399d54abd9e216dd2014571466"),
+    (["bgmu", "--type", "D", "--rank", "8", "--node", "7"], 0,
+     "00312de208fc8b69854d9be5690e6d8e42b54c5f6adbc1cf45e263556b431da1"),
+    (["bgmu", "--type", "D", "--rank", "8", "--node", "8"], 0,
+     "fdec410e326bb0b24b5b8483791048367f657f93105171e988985a0d53ef8437"),
+    (["maximal", "--type", "D", "--rank", "8", "--node", "8", "--exclude-top"], 0,
+     "5c65ef855cd03d1775d386657db07fdae9c2a7157a05345537aef9ee24cc0cf7"),
 ])
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     exit_code, out = _capture(capsys, argv)

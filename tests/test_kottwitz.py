@@ -148,22 +148,31 @@ def test_newton_leq_is_partial_order_on_enumerated_sets():
 
 
 def test_enumerated_elements_are_certified_and_bounded_by_top():
-    for t, n, k in [("C", 3, 3), ("D", 4, 4), ("E6", 6, 1)]:
-        d = build_datum(t, n)
-        mu = _coweight(d, k)
-        ks = enumerate_bgmu(mu)
-        assert ks.mubar.coords in set(ks.points())
-        for e in ks.elements:
-            assert is_dominant(e.nu)
-            ok, cert = is_in_bgmu(e.nu, ks.mubar)
-            assert ok and cert[0] == e.c and cert[1] == e.J
-            assert newton_leq(e.nu, ks.mubar)
-            # certificate reconstructs nu exactly
-            coords = list(ks.mubar.coords)
-            for ci, av in zip(e.c, d.simple_coroots):
-                for t_, x in enumerate(av):
-                    coords[t_] -= ci * x
-            assert tuple(coords) == e.nu.coords
+    # every datum up to rank 8 at every node and omega_1 + omega_n: the
+    # enumeration does not test its points again, so each one is tested here
+    count = 0
+    for t, ranks in _RANKS.items():
+        for n in ranks:
+            d = build_datum(t, n)
+            coweights = fundamental_coweights(d)
+            mus = [d.cochar(c) for c in coweights]
+            mus.append(d.cochar([a + b for a, b in zip(coweights[0], coweights[-1])]))
+            for mu in mus:
+                ks = enumerate_bgmu(mu)
+                assert ks.mubar.coords in set(ks.points())
+                count += len(ks.elements)
+                for e in ks.elements:
+                    assert is_dominant(e.nu)
+                    assert is_in_bgmu(e.nu, ks.mubar) == (True, (e.c, e.J)), (t, n, e.nu.coords)
+                    assert newton_leq(e.nu, ks.mubar)
+                    # certificate reconstructs nu exactly (coroots are sparse)
+                    coords = list(ks.mubar.coords)
+                    for ci, av in zip(e.c, d.simple_coroots):
+                        for t_, x in enumerate(av):
+                            if x and ci:
+                                coords[t_] -= ci * x
+                    assert tuple(coords) == e.nu.coords
+    assert count == 9310
 
 
 def test_downward_directed():
@@ -501,13 +510,14 @@ def test_elements_with_the_same_nu_are_one_point():
     ([3], 1, "nu is not dominant"),
 ])
 def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
-    # a leaf the walk should never give is dropped by the membership test,
-    # not trusted: nu = mubar - (C / Dq) coroot on A1 fails with reason
+    # the walk's leaves carry their certificates and are not tested again, so
+    # a leaf the walk should never give is not hidden: nu = mubar - (C / Dq)
+    # coroot on A1 comes out of enumerate_bgmu beside the true elements, and
+    # is_in_bgmu, the check every enumerated element passes in
+    # test_enumerated_elements_are_certified_and_bounded_by_top, refuses it
     a1 = build_datum("A", 1)
     mu = _coweight(a1, 1)
     want = _certified(mu)
-    bogus = a1.cochar([m - F(C[0], Dq) * x for m, x in zip(mu.coords, a1.simple_coroots[0])])
-    assert is_in_bgmu(bogus, mu) == (False, reason)
     walk = kottwitz._walk
     offered = []
 
@@ -518,8 +528,14 @@ def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
             yield C, Dq
 
     monkeypatch.setattr(kottwitz, "_walk", walk_and_a_bogus_leaf)
-    assert _certified(mu) == want
+    ks = enumerate_bgmu(mu)
     assert len(offered) == 1
+    (bogus,) = [e for e in ks.elements if (e.nu.coords, e.c, e.J) not in want]
+    assert [(e.nu.coords, e.c, e.J) for e in ks.elements if e is not bogus] == want
+    assert bogus.nu.coords == tuple(m - F(C[0], Dq) * x
+                                    for m, x in zip(mu.coords, a1.simple_coroots[0]))
+    assert (bogus.c, bogus.J) == ((F(C[0], Dq),), frozenset())
+    assert is_in_bgmu(bogus.nu, ks.mubar) == (False, reason)
 
 
 def _exhaustive_scan(mu):
@@ -684,9 +700,10 @@ _EVERY_MASK_BLOCKS = {}
 
 
 def _walk_every_mask(mu):
-    """Reference: enumerate_bgmu before it skipped dead zero sets.  It walks
-    the principal block of every mask J in increasing order, tests each leaf
-    with _member and builds one Fraction per coordinate and certificate
+    """Reference: enumerate_bgmu before it skipped dead zero sets and trusted
+    its leaves' certificates.  It walks the principal block of every mask J
+    in increasing order, tests each leaf with _member, keeps _member's
+    certificate and builds one Fraction per coordinate and certificate
     entry; (nu, c, J) tuples in the enumeration's order."""
     datum = mu.datum
     k, n = datum.kernel, datum.rank
@@ -839,10 +856,11 @@ def _classical_polygon_newton_points(t, n, k):
     condition reads sum(nu) = sum(mu) mod 2.  When nu_n = 0 the centralizer
     has an SO factor, which absorbs the parity.
 
-    D is left out: the polygon of (nu, -nu) loses the sign of nu_n, and the
-    pi_1 condition there is finer (a slope-0 SO_2 part is a torus).  Chai's
-    length needs no model, and checks the maximal elements of D, E, F and G
-    up to rank 8 (test_maximal_elements_below_the_top_are_chais_length_one).
+    D needs more than the parity: the polygon of (nu, -nu) loses the sign of
+    nu_n, and the pi_1 condition there is finer (a slope-0 SO_2 part is a
+    torus).  _type_d_polygon_newton_points puts both back.  Chai's length
+    needs no model, and checks the maximal elements of D, E, F and G up to
+    rank 8 (test_maximal_elements_below_the_top_are_chais_length_one).
     """
     half = F(1, 2) if t == "C" and k == n else None
     mu = [half] * n if half else [F(1)] * k + [F(0)] * (n - k)
@@ -884,6 +902,59 @@ def _symmetric_polygon_upper_halves(hodge, shift):
 
     extend(0, 0, None, [])
     return out
+
+
+def _type_d_polygon_newton_points(n, k):
+    """B(G, omega_k) for G = SO_2n (D_n) from the polygons of
+    _classical_polygon_newton_points, with the sign of nu_n and the pi_1
+    condition put back, again with no code of kottwitz.
+
+    The weights of mu on the standard representation are (mu, -mu), so the
+    Hodge slopes are the sorted |mu_i| plus the shift: 1 at the nodes
+    k <= n - 2, where mu = omega_k is integral, and 1/2 at the two spin
+    nodes.  The polygon of nu forgets the sign of nu_n, so each upper half
+    lifts to nu with either sign.  A lift is kept when x = mu - nu is a
+    non-negative combination of the coroots e_i - e_(i+1) (i < n) and
+    e_(n-1) + e_n, integral at every simple root that nu pairs nonzero
+    against (Kottwitz, Compositio 109, 1997).  Those coefficients are
+    partial sums S_i of x: S_i for i <= n - 2, and (S_(n-1) -+ x_n) / 2 at
+    the fork nodes n - 1 and n.
+    """
+    spin = k >= n - 1
+    mu = ([F(1, 2)] * (n - 1) + [F(1, 2) if k == n else F(-1, 2)] if spin
+          else [F(1)] * k + [F(0)] * (n - k))
+    shift = F(1, 2) if spin else F(1)
+    out = set()
+    for slopes in _symmetric_polygon_upper_halves(sorted((abs(m) + shift for m in mu),
+                                                         reverse=True), shift):
+        half = [s - shift for s in slopes]
+        for nu in (half, half[:-1] + [-half[-1]]):
+            x = [m - v for m, v in zip(mu, nu)]
+            S = list(itertools.accumulate(x))
+            c = S[:n - 2] + [(S[n - 2] - x[-1]) / 2, (S[n - 2] + x[-1]) / 2]
+            pairings = [a - b for a, b in zip(nu, nu[1:])] + [nu[-2] + nu[-1]]
+            if all(ci >= 0 and (ci.denominator == 1 or not p) for ci, p in zip(c, pairings)):
+                out.add(tuple(nu))
+    return mu, out
+
+
+def test_type_d_every_node_is_the_polygon_set_with_both_signs_of_nu_n():
+    # every node of D_3..D_8; the model is not symmetric in the sign of
+    # nu_n, so a flipped sign fails it as surely as a dropped point
+    points = signed = unpaired = 0
+    for n in range(3, 9):
+        datum = build_datum("D", n)
+        for k in range(1, n + 1):
+            mu, expected = _type_d_polygon_newton_points(n, k)
+            assert datum.cochar(mu) == _coweight(datum, k)
+            ks = enumerate_bgmu(datum.cochar(mu))
+            got = {e.nu.coords for e in ks.elements}
+            assert len(got) == len(ks.elements)
+            assert got == expected, (n, k)
+            points += len(got)
+            signed += sum(1 for nu in got if nu[-1])
+            unpaired += sum(1 for nu in got if nu[-1] and nu[:-1] + (-nu[-1],) not in got)
+    assert (points, signed, unpaired) == (989, 404, 88)
 
 
 @pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 9)] + [("B", n) for n in range(2, 9)])
