@@ -149,8 +149,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     coordinate per level from that greatest value down, settling the later
     ones for each value; a level ends at the first failure that every lower
     value shares (an earlier pairing, a later coordinate below 0).
-    The walk's rows and steps depend on J and the Cartan matrix alone and
-    are computed once per process (_BLOCKS).
+    The walk's pairing rows and steps depend on J and the Cartan matrix
+    alone and are computed once per process (_BLOCKS).
 
     The zero sets that hold a point are closed upward.  Take nu in the set
     with zero set J, any J' containing J, and d = B' <nu, alpha_J'> with B'
@@ -162,23 +162,23 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     they stay integral, and those in J' only grow.  Hence nu' is in the
     set, and a J without a point has no point on any subset either.  So
     the masks of J are visited in decreasing order, which puts every
-    superset of J before J.  A mask is dead, and is neither walked nor its
-    block built, when a one-larger superset is dead; otherwise it is
-    walked, and it is dead when its walk gives no leaf.  A dead mask marks
-    its one-smaller subsets dead, so each mask reads only its own entry.
+    superset of J before J.  A mask is walked, and its block built, when
+    each one-larger superset is live (its walk gave a leaf), read lowest
+    clear bit first: most masks that are not walked stop at one lookup.
 
-    Each leaf (C, D q) of the walk on J is thus a member with certificate
-    (C / (D q), J), and is not tested again: mubar - nu = sum_a c_a coroot_a,
-    and the facts above make c >= 0, integral off J, and nu dominant with
-    zero set J.  With S the lcm of the leaves' D q, each point nu is an
-    integer vector over the one denominator L S K, and c one over
-    q R L S K.  The points are sorted on their numerators, which over a
-    shared positive denominator is the order of their Fraction tuples, and
-    each becomes a cocharacter on those numerators; each distinct
-    certificate numerator becomes one Fraction per call.  Each one's split
-    view is mubar's split less the coefficients of mubar - nu (in the
-    coroot span, so the orthogonal part is mubar's): split runs on mubar
-    alone, and maximal_elements splits no element of the set again.
+    Each leaf of the walk on J is its free pairings P_g = D q <nu, alpha_g>,
+    g not in J, and a member with zero set J, not tested again: mubar - nu
+    = sum_a c_a coroot_a, and the facts above make c >= 0, integral off J,
+    and nu dominant.  With Q / q' the inverse of the whole Cartan matrix
+    and w_g = sum_a Q[a][g] coroot_a / q', nu is mubar's orthogonal part
+    plus sum_g P_g w_g / (D q), and c is mubar's coefficients less
+    sum_g P_g Q[:, g] / (D q q'): two vector updates per free node, over
+    shared denominators L S K q' and q' R L S K q' (S the lcm of the
+    leaves' D q).  The points are sorted on these numerators (the order of
+    their Fraction tuples) and become cocharacters on them, one Fraction
+    per distinct certificate numerator.  Each split view is mubar's split
+    less the coefficients of mubar - nu (whose orthogonal part is 0), so
+    split runs on mubar alone and maximal_elements splits no element again.
     """
     datum = mu.datum
     if datum.sigma_order > 1:
@@ -187,8 +187,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     if not is_dominant(mu):
         raise ValueError("mu must be dominant")
     mubar = galois_average(mu)
-    n = datum.rank
-    k = datum.kernel
+    n, k = datum.rank, datum.kernel
     x, L = mubar.x, mubar.L
     pairings = k.root_pairings(x)  # R L <mubar, alpha_g>
     g = math.gcd(k.R * L, *pairings)
@@ -199,33 +198,34 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         raise AssertionError("dominant mubar pairs negatively with a weight")
     bounds = [w // (k.q * D) for w in weights]
     blocks = _BLOCKS.get(datum.cartan) or _BLOCKS.setdefault(datum.cartan, [None] * (1 << n))
-    dead = [False] * (1 << n)
-    leaves = []
+    live, leaves = [False] * (1 << n), []
     for j_mask in reversed(range(1 << n)):
-        if not dead[j_mask]:
-            if blocks[j_mask] is None:
-                blocks[j_mask] = _principal_block(datum.cartan, j_mask)
-            before = len(leaves)
-            J = frozenset([i + 1 for i in range(n) if j_mask >> i & 1])  # every leaf's zero set
-            leaves += ((C, Dq, J) for C, Dq in _walk(blocks[j_mask], M, D, bounds))
-            if len(leaves) > before:
-                continue
-        for a in range(n):  # dead: so is each one-smaller subset (j_mask for a not in J)
-            dead[j_mask & ~(1 << a)] = True
-    # nu = x / L - coroot_sum(C) / (K D q): every nu over den = L S K, c over cden
-    S = math.lcm(*(Dq for _, Dq, _ in leaves))
-    den = L * S * k.K
-    cden = k.q * k.R * den
-    x_mubar = [t * S * k.K for t in x]
-    p_mubar = [p * S * k.K for p in pairings]
+        rest = (1 << n) - 1 & ~j_mask  # walked when each one-larger superset is live
+        while rest and live[j_mask | rest & -rest]:
+            rest &= rest - 1
+        if rest:
+            continue
+        block = blocks[j_mask] = blocks[j_mask] or _principal_block(datum.cartan, j_mask)
+        J = frozenset([i + 1 for i in range(n) if j_mask >> i & 1])  # every leaf's zero set
+        for P in _walk(block, M, D, bounds):
+            leaves.append((P, block, J))
+            live[j_mask] = True
+    S = math.lcm(*(D * block[1] for _, block, _ in leaves))
+    den = L * S * k.K * k.q
+    C_mubar, P_mubar = k.split([t * (den // L) for t in x], [p * (den // L) for p in pairings])
+    nu_0 = [p // k.qRK for p in P_mubar]  # mubar's orthogonal part over den (D divides S)
+    cols, coweights = tuple(zip(*k.Q)), k.coweights
     members = []
-    for C, Dq, J in leaves:
-        f, e = L * (S // Dq), cden // Dq
-        members.append(([t - f * u for t, u in zip(x_mubar, k.coroot_sum(C))],
-                        [e * c for c in C], J))
+    for P, (free, qb, *_), J in leaves:
+        f = L * S // (D * qb)  # over den, P_g w_g / (D qb) is P_g f coweights[g]
+        x_nu, C = nu_0, C_mubar
+        for g, p in zip(free, P):
+            p, h = p * f, p * f * k.qRK
+            x_nu = [t + p * u for t, u in zip(x_nu, coweights[g])]
+            C = [c - h * u for c, u in zip(C, cols[g])]
+        members.append((x_nu, C, J))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
-    coefficients = {c: Fraction(c, cden) for c in {c for _, C, _ in members for c in C}}
-    C_mubar, P_mubar = k.split(x_mubar, p_mubar)
+    coefficients = {c: Fraction(c, k.q * k.R * den) for c in {c for _, C, _ in members for c in C}}
     elements = []
     for x_nu, C, J in members:
         nu = RationalCocharacter(x_nu, den, datum)
@@ -242,10 +242,11 @@ _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
 
 
 def _principal_block(cartan, j_mask):
-    """The walk's data for the zero set J = the bits of j_mask: (free, q, C
-    rows, pairing rows, steps), q the common denominator of B.  Each row is
-    over (M, D c_free); steps[i] is the change of the free pairings when
-    D c_free[i] grows by 1.  Raises AssertionError if a sign fact fails."""
+    """The walk's data for J = the bits of j_mask: (free, q, pairing rows,
+    steps), q the common denominator of B.  The pairing rows, over (M, D
+    c_free), are formed from C rows that are kept for the sign-fact check
+    alone; steps[i] is the change of the free pairings as D c_free[i] grows
+    by 1.  Raises AssertionError if a sign fact fails."""
     n = len(cartan)
     J = [i for i in range(n) if j_mask >> i & 1]
     free = tuple(i for i in range(n) if not j_mask >> i & 1)
@@ -263,7 +264,7 @@ def _principal_block(cartan, j_mask):
     if any(x < 0 for row in rows for x in row) or any(
             (d < 0) != (i == h) for i, step in enumerate(steps) for h, d in enumerate(step)):
         raise AssertionError(f"principal block {J} of {cartan} breaks a sign fact")
-    return free, q, tuple(map(tuple, rows)), tuple(map(tuple, pairing_rows)), steps
+    return free, q, tuple(map(tuple, pairing_rows)), steps
 
 
 def _settle(values, point, steps, fixed):
@@ -288,8 +289,8 @@ def _settle(values, point, steps, fixed):
 
 def _walk(block, M, D, bounds):
     """The candidates with the zero set J of block (see enumerate_bgmu and
-    _principal_block) as pairs (C, D q), C = c D q the integer vector."""
-    free, q, rows, pairing_rows, steps = block
+    _principal_block), each as its free pairings D q <nu, alpha_g>."""
+    free, _, pairing_rows, steps = block
     # D times the unit steps (D = 1 for every coweight, so no product there)
     steps = steps if D == 1 else [[D * d for d in step] for step in steps]
     point = [bounds[a] for a in free]
@@ -301,8 +302,7 @@ def _walk(block, M, D, bounds):
     def descend(i, values, point):
         # point[:i] is fixed, point[i:] the greatest point that completes it
         if i == len(free):
-            v = M + [D * y for y in point]
-            yield [sum(map(mul, row, v)) for row in rows], D * q
+            yield [v + 1 for v in values]
             return
         yield from descend(i + 1, values, point)
         step = steps[i]

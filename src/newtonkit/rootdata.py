@@ -106,8 +106,8 @@ class RationalCocharacter:
     vector has one stored form, and equality and hashing are the vector's.
     The views coords (Fractions) and split (kernel.split(x) as two tuples: C
     over q R L, P over q R K L) are cached on first read;
-    kottwitz.enumerate_bgmu fills the split of its elements from its
-    membership test."""
+    kottwitz.enumerate_bgmu fills the split of its elements from mubar's
+    split and the coroot coefficients it reads off each walk leaf."""
 
     x: tuple[int, ...]
     L: int
