@@ -225,6 +225,8 @@ def _cmd_mepsilon(args):
     if args.shape == "siegel":
         roots = hecke.siegel_radical_roots(len(full) // 2, lower=not args.upper)
     elif args.shape == "gl":
+        if args.upper:
+            raise ValueError("--upper applies to --shape siegel only")
         roots = hecke.gl_upper_roots(len(full))
     else:
         raise ValueError(f"unknown radical shape {args.shape!r}")

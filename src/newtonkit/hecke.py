@@ -75,12 +75,11 @@ def m_epsilon_valuation(eps, parabolic_roots: Sequence[Sequence]) -> Fraction:
     """
     full = _full_vector(eps)
     total = Fraction(0)
-    for alpha in parabolic_roots:
-        v = dot(full, vec_parse(alpha))
+    for alpha in map(vec_parse, parabolic_roots):
+        v = dot(full, alpha)
         if v < 0:
-            raise ValueError(
-                f"eps pairs negatively ({v}) with the radical root {tuple(alpha)}"
-            )
+            raise ValueError(f"eps pairs negatively ({v}) with the radical root "
+                             f"({', '.join(map(str, alpha))})")
         total += v
     return total
 

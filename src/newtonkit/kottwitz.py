@@ -11,6 +11,9 @@ A point nu belongs to the set attached to a dominant mu exactly when
 
 The certificate (c, J) stores the coefficient vector and the set of simple
 roots pairing to zero against nu, where integrality is not required.
+
+Membership and enumeration take split data only (they refuse a nontrivial
+sigma), so there mubar is mu; galois_average takes any sigma.
 """
 
 from __future__ import annotations
@@ -64,55 +67,37 @@ def galois_average(mu: RationalCocharacter) -> RationalCocharacter:
 
 
 def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
-    """Decide membership of nu relative to the Galois average mubar.
-
-    Returns (True, (c, J)) with the certificate, or (False, reason).
-    When sigma is nontrivial the integrality condition is taken over
-    sigma-orbits of simple roots (orbit-summed fundamental weights); this
-    folded path requires nu to be sigma-invariant.  nu and mubar are
-    put over one common denominator and tested on those integer
-    numerators (_member).
+    """Decide membership of nu relative to mubar, split data only: (True,
+    (c, J)) with the certificate, or (False, reason).  nu and mubar are put
+    over one common denominator L and tested on those integer numerators:
+    the root pairings of nu give the dominance test and the zero set J, the
+    complement basis the coroot-span test of mubar - nu, and Q times its
+    root pairings its coroot coefficients C = c q R L; no orthogonal part is
+    formed.
     """
     datum = nu.datum
     if mubar.datum != datum:
         raise ValueError("nu and mubar live over different root data")
     if datum.sigma_order > 1:
-        if sigma_apply(mubar) != mubar:
-            raise ValueError("mubar is not sigma-invariant")
-        if sigma_apply(nu) != nu:
-            raise ValueError("nu is not sigma-invariant while sigma is nontrivial")
+        raise ValueError("membership is only supported for trivial sigma")
     k = datum.kernel
     L = math.lcm(nu.L, mubar.L)
-    x_mubar = mubar.over(L)
-    ok, cert = _member(datum, nu.over(L), x_mubar, k.root_pairings(x_mubar), L)
-    if not ok:
-        return ok, cert
-    C, J = cert
-    den = k.q * k.R * L
-    return ok, (tuple(Fraction(c, den) for c in C), J)
-
-
-def _member(datum, x_nu, x_mubar, p_mubar, L):
-    """The test of is_in_bgmu, its one caller, on the integer numerators x_nu
-    and x_mubar of nu and mubar over L, given p_mubar = root_pairings(x_mubar):
-    the root pairings of nu give the dominance test and the zero set J, the
-    complement basis the coroot-span test of mubar - nu, and Q times its
-    pairings (p_mubar minus those of nu) its coroot coefficients; no
-    orthogonal part is formed.  A certificate is (C, J), C over q R L."""
-    k = datum.kernel
+    x_nu = nu.over(L)
     p_nu = k.root_pairings(x_nu)
     if min(p_nu) < 0:
         return False, "nu is not dominant"
-    if not k.in_coroot_span(list(map(sub, x_mubar, x_nu))):
+    d = list(map(sub, mubar.over(L), x_nu))
+    if not k.in_coroot_span(d):
         return False, "mubar - nu is not in the coroot span"
-    C = k.coefficients(list(map(sub, p_mubar, p_nu)))
+    C = k.coefficients(k.root_pairings(d))
     if min(C) < 0:
         return False, "mubar - nu has a negative coroot coefficient"
     den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
-    for orbit in datum.sigma_orbits:
-        if sum([C[i - 1] for i in orbit]) % den and any([p_nu[i - 1] for i in orbit]):
-            return False, f"non-integral coroot coefficient at simple root(s) {orbit}"
-    return True, (C, frozenset([i for i, p in enumerate(p_nu, start=1) if not p]))
+    for i, (c, p) in enumerate(zip(C, p_nu), start=1):
+        if p and c % den:
+            return False, f"non-integral coroot coefficient at simple root(s) ({i},)"
+    return True, (tuple(Fraction(c, den) for c in C),
+                  frozenset([i for i, p in enumerate(p_nu, start=1) if not p]))
 
 
 def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
@@ -182,8 +167,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     """
     datum = mu.datum
     if datum.sigma_order > 1:
-        raise ValueError("enumeration is only supported for trivial sigma; "
-                         "the folded case is experimental")
+        raise ValueError("enumeration is only supported for trivial sigma")
     if not is_dominant(mu):
         raise ValueError("mu must be dominant")
     mubar = galois_average(mu)

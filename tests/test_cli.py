@@ -229,6 +229,30 @@ def test_profile_multiplicities_and_polarized_must_be_typed(capsys):
     assert code == 0 and _payload(out)[1]["heights"] == [2, 3]
 
 
+def test_mepsilon_upper_radical(capsys):
+    code, out = _capture(capsys, ["mepsilon", "--full", "[1,1,0,0]", "--upper"])
+    assert code == 0 and _payload(out)[1]["count"] == "27"
+    # a negative pairing names the root in rationals, not in Fraction reprs
+    code, out = _capture(capsys, ["mepsilon", "--full", "[0,0,1,1]", "--upper"])
+    assert code == 2 and "Fraction(" not in out
+    assert _payload(out)[1]["error"].endswith("with the radical root (1, 0, 0, -1)")
+    # --upper chooses between the two Siegel radicals; --shape gl has one
+    code, out = _capture(capsys, ["mepsilon", "--full", "[1,1,0,0]", "--upper", "--shape", "gl"])
+    assert code == 2 and _payload(out)[1]["error"] == "--upper applies to --shape siegel only"
+
+
+def test_enumeration_refuses_a_nontrivial_sigma_and_leq_takes_it(capsys):
+    for sub in ("bgmu", "maximal"):
+        code, out = _capture(capsys, [sub, "--type", "A", "--rank", "3", "--node", "1",
+                                      "--sigma", "flip"])
+        status, payload = _payload(out)
+        assert (code, status) == (2, "error") and "trivial sigma" in payload["error"], sub
+    # the dominance order does not use sigma
+    code, out = _capture(capsys, ["leq", "--type", "A", "--rank", "3", "--sigma", "flip",
+                                  "--x", "[0,0,0,0]", "--y", '["1/2","0","0","-1/2"]'])
+    assert code == 0 and _payload(out)[1]["leq"] is True
+
+
 def test_mepsilon_full_must_fit_its_shape(capsys):
     # the Siegel shape halved the length, so ["1"] and [] both printed count 1
     for full, shape in (('["1"]', "siegel"), ('["0","0","1"]', "siegel"),
@@ -588,8 +612,9 @@ _PROFILE = '{"mults":[1,2,1],"polarized":true,"slopes":["1/1","1/2","0/1"]}'
      "1644ffa3175156bb5a687b24c26f13fb918619e808f9b97853fa601dd8a2f696"),
     (["mepsilon", "--full", '["2","1","0"]', "--shape", "gl", "--p", "5"], 0,
      "07f54ee6df5a2d7744bc78a87f198262138a523e5b5e59e2b3d990db0c161452"),
+    # the error names the root as (1, -1, 0), where it once printed Fraction reprs
     (["mepsilon", "--full", '["0","1","2"]', "--shape", "gl", "--p", "5"], 2,
-     "a4d6863343cacb545b4fb1861387cd95d5e280643e8737cf1aff3bc9edf9ee1c"),
+     "3cb9771914434014e86c18d0a5021dc12e08120c720c6ba7ceb29e1d7c6be212"),
     (["lambdag", "--t", '["0","1"]', "--s", "1"], 0,
      "fceedfc861c128082d63ec06fee556ae0c3eca4b224139a27f62a0e3cdd62f6b"),
     (["hasse", "--w", "2", "--p", "3"], 0,

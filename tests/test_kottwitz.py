@@ -114,9 +114,17 @@ def test_enumerate_requires_dominant_mu():
 
 
 def test_enumerate_rejects_nontrivial_sigma():
-    a3 = build_datum("A", 3, "flip")
-    with pytest.raises(ValueError):
-        enumerate_bgmu(_coweight(a3, 1))
+    # membership and enumeration take split data only: the flips of A3, D4
+    # and E6, D4 triality and a product with one flipped factor
+    for datum in (build_datum("A", 3, "flip"), build_datum("D", 4, "flip"),
+                  build_datum("D", 4, [3, 2, 4, 1]), build_datum("E6", 6, "flip"),
+                  product_datum([build_datum("A", 2), build_datum("D", 5, "flip")])):
+        assert datum.sigma_order > 1
+        mu = _coweight(datum, 1)
+        with pytest.raises(ValueError, match="trivial sigma"):
+            enumerate_bgmu(mu)
+        with pytest.raises(ValueError, match="trivial sigma"):
+            is_in_bgmu(mu, mu)
 
 
 def test_newton_leq_examples():
@@ -264,34 +272,6 @@ def test_membership_invariant_under_diagram_relabeling():
             mapped_nu = plain.cochar(image_nu.coords)
             ok, _ = is_in_bgmu(mapped_nu, mapped_mubar)
             assert ok
-
-
-def test_folded_membership_requires_invariance():
-    a3 = build_datum("A", 3, "flip")
-    mu = _coweight(a3, 1)
-    mubar = galois_average(mu)
-    ok, cert = is_in_bgmu(mubar, mubar)
-    assert ok
-    with pytest.raises(ValueError):
-        is_in_bgmu(mu, mubar)  # mu itself is not sigma-invariant
-
-
-def test_folded_membership_orbit_integrality():
-    # A3 with the flip: mubar = (1/2, 0, 0, -1/2); integrality is taken over
-    # sigma-orbits {1,3} and {2} of the simple roots
-    a3 = build_datum("A", 3, "flip")
-    mubar = galois_average(_coweight(a3, 1))
-    assert mubar.coords == (F(1, 2), 0, 0, F(-1, 2))
-    ok, cert = is_in_bgmu(a3.cochar([0, 0, 0, 0]), mubar)
-    assert ok and cert[0] == (F(1, 2), F(1, 2), F(1, 2))
-    ok, cert = is_in_bgmu(a3.cochar([F(1, 4), F(1, 4), F(-1, 4), F(-1, 4)]), mubar)
-    assert ok and cert[0] == (F(1, 4), 0, F(1, 4))
-    # c_1 + c_3 = 1/4 is not an integer while <nu, alpha_1> != 0
-    ok, reason = is_in_bgmu(
-        a3.cochar([F(3, 8), F(1, 8), F(-1, 8), F(-3, 8)]), mubar
-    )
-    # the reason names the whole orbit, not one of its roots
-    assert (ok, reason) == (False, "non-integral coroot coefficient at simple root(s) (1, 3)")
 
 
 SPAN_CASES = [("A", 1, 1), ("A", 4, 2), ("A", 8, 5), ("G2", 2, 1), ("E6", 6, 1), ("E6", 6, 2),
@@ -721,11 +701,10 @@ def _walk_every_mask(mu):
     in increasing order, rebuilds each leaf's nu from its free pairings
     D q <nu, alpha_g> in Fractions (c solves the Gram system of the simple
     coroots and roots against <mubar - nu, alpha>, nu = mubar - sum_a c_a
-    coroot_a), tests it with _member, keeps _member's certificate and builds
-    one Fraction per coordinate and certificate entry; (nu, c, J) tuples in
-    the enumeration's order."""
+    coroot_a), tests it with is_in_bgmu and keeps its certificate; (nu, c, J)
+    tuples in the enumeration's order."""
     datum = mu.datum
-    k, n = datum.kernel, datum.rank
+    n = datum.rank
     roots, coroots = datum.simple_roots, datum.simple_coroots
     blocks = _EVERY_MASK_BLOCKS.setdefault(datum.cartan, {})
     inverse = _fraction_solve([[_ip(coroots[a], roots[g]) for a in range(n)]
@@ -745,18 +724,12 @@ def _walk_every_mask(mu):
                 drop[g] -= F(p, D * q)
             c = [_ip(row, drop) for row in inverse]
             leaves.append(tuple(t - _ip(c, [v[i] for v in coroots]) for i, t in enumerate(mu.coords)))
-    den = math.lcm(mu.L, *(t.denominator for nu in leaves for t in nu))
-    x_mubar = list(mu.over(den))
-    p_mubar = k.root_pairings(x_mubar)
     members = []
     for nu in leaves:
-        x_nu = [int(t * den) for t in nu]
-        ok, cert = kottwitz._member(datum, x_nu, x_mubar, p_mubar, den)
+        ok, cert = is_in_bgmu(datum.cochar(nu), mu)
         if ok:
-            members.append((x_nu, *cert))
-    members.sort(key=lambda m: m[0])
-    return [(tuple(F(t, den) for t in x_nu), tuple(F(c, k.q * k.R * den) for c in C), J)
-            for x_nu, C, J in members]
+            members.append((nu, *cert))
+    return sorted(members, key=lambda m: m[0])
 
 
 @pytest.mark.parametrize("t,n", SIGN_FACT_TYPES)
@@ -981,6 +954,47 @@ def test_type_d_every_node_is_the_polygon_set_with_both_signs_of_nu_n():
             signed += sum(1 for nu in got if nu[-1])
             unpaired += sum(1 for nu in got if nu[-1] and nu[:-1] + (-nu[-1],) not in got)
     assert (points, signed, unpaired) == (989, 404, 88)
+
+
+def _type_d_leq(x, y):
+    """The dominance order of D_n in the eps-basis, with no kernel and no
+    solve: d = y - x has the coroot coefficients S_i (i <= n - 2) and
+    (S_(n-1) -+ d_n) / 2 at the fork nodes, S_i the partial sums of d."""
+    d = [b - a for a, b in zip(x, y)]
+    S = list(itertools.accumulate(d))
+    return all(s >= 0 for s in S[:-2]) and S[-2] >= abs(d[-1])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_type_d_order_is_the_partial_sum_test(n):
+    # seeded dominant pairs: y is x raised by a sparse non-negative coroot
+    # combination (x <= y, often with an equality in the partial sums) or
+    # an unrelated point; both orders of each pair are compared
+    datum = build_datum("D", n)
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert datum.simple_coroots == tuple(
+        [tuple(a - b for a, b in zip(e[i], e[i + 1])) for i in range(n - 1)]
+        + [tuple(a + b for a, b in zip(e[n - 2], e[n - 1]))])
+    rng = random.Random(n)
+
+    def point(v):
+        return dominant_representative(datum.cochar(v))
+
+    held = pairs = 0
+    for _ in range(200):
+        x = point([F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)])
+        if rng.random() < 0.5:
+            c = [F(rng.choice((0, 0, 0, 1, 2)), rng.choice((1, 2))) for _ in range(n)]
+            y = point([t + sum(ck * a[i] for ck, a in zip(c, datum.simple_coroots))
+                       for i, t in enumerate(x.coords)])
+        else:
+            y = point([F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)])
+        for a, b in ((x, y), (y, x)):
+            want = _type_d_leq(a.coords, b.coords)
+            assert newton_leq(a, b) == want, (a.coords, b.coords)
+            held += want
+            pairs += 1
+    assert 0 < held < pairs
 
 
 @pytest.mark.parametrize("t,n", [("C", n) for n in range(2, 9)] + [("B", n) for n in range(2, 9)])
