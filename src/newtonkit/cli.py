@@ -76,10 +76,7 @@ def _get_datum(args) -> rootdata.RootDatum:
     from . import rootdata
     if args.rank > MAX_RANK:
         raise ValueError(f"rank {args.rank} exceeds the rank cap {MAX_RANK}")
-    sigma = args.sigma
-    if isinstance(sigma, str) and sigma.startswith("["):
-        sigma = _json(sigma)
-    return rootdata.build_datum(args.type, args.rank, sigma)
+    return rootdata.build_datum(args.type, args.rank)
 
 
 def _vec(arg: str) -> tuple[Fraction, ...]:
@@ -96,7 +93,6 @@ def _cmd_datum(args):
     return {
         "type": datum.type_label,
         "rank": datum.rank,
-        "sigma": list(datum.sigma),
         "ambient_dim": datum.ambient_dim,
         "cartan": [list(r) for r in datum.cartan],
         "simple_roots": [vec_str(r) for r in datum.simple_roots],
@@ -266,7 +262,6 @@ def _cmd_verify_all(args):
 _TYPE_ARGS = (
     ("--type", {"required": True}),
     ("--rank", {"type": int, "required": True}),
-    ("--sigma", {"default": None, "help": "identity, flip, or a JSON permutation"}),
 )
 _NODE = ("--node", {"type": int, "required": True})
 _P = ("--p", {"type": int, "default": 3})

@@ -12,8 +12,8 @@ A point nu belongs to the set attached to a dominant mu exactly when
 The certificate (c, J) stores the coefficient vector and the set of simple
 roots pairing to zero against nu, where integrality is not required.
 
-Membership and enumeration take split data only (they refuse a nontrivial
-sigma), so there mubar is mu; galois_average takes any sigma.
+Every root datum here is split (Frobenius acts trivially on it), so mubar,
+the Galois average of mu, is mu itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .rootdata import (
     RootDatum,
     fundamental_coweight,
     is_dominant,
-    sigma_apply,
     special_roots,
 )
 
@@ -54,32 +53,21 @@ class KottwitzSet:
 
 
 def galois_average(mu: RationalCocharacter) -> RationalCocharacter:
-    """The mean of mu, sigma(mu), ..., sigma^(r-1)(mu), r the order of sigma."""
-    r = mu.datum.sigma_order
-    if r == 1:
-        return mu
-    images = [mu]
-    for _ in range(r - 1):
-        images.append(sigma_apply(images[-1]))
-    L = math.lcm(*(v.L for v in images))
-    return RationalCocharacter(
-        tuple(map(sum, zip(*(v.over(L) for v in images)))), r * L, mu.datum)
+    """mubar, the Galois average of mu: mu itself, as every datum here is split."""
+    return mu
 
 
 def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
-    """Decide membership of nu relative to mubar, split data only: (True,
-    (c, J)) with the certificate, or (False, reason).  nu and mubar are put
-    over one common denominator L and tested on those integer numerators:
-    the root pairings of nu give the dominance test and the zero set J, the
-    complement basis the coroot-span test of mubar - nu, and Q times its
-    root pairings its coroot coefficients C = c q R L; no orthogonal part is
-    formed.
+    """Decide membership of nu relative to mubar: (True, (c, J)) with the
+    certificate, or (False, reason).  nu and mubar are put over one common
+    denominator L and tested on those integer numerators: the root pairings
+    of nu give the dominance test and the zero set J, the complement basis
+    the coroot-span test of mubar - nu, and Q times its root pairings its
+    coroot coefficients C = c q R L; no orthogonal part is formed.
     """
     datum = nu.datum
     if mubar.datum != datum:
         raise ValueError("nu and mubar live over different root data")
-    if datum.sigma_order > 1:
-        raise ValueError("membership is only supported for trivial sigma")
     k = datum.kernel
     L = math.lcm(nu.L, mubar.L)
     x_nu = nu.over(L)
@@ -95,7 +83,7 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
     for i, (c, p) in enumerate(zip(C, p_nu), start=1):
         if p and c % den:
-            return False, f"non-integral coroot coefficient at simple root(s) ({i},)"
+            return False, f"non-integral coroot coefficient at simple root {i}"
     return True, (tuple(Fraction(c, den) for c in C),
                   frozenset([i for i, p in enumerate(p_nu, start=1) if not p]))
 
@@ -166,11 +154,9 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     split runs on mubar alone and maximal_elements splits no element again.
     """
     datum = mu.datum
-    if datum.sigma_order > 1:
-        raise ValueError("enumeration is only supported for trivial sigma")
     if not is_dominant(mu):
         raise ValueError("mu must be dominant")
-    mubar = galois_average(mu)
+    mubar = mu
     n, k = datum.rank, datum.kernel
     x, L = mubar.x, mubar.L
     pairings = k.root_pairings(x)  # R L <mubar, alpha_g>

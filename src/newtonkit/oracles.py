@@ -196,10 +196,10 @@ def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> tuple[int, Fraction]:
     """(denominator, box): grid bounds that provably cover every member,
     from the integer orbit of mu over D.
 
-    With trivial sigma (the only case the grid oracle takes) mubar is mu.
-    Coroot coefficients arise from solving principal Cartan submatrices
-    against integer data, so denominators divide
-    lcm(den(mu coords), principal minors * coroot denominators).
+    Every datum is split, so mubar is mu.  Coroot coefficients arise from
+    solving principal Cartan submatrices against integer data, so
+    denominators divide lcm(den(mu coords), principal minors * coroot
+    denominators).
     The box is the coordinate range of the orbit hull of mu.
     """
     datum = mu.datum
@@ -221,15 +221,13 @@ def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
 
     All vectors with coordinates in (1/D) Z inside the orbit bounding box
     are tested against the membership criterion directly, by a test of its
-    own (_grid_member) on their integer numerators.  Rank <= 3 and trivial
-    sigma only, so mubar is mu itself, which must be dominant (by the
+    own (_grid_member) on their integer numerators.  Rank <= 3 only.  The
+    datum is split, so mubar is mu itself, which must be dominant (by the
     oracle's own pairing test, as enumerate_bgmu requires).
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
-    if datum.sigma != tuple(range(1, datum.rank + 1)):
-        raise ValueError("the grid oracle supports trivial sigma only")
     orbit, D = _int_orbit(mu)
     d, bound = _grid_spec(mu, orbit, D)
     member = _grid_member(datum, mu.coords, d)

@@ -1,8 +1,9 @@
-"""Root data with exact rational coordinates.
+"""Split root data with exact rational coordinates.
 
 Every indecomposable type A..G2 is realized by explicit simple roots and
 coroots inside a fixed rational ambient space, with the canonical pairing
-given by the dot product.  Classical types use the epsilon bases
+given by the dot product.  Every datum is split: Frobenius acts trivially,
+so no diagram automorphism is stored.  Classical types use the epsilon bases
 
     A_n : ambient n+1,  alpha_i = e_i - e_{i+1}
     B_n : ambient n,    alpha_n = e_n,            coroot 2 e_n
@@ -58,28 +59,11 @@ class RootDatum:
     simple_roots: tuple[tuple[Fraction, ...], ...]
     simple_coroots: tuple[tuple[Fraction, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
-    sigma: tuple[int, ...]  # 1-based image list; sigma[i-1] is the image of node i
     factors: tuple["RootDatum", ...] = ()
 
     def __hash__(self):
         # equal data agree on these fields, and hashing them touches no Fraction
-        return hash((self.type_label, self.rank, self.cartan, self.sigma))
-
-    @cached_property
-    def sigma_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The cycles of sigma on the nodes 1..rank, each from its least node."""
-        orbits = []
-        for i in range(1, self.rank + 1):
-            if not any(i in orbit for orbit in orbits):
-                orbit = [i]
-                while (j := self.sigma[orbit[-1] - 1]) != i:
-                    orbit.append(j)
-                orbits.append(tuple(orbit))
-        return tuple(orbits)
-
-    @cached_property
-    def sigma_order(self) -> int:
-        return math.lcm(*map(len, self.sigma_orbits))
+        return hash((self.type_label, self.rank, self.cartan))
 
     @property
     def is_product(self) -> bool:
@@ -285,36 +269,8 @@ def _simple_roots_for(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
     raise ValueError(f"unknown type label {type_label!r}")
 
 
-_NAMED_FLIPS = {
-    "A": lambda n: tuple(n + 1 - i for i in range(1, n + 1)),
-    "D": lambda n: tuple(range(1, n - 1)) + (n, n - 1),
-    "E6": lambda n: (6, 2, 5, 4, 3, 1),
-}
-
-
-def _resolve_sigma(type_label: str, rank: int, sigma_spec) -> tuple[int, ...]:
-    if sigma_spec in (None, "identity", "id"):
-        return tuple(range(1, rank + 1))
-    if sigma_spec == "flip":
-        maker = _NAMED_FLIPS.get(type_label)
-        if maker is None:
-            raise ValueError(f"type {type_label} has no named flip automorphism")
-        return maker(rank)
-    if not isinstance(sigma_spec, (list, tuple)):
-        raise ValueError(f"sigma {sigma_spec!r} is not identity, id, flip or a list of ints")
-    error = f"sigma {sigma_spec!r} is not a permutation of 1..{rank}"
-    if sorted(integer(i, "sigma", 1, rank, error) for i in sigma_spec) != list(range(1, rank + 1)):
-        raise ValueError(error)
-    return tuple(sigma_spec)
-
-
-def build_datum(type_label: str, rank: int, sigma_spec=None) -> RootDatum:
-    """Construct the indecomposable root datum of the given type and rank.
-
-    sigma_spec is None/"identity"/"id", "flip" (the nontrivial diagram
-    automorphism of A_n, D_n or E6), or an explicit 1-based permutation: a
-    list or tuple of ints (not bools).
-    """
+def build_datum(type_label: str, rank: int) -> RootDatum:
+    """Construct the split indecomposable root datum of the given type and rank."""
     if type_label not in INDECOMPOSABLE_TYPES:
         raise ValueError(f"unknown type label {type_label!r}")
     integer(rank, "rank", *_RANK_RANGE[type_label], f"invalid rank {rank} for type {type_label}")
@@ -328,23 +284,17 @@ def build_datum(type_label: str, rank: int, sigma_spec=None) -> RootDatum:
     if inexact:
         raise AssertionError(f"Cartan entry {inexact[0]} is not an integer")
     cartan = tuple(tuple(2 * x // d for x, d in zip(g, norms)) for g in gram)
-    sigma = _resolve_sigma(type_label, rank, sigma_spec)
-    for i in range(rank):
-        for j in range(rank):
-            if cartan[sigma[i] - 1][sigma[j] - 1] != cartan[i][j]:
-                raise ValueError(f"sigma {sigma} does not preserve the Cartan matrix")
-    return RootDatum(type_label, rank, len(roots[0]), roots, coroots, cartan, sigma)
+    return RootDatum(type_label, rank, len(roots[0]), roots, coroots, cartan)
 
 
 def product_datum(factors: Sequence[RootDatum]) -> RootDatum:
-    """Concatenate root data block-diagonally (sigma stays per-factor)."""
+    """Concatenate root data block-diagonally."""
     factors = tuple(factors)
     if not factors:
         raise ValueError("empty product")
     dim = sum(f.ambient_dim for f in factors)
     roots: list[tuple[Fraction, ...]] = []
     coroots: list[tuple[Fraction, ...]] = []
-    sigma: list[int] = []
     cartan: list[tuple[int, ...]] = []
     rank = sum(f.rank for f in factors)
     offset = 0
@@ -354,14 +304,12 @@ def product_datum(factors: Sequence[RootDatum]) -> RootDatum:
         pad_right = (Fraction(0),) * (dim - offset - f.ambient_dim)
         roots.extend(pad_left + r + pad_right for r in f.simple_roots)
         coroots.extend(pad_left + r + pad_right for r in f.simple_coroots)
-        sigma.extend(node_offset + s for s in f.sigma)
         cartan.extend((0,) * node_offset + row + (0,) * (rank - node_offset - f.rank)
                       for row in f.cartan)
         offset += f.ambient_dim
         node_offset += f.rank
     label = "x".join(f"{f.type_label}{f.rank}" for f in factors)
-    return RootDatum(label, rank, dim, tuple(roots), tuple(coroots), tuple(cartan),
-                     tuple(sigma), factors)
+    return RootDatum(label, rank, dim, tuple(roots), tuple(coroots), tuple(cartan), factors)
 
 
 def fundamental_weights(datum: RootDatum) -> list[tuple[Fraction, ...]]:
@@ -463,14 +411,3 @@ def dominant_representative(v: RationalCocharacter) -> RationalCocharacter:
                 break
         else:
             return v if coords is v.coords else v.datum.cochar(coords)
-
-
-def sigma_apply(v: RationalCocharacter) -> RationalCocharacter:
-    """Apply sigma, the only code that says how it acts: the coroot coefficient
-    at node i moves to node sigma(i), and the part orthogonal to the roots is fixed."""
-    k = v.datum.kernel
-    C, P = k.split(v.x)
-    moved = [C[v.datum.sigma.index(j)] for j in range(1, v.datum.rank + 1)]
-    # the orthogonal part plus sum_i c_i coroot_sigma(i), over q R K L
-    return RationalCocharacter(
-        tuple(p + t for p, t in zip(P, k.coroot_sum(moved))), k.qRK * v.L, v.datum)

@@ -113,7 +113,7 @@ def test_criterion_2_special_root_tables():
     from newtonkit.cli import _cmd_datum
 
     class Args:
-        type, rank, sigma, labeling = "E7", 7, None, "bourbaki"
+        type, rank, labeling = "E7", 7, "bourbaki"
 
     note = _cmd_datum(Args)["labeling"]["note"]
     logged = "alpha_1" in note and "7" in note

@@ -65,7 +65,6 @@ _ORDINARY = SlopeProfile((F(1), F(0)), (2, 2), polarized=True)
 # argument alone; the other arguments are valid.
 _INTEGER_ARGUMENTS = {
     "build_datum rank": lambda x: build_datum("A", x),
-    "build_datum sigma": lambda x: build_datum("A", 2, [x, 2]),
     "fundamental_coweight i": lambda x: fundamental_coweight(build_datum("C", 2), x),
     "SlopeProfile mults": lambda x: SlopeProfile((F(1, 2),), (x,)),
     "max_degree_bound h": lambda x: max_degree_bound(_ORDINARY, x),

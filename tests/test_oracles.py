@@ -92,17 +92,22 @@ def test_grid_matches_enumeration_a2():
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 
-_NON_MINUSCULE = [(t, n, i, j) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2),
-                                             ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
-                  for i in range(1, n + 1) for j in range(i, n + 1)]
+# mu is the sum of the fundamental coweights at nodes: every sum of two at
+# rank <= 3, every sum of three at rank 2, and omega_1 + omega_2 + omega_3 at
+# rank 3 (the other sums of three at rank 3 agree too, but take about 25 s)
+_NON_MINUSCULE = ([(t, n, (i, j)) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2),
+                                               ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
+                   for i in range(1, n + 1) for j in range(i, n + 1)]
+                  + [(t, 2, nodes) for t in ("A", "B", "C", "G2")
+                     for nodes in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))]
+                  + [(t, 3, (1, 2, 3)) for t in ("A", "B", "C", "D")])
 
 
-@pytest.mark.parametrize("t, n, i, j", _NON_MINUSCULE)
-def test_grid_matches_enumeration_non_minuscule(t, n, i, j):
-    # mu = omega_i + omega_j: every sum of two fundamental coweights at rank <= 3
+@pytest.mark.parametrize("t, n, nodes", _NON_MINUSCULE,
+                         ids=[f"{t}-{n}-{'-'.join(map(str, nodes))}" for t, n, nodes in _NON_MINUSCULE])
+def test_grid_matches_enumeration_non_minuscule(t, n, nodes):
     datum = build_datum(t, n)
-    mu = datum.cochar([a + b for a, b in zip(_coweight(datum, i).coords,
-                                             _coweight(datum, j).coords)])
+    mu = datum.cochar([sum(x) for x in zip(*(_coweight(datum, k).coords for k in nodes))])
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 

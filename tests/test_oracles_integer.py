@@ -417,13 +417,6 @@ def test_grid_matches_fraction_grid_on_criterion_3(t, n):
         assert oracles.grid_enumerate_bgmu(mu) == fraction_grid(mu), (t, n, k)
 
 
-def test_grid_takes_trivial_sigma_only():
-    a2 = build_datum("A", 2, "flip")
-    mu = _coweight(a2, 1)
-    with pytest.raises(ValueError, match="trivial sigma"):
-        oracles.grid_enumerate_bgmu(mu)
-
-
 # -- cosets -------------------------------------------------------------------
 
 def _criterion_5_marking_cases():
