@@ -43,6 +43,8 @@ class HeckeValuation:
         """
         tv = vec_parse(t)
         sv = rat(s)
+        if not tv:
+            raise ValueError("first-block valuations must be non-empty")
         if any(x < 0 for x in tv):
             raise ValueError("first-block valuations must be non-negative")
         if any(a > b for a, b in zip(tv, tv[1:])):

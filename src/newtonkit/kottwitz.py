@@ -214,20 +214,18 @@ _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
 def _principal_block(cartan, j_mask):
     """The walk's data for J = the bits of j_mask: (free, q, pairing rows,
     steps), q the common denominator of B.  The pairing rows, over (M, D
-    c_free), are formed from C rows that are kept for the sign-fact check
-    alone; steps[i] is the change of the free pairings as D c_free[i] grows
-    by 1.  Raises AssertionError if a sign fact fails."""
+    c_free), are formed from the rows of C_J, which the sign-fact check
+    also reads; steps[i] is the change of the free pairings as D c_free[i]
+    grows by 1.  Raises AssertionError if a sign fact fails."""
     n = len(cartan)
     J = [i for i in range(n) if j_mask >> i & 1]
     free = tuple(i for i in range(n) if not j_mask >> i & 1)
     Q, q = invert([[cartan[g][a] for a in J] for g in J])  # B = Q / q
-    # rhs_g = M_g - sum_a cartan[g][a] D c_a: C_J = Q rhs_J, C_free = q D c_free
+    # rhs_g = M_g - sum_a cartan[g][a] D c_a: C_J = Q rhs_J, one row per a in J
     rhs = [[int(k == g) for k in range(n)] + [-cartan[g][a] for a in free] for g in range(n)]
-    rows = [[q * (k == n + free.index(a)) for k in range(len(rhs[a]))] if a in free
-            else [sum(x * rhs[b][k] for b, x in zip(J, Q[J.index(a)])) for k in range(len(rhs[a]))]
-            for a in range(n)]
+    rows = [[sum(x * rhs[b][k] for b, x in zip(J, row)) for k in range(n + len(free))] for row in Q]
     # D q <nu, alpha_g> = q rhs_g - cartan[g][J] C_J
-    pairing_rows = [[q * x - sum(cartan[g][b] * rows[b][k] for b in J)
+    pairing_rows = [[q * x - sum(cartan[g][b] * row[k] for b, row in zip(J, rows))
                      for k, x in enumerate(rhs[g])] for g in free]
     steps = tuple(zip(*(row[n:] for row in pairing_rows)))
     # the sign facts: no row entry is < 0, and a step is < 0 exactly on its own pairing

@@ -9,7 +9,7 @@ import newtonkit
 
 from newtonkit.hecke import HeckeValuation
 from newtonkit.muordinary import SlopeProfile
-from newtonkit.rationals import dot
+from reference import ip
 
 _SLOPES_BY_R = {
     1: [(F(1, 2),)],
@@ -35,8 +35,9 @@ def polarized_profiles(max_n=5, max_r=4):
     return out
 
 
-def coroot_span_decomposition(datum, coords):
-    """(coroot coefficients, orthogonal part) of coords, from the kernel's split."""
+def kernel_split(datum, coords):
+    """The kernel's split of coords in Fractions: (coroot coefficients,
+    orthogonal part)."""
     k = datum.kernel
     v = datum.cochar(coords)
     C, P = k.split(v.x)
@@ -46,7 +47,7 @@ def coroot_span_decomposition(datum, coords):
 def reflect(v, i):
     """The simple reflection s_i (1-based i) of a cocharacter, in Fractions."""
     datum = v.datum
-    c = dot(v.coords, datum.simple_roots[i - 1])
+    c = ip(v.coords, datum.simple_roots[i - 1])
     return datum.cochar([a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])])
 
 

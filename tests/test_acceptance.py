@@ -46,7 +46,7 @@ from newtonkit.oracles import (
 from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
-    fundamental_coweights,
+    fundamental_coweight,
     special_roots,
 )
 
@@ -55,10 +55,6 @@ def _report(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE CRITERION {number}: {status} ({detail})")
     assert ok, f"criterion {number}: {detail}"
-
-
-def _coweight(datum, node):
-    return datum.cochar(fundamental_coweights(datum)[node - 1])
 
 
 def test_criterion_1_maximal_element_theorem():
@@ -73,7 +69,7 @@ def test_criterion_1_maximal_element_theorem():
     failures = []
     for t, n, k in cases:
         datum = build_datum(t, n)
-        mu = _coweight(datum, k)
+        mu = fundamental_coweight(datum, k)
         ks = enumerate_bgmu(mu)
         mx = maximal_elements(ks, exclude_top=True)
         expected = tuple(
@@ -130,7 +126,7 @@ def test_criterion_3_bgmu_oracle_equivalence():
                  ("C", 2), ("C", 3), ("D", 3), ("G2", 2)]:
         datum = build_datum(t, n)
         for k in sorted(special_roots(datum)):
-            mu = _coweight(datum, k)
+            mu = fundamental_coweight(datum, k)
             main = set(enumerate_bgmu(mu).points())
             grid = grid_enumerate_bgmu(mu)
             if main != grid:

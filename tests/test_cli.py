@@ -284,6 +284,13 @@ def test_lambdag_p_must_be_a_prime(capsys):
     assert code == 0 and _payload(out)[1]["valuation"] == "1/1"
 
 
+def test_lambdag_names_an_empty_first_block(capsys):
+    code, out = _capture(capsys, ["lambdag", "--t", "[]"])
+    assert code == 2
+    assert _payload(out) == ("error", {"error": "first-block valuations must be non-empty",
+                                       "schema": "newtonkit/1"})
+
+
 def test_input_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b"\xff\xfe{")

@@ -35,6 +35,11 @@ def test_valuation_invariants():
         HeckeValuation.from_blocks([0, 1], 1, 2)  # p too small
 
 
+def test_an_empty_first_block_is_named():
+    with pytest.raises(ValueError, match="^first-block valuations must be non-empty$"):
+        HeckeValuation.from_blocks([], 1, 3)
+
+
 @pytest.mark.parametrize("p", [1, 4, 9, 15])
 def test_every_valuation_needs_a_prime_p(p):
     # one primality check in HeckeValuation covers every constructor and the

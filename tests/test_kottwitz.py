@@ -25,20 +25,18 @@ from newtonkit.muordinary import SlopeProfile, next_to_max_profile, profile_from
 from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
+    fundamental_coweight,
     fundamental_coweights,
     is_dominant,
     product_datum,
     special_roots,
 )
+from reference import coroot_split, fundamental_weights, gram_inverse, ip
 
 
-def _coweight(datum, node):
-    return datum.cochar(fundamental_coweights(datum)[node - 1])
-
-
-def test_galois_average_identity_sigma():
+def test_galois_average_is_the_identity():
     c2 = build_datum("C", 2)
-    mu = _coweight(c2, 2)
+    mu = fundamental_coweight(c2, 2)
     assert galois_average(mu).coords == mu.coords
 
 
@@ -65,7 +63,7 @@ def test_is_in_bgmu_rejects_non_dominant():
 
 def test_enumerate_c2_three_strata():
     c2 = build_datum("C", 2)
-    ks = enumerate_bgmu(_coweight(c2, 2))
+    ks = enumerate_bgmu(fundamental_coweight(c2, 2))
     assert ks.points() == [(0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2))]
 
 
@@ -79,7 +77,7 @@ def test_enumerate_mu_zero():
 
 def test_enumerate_a2_chain():
     a2 = build_datum("A", 2)
-    ks = enumerate_bgmu(_coweight(a2, 1))
+    ks = enumerate_bgmu(fundamental_coweight(a2, 1))
     assert ks.points() == [
         (0, 0, 0),
         (F(1, 6), F(1, 6), F(-1, 3)),
@@ -106,14 +104,14 @@ def test_newton_leq_examples():
     assert newton_leq(zero, mid) and newton_leq(mid, top)
     assert not newton_leq(top, mid)
     a2 = build_datum("A", 2)
-    w1, w2 = _coweight(a2, 1), _coweight(a2, 2)
+    w1, w2 = fundamental_coweight(a2, 1), fundamental_coweight(a2, 2)
     assert not newton_leq(w1, w2) and not newton_leq(w2, w1)
 
 
 def test_newton_leq_is_partial_order_on_enumerated_sets():
     for t, n, k in [("C", 2, 2), ("A", 3, 2), ("B", 3, 1)]:
         d = build_datum(t, n)
-        ks = enumerate_bgmu(_coweight(d, k))
+        ks = enumerate_bgmu(fundamental_coweight(d, k))
         pts = [d.cochar(p) for p in ks.points()]
         for a in pts:
             assert newton_leq(a, a)
@@ -156,7 +154,7 @@ def test_enumerated_elements_are_certified_and_bounded_by_top():
 def test_downward_directed():
     for t, n, k in [("C", 2, 2), ("B", 3, 1), ("A", 3, 2)]:
         d = build_datum(t, n)
-        ks = enumerate_bgmu(_coweight(d, k))
+        ks = enumerate_bgmu(fundamental_coweight(d, k))
         pts = [d.cochar(p) for p in ks.points()]
         for a, b in itertools.combinations(pts, 2):
             assert any(newton_leq(z, a) and newton_leq(z, b) for z in pts)
@@ -164,11 +162,11 @@ def test_downward_directed():
 
 def test_maximal_elements_examples():
     b3 = build_datum("B", 3)
-    ks = enumerate_bgmu(_coweight(b3, 1))
+    ks = enumerate_bgmu(fundamental_coweight(b3, 1))
     mx = maximal_elements(ks, exclude_top=True)
     assert {e.nu.coords for e in mx} == {(F(1, 2), F(1, 2), 0)}
     c2 = build_datum("C", 2)
-    ks = enumerate_bgmu(_coweight(c2, 2))
+    ks = enumerate_bgmu(fundamental_coweight(c2, 2))
     mx = maximal_elements(ks, exclude_top=True)
     assert {e.nu.coords for e in mx} == {(F(1, 2), 0)}
     mx = maximal_elements(ks, exclude_top=False)
@@ -191,7 +189,7 @@ def test_maximal_element_theorem_small_ranks():
     )
     for t, n, k in cases:
         d = build_datum(t, n)
-        mu = _coweight(d, k)
+        mu = fundamental_coweight(d, k)
         ks = enumerate_bgmu(mu)
         mx = maximal_elements(ks, exclude_top=True)
         expected = tuple(
@@ -204,7 +202,7 @@ def test_maximal_element_theorem_rank_seven():
     # acceptance stops at rank 6 for B/C/D; the theorem also holds at 7
     for t, n, k in [("B", 7, 1), ("C", 7, 7), ("D", 7, 1), ("D", 7, 6), ("D", 7, 7)]:
         d = build_datum(t, n)
-        mu = _coweight(d, k)
+        mu = fundamental_coweight(d, k)
         ks = enumerate_bgmu(mu)
         mx = maximal_elements(ks, exclude_top=True)
         expected = tuple(
@@ -237,9 +235,9 @@ def _relabel(v, perm):
     """perm acting on a cocharacter, in Fractions: the coroot coefficient at
     node i moves to node perm(i), and the part orthogonal to the roots stays."""
     datum = v.datum
-    c, perp = _solve_in_coroots(datum, v.coords)
+    c, perp = coroot_split(datum, v.coords)
     moved = [c[perm.index(j)] for j in range(1, datum.rank + 1)]
-    return datum.cochar([p + _ip(moved, [a[t] for a in datum.simple_coroots])
+    return datum.cochar([p + ip(moved, [a[t] for a in datum.simple_coroots])
                          for t, p in enumerate(perp)])
 
 
@@ -250,7 +248,7 @@ def test_membership_invariant_under_diagram_relabeling():
         datum = build_datum(t, n)
         assert all(datum.cartan[perm[i] - 1][perm[j] - 1] == datum.cartan[i][j]
                    for i in range(n) for j in range(n))
-        ks = enumerate_bgmu(_coweight(datum, min(special_roots(datum))))
+        ks = enumerate_bgmu(fundamental_coweight(datum, min(special_roots(datum))))
         mubar = _relabel(ks.mubar, perm)
         for e in ks.elements:
             ok, (c, J) = is_in_bgmu(_relabel(e.nu, perm), mubar)
@@ -273,7 +271,7 @@ def test_a_point_off_the_coroot_span_is_refused_with_its_reason(t, n, node):
     else:
         datum = build_datum(t, n)
     assert datum.rank == n
-    ks = enumerate_bgmu(_coweight(datum, node))
+    ks = enumerate_bgmu(fundamental_coweight(datum, node))
     Z = datum.kernel.complement
     assert Z
     moves = list(Z) + [[sum(col) for col in zip(*Z)]]
@@ -334,7 +332,7 @@ def _concave_polygon_slopes(width, height, top=1, hodge=None):
 def test_type_a_enumeration_is_the_polygon_set(n):
     datum = build_datum("A", n)
     for k in range(1, n + 1):
-        ks = enumerate_bgmu(_coweight(datum, k))
+        ks = enumerate_bgmu(fundamental_coweight(datum, k))
         shift = F(k, n + 1)  # the coweight is traceless; slopes sum to k
         got = {tuple(x + shift for x in e.nu.coords) for e in ks.elements}
         assert len(got) == len(ks.elements)
@@ -354,7 +352,7 @@ RANK_5_TYPES = (
 def test_maximal_elements_is_the_pairwise_definition(t, n):
     datum = build_datum(t, n)
     for k in range(1, n + 1):
-        ks = enumerate_bgmu(_coweight(datum, k))
+        ks = enumerate_bgmu(fundamental_coweight(datum, k))
         for exclude_top in (False, True):
             pool = [e for e in ks.elements
                     if not exclude_top or e.nu.coords != ks.mubar.coords]
@@ -410,7 +408,7 @@ def test_maximal_elements_match_the_pairwise_scan_on_random_pools(t, n):
     datum = build_datum(t, n)
     rng = random.Random(f"{t}{n}")
     for k in [k for t_, n_, k in MAXIMA_CASES if (t_, n_) == (t, n)]:
-        ks = enumerate_bgmu(_coweight(datum, k))
+        ks = enumerate_bgmu(fundamental_coweight(datum, k))
         for i in range(4):
             size = rng.randint(1, min(len(ks.elements), 120))
             pool = rng.sample(ks.elements, size)
@@ -430,7 +428,7 @@ def test_maximal_elements_of_mixed_pools_with_different_orthogonal_parts():
     a3 = build_datum("A", 3)
     rng = random.Random(3)
     mus = [a3.cochar(v) for v in ((1, 0, 0, 0), (1, 1, 0, 0))] + \
-        [_coweight(a3, 1), _coweight(a3, 2)]
+        [fundamental_coweight(a3, 1), fundamental_coweight(a3, 2)]
     sets = [enumerate_bgmu(mu) for mu in mus]
     for first, second in ((0, 1), (2, 3), (0, 3)):
         elements = sets[first].elements + sets[second].elements
@@ -446,7 +444,7 @@ def test_elements_with_the_same_nu_are_one_point():
     # a point that is maximal is returned once, as the first element in the
     # pool that carries it, whatever the others' certificates say
     c2 = build_datum("C", 2)
-    ks = enumerate_bgmu(_coweight(c2, 2))
+    ks = enumerate_bgmu(fundamental_coweight(c2, 2))
     (top,) = [e for e in ks.elements if e.nu == ks.mubar]
     copy = KottwitzElement(c2.cochar(list(top.nu.coords)), top.c, top.J)
     forged = KottwitzElement(top.nu, (F(7), F(7)), frozenset())
@@ -475,7 +473,7 @@ def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
     # mu = 3/2 w_1 pairs to 3/2 with the root, so D = 2 and each bogus
     # pairing D q (3/2 - 2 C / Dq) is an integer.
     a1 = build_datum("A", 1)
-    mu = a1.cochar([F(3, 2) * x for x in _coweight(a1, 1).coords])
+    mu = a1.cochar([F(3, 2) * x for x in fundamental_coweight(a1, 1).coords])
     (root,), (coroot,) = a1.simple_roots, a1.simple_coroots
     c = F(C[0], Dq)
     want = _certified(mu)
@@ -486,7 +484,7 @@ def test_enumeration_tests_every_leaf_of_the_walk(C, Dq, reason, monkeypatch):
         yield from walk(block, M, D, bounds)
         if block[0]:  # the block of J = {}, walked since mu itself has that zero set
             offered.append(block)
-            pairing = D * block[1] * (_ip(mu.coords, root) - c * _ip(coroot, root))
+            pairing = D * block[1] * (ip(mu.coords, root) - c * ip(coroot, root))
             assert D == 2 and pairing.denominator == 1
             yield [int(pairing)]
 
@@ -561,7 +559,7 @@ def test_walk_matches_the_exhaustive_scan(t, n):
     # certificates and order
     datum = build_datum(t, n)
     for k in [k for t_, n_, k in DIFFERENTIAL_CASES if (t_, n_) == (t, n)]:
-        mu = _coweight(datum, k)
+        mu = fundamental_coweight(datum, k)
         got = [(e.nu.coords, e.c, e.J) for e in enumerate_bgmu(mu).elements]
         assert got == _exhaustive_scan(mu), (t, n, k)
 
@@ -572,7 +570,7 @@ E8_COUNTS = {1: 84, 2: 187, 3: 360, 4: 980, 5: 585, 6: 310, 7: 133, 8: 37}
 def test_every_e8_node_enumerates():
     e8 = build_datum("E8", 8)
     for k, count in E8_COUNTS.items():
-        ks = enumerate_bgmu(_coweight(e8, k))
+        ks = enumerate_bgmu(fundamental_coweight(e8, k))
         assert len(ks.elements) == count, k
         top = {e for e in ks.elements if e.nu.coords == ks.mubar.coords}
         assert maximal_elements(ks) == top
@@ -590,13 +588,13 @@ def test_enumeration_does_not_depend_on_the_block_table(t, n, k, monkeypatch):
     # elements, certificates and order
     monkeypatch.setattr(kottwitz, "_BLOCKS", {})
     datum = build_datum(t, n)
-    cold = _certified(_coweight(datum, k))
+    cold = _certified(fundamental_coweight(datum, k))
     monkeypatch.setattr(kottwitz, "_BLOCKS", {})
     for other in range(1, n + 1):
         if other != k:
-            enumerate_bgmu(_coweight(datum, other))
-    warm = _certified(_coweight(datum, k))
-    assert cold == warm == _certified(_coweight(datum, k))
+            enumerate_bgmu(fundamental_coweight(datum, other))
+    warm = _certified(fundamental_coweight(datum, k))
+    assert cold == warm == _certified(fundamental_coweight(datum, k))
 
 
 # E7 at r = 5/3 is left out: its exhaustive scan takes about 11 s
@@ -630,12 +628,12 @@ def test_every_principal_block_has_the_sign_facts_of_the_walk(t, n):
     # denominator) is >= 0, a free coordinate's steps on C_J (-B cartan[J][a])
     # and on the other free pairings are >= 0, and its step on its own
     # pairing < 0; _principal_block raises AssertionError otherwise
-    cartan = build_datum(t, n).cartan
+    datum = build_datum(t, n)
+    cartan = datum.cartan
     for j_mask in range(1 << n):
         free, q, _, steps = kottwitz._principal_block(cartan, j_mask)
         J = [a for a in range(n) if a not in free]
-        B = _fraction_solve([[F(cartan[g][a]) for a in J] + [F(int(g == h)) for h in J]
-                             for g in J])
+        B = gram_inverse(datum, tuple(J))
         assert all(x >= 0 and (q * x).denominator == 1 for row in B for x in row), (t, n, j_mask)
         assert all(-sum(x * cartan[b][a] for b, x in zip(J, row)) >= 0
                    for row in B for a in free), (t, n, j_mask)
@@ -660,11 +658,11 @@ def test_principal_blocks_are_inverted_once_per_cartan_matrix(monkeypatch):
     monkeypatch.setattr(kottwitz, "invert", counted)
     e7 = build_datum("E7", 7)
     for k in range(1, 8):
-        enumerate_bgmu(_coweight(e7, k))
+        enumerate_bgmu(fundamental_coweight(e7, k))
     assert 0 < len(calls) <= 2 ** 7
     calls.clear()
     for k in range(1, 8):
-        enumerate_bgmu(_coweight(e7, k))
+        enumerate_bgmu(fundamental_coweight(e7, k))
     assert calls == []
 
 
@@ -683,12 +681,11 @@ def _walk_every_mask(mu):
     n = datum.rank
     roots, coroots = datum.simple_roots, datum.simple_coroots
     blocks = _EVERY_MASK_BLOCKS.setdefault(datum.cartan, {})
-    inverse = _fraction_solve([[_ip(coroots[a], roots[g]) for a in range(n)]
-                               + [F(int(g == h)) for h in range(n)] for g in range(n)])
-    pairings = [_ip(mu.coords, root) for root in roots]  # split data: mubar = mu
+    inverse = gram_inverse(datum)
+    pairings = [ip(mu.coords, root) for root in roots]  # split data: mubar = mu
     D = math.lcm(*(p.denominator for p in pairings))
     M = [int(D * p) for p in pairings]
-    bounds = [math.floor(_ip(row, pairings)) for row in inverse]  # <mubar, w_a>
+    bounds = [math.floor(ip(row, pairings)) for row in inverse]  # <mubar, w_a>
     leaves = []
     for j_mask in range(1 << n):
         if j_mask not in blocks:
@@ -698,8 +695,8 @@ def _walk_every_mask(mu):
             drop = list(pairings)  # <mubar - nu, alpha_g>, <nu, alpha_g> = 0 on J
             for g, p in zip(free, P):
                 drop[g] -= F(p, D * q)
-            c = [_ip(row, drop) for row in inverse]
-            leaves.append(tuple(t - _ip(c, [v[i] for v in coroots]) for i, t in enumerate(mu.coords)))
+            c = [ip(row, drop) for row in inverse]
+            leaves.append(tuple(t - ip(c, [v[i] for v in coroots]) for i, t in enumerate(mu.coords)))
     members = []
     for nu in leaves:
         ok, cert = is_in_bgmu(datum.cochar(nu), mu)
@@ -741,29 +738,10 @@ def test_only_the_zero_sets_that_can_hold_a_point_are_walked(monkeypatch):
         walked.clear()
         monkeypatch.setattr(kottwitz, "_BLOCKS", {})
         datum = build_datum(t, n)
-        enumerate_bgmu(_coweight(datum, k))
+        enumerate_bgmu(fundamental_coweight(datum, k))
         assert len(walked) == len(set(walked)) == count, (t, n, k)
         built = [b for b in kottwitz._BLOCKS[datum.cartan] if b is not None]
         assert sorted(b[0] for b in built) == sorted(walked), (t, n, k)
-
-
-def _fraction_solve(m):
-    """Gauss-Jordan elimination on the rows m = [A | B] over Fractions, A
-    square and invertible: the columns of A^-1 B, row by row."""
-    n = len(m)
-    m = [list(row) for row in m]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [x / m[col][col] for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _ip(a, b):
-    return sum((x * y for x, y in zip(a, b)), F(0))
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t, n in SIGN_FACT_TYPES if n <= 7] + [("E8", 8)])
@@ -775,23 +753,16 @@ def test_the_zero_sets_that_hold_a_point_are_closed_upward(t, n):
     # to rank 7, and E8 nodes 1, 2, 7 and 8)
     datum = build_datum(t, n)
     roots, coroots = datum.simple_roots, datum.simple_coroots
-    inverses = {}  # J' -> B_J', 0-based
-
-    def inverse(J):
-        if J not in inverses:
-            inverses[J] = _fraction_solve([[_ip(coroots[b], roots[g]) for b in J]
-                                           + [F(int(g == h)) for h in J] for g in J])
-        return inverses[J]
-
     for k in range(1, n + 1) if n <= 7 else (1, 2, 7, 8):
-        zero_set = {e.nu.coords: e.J for e in enumerate_bgmu(_coweight(datum, k)).elements}
+        ks = enumerate_bgmu(fundamental_coweight(datum, k))
+        zero_set = {e.nu.coords: e.J for e in ks.elements}
         for nu, J in zero_set.items():
-            pairings = [_ip(nu, root) for root in roots]
+            pairings = [ip(nu, root) for root in roots]
             for a in set(range(1, n + 1)) - J:
                 bigger = tuple(sorted(b - 1 for b in J | {a}))
-                d = [_ip(row, [pairings[g] for g in bigger]) for row in inverse(bigger)]
+                d = [ip(row, [pairings[g] for g in bigger]) for row in gram_inverse(datum, bigger)]
                 assert all(x >= 0 for x in d), (t, n, k, nu, a)
-                pushed = tuple(x - _ip(d, [coroots[b][i] for b in bigger])
+                pushed = tuple(x - ip(d, [coroots[b][i] for b in bigger])
                                for i, x in enumerate(nu))
                 assert zero_set.get(pushed) == J | {a}, (t, n, k, nu, a)
 
@@ -802,7 +773,7 @@ def test_type_c_last_node_is_the_symmetric_polygon_set(n, count):
     # symmetric (slope s_i + s_(2n+1-i) = 1), nu the upper half of the slopes
     # shifted by -1/2
     datum = build_datum("C", n)
-    ks = enumerate_bgmu(_coweight(datum, n))
+    ks = enumerate_bgmu(fundamental_coweight(datum, n))
     got = {e.nu.coords for e in ks.elements}
     expected = {tuple(x - F(1, 2) for x in slopes[:n])
                 for slopes in _concave_polygon_slopes(2 * n, n)
@@ -921,7 +892,7 @@ def test_type_d_every_node_is_the_polygon_set_with_both_signs_of_nu_n():
         datum = build_datum("D", n)
         for k in range(1, n + 1):
             mu, expected = _type_d_polygon_newton_points(n, k)
-            assert datum.cochar(mu) == _coweight(datum, k)
+            assert datum.cochar(mu) == fundamental_coweight(datum, k)
             ks = enumerate_bgmu(datum.cochar(mu))
             got = {e.nu.coords for e in ks.elements}
             assert len(got) == len(ks.elements)
@@ -989,17 +960,8 @@ _RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(3, 9)
           "E6": (6,), "E7": (7,), "E8": (8,), "F4": (4,), "G2": (2,)}
 
 
-def _solve_in_coroots(datum, v):
-    """(c, perp): v = sum_k c_k coroot_k + perp with perp orthogonal to every
-    root, by Fraction Gaussian elimination on <coroot_k, root_j> c = <v, root_j>."""
-    roots, coroots, n = datum.simple_roots, datum.simple_coroots, datum.rank
-    c = [x for x, in _fraction_solve([[_ip(coroots[k], roots[j]) for k in range(n)]
-                                      + [_ip(v, roots[j])] for j in range(n)])]
-    return c, tuple(x - _ip(c, [a[t] for a in coroots]) for t, x in enumerate(v))
-
-
 def _leq_oracle(x, y):
-    c, perp = _solve_in_coroots(x.datum, [b - a for a, b in zip(x.coords, y.coords)])
+    c, perp = coroot_split(x.datum, [b - a for a, b in zip(x.coords, y.coords)])
     return not any(perp) and all(t >= 0 for t in c)
 
 
@@ -1026,7 +988,7 @@ def _dominant_pairs(draw):
     up = [t + sum((ck * a[i] for ck, a in zip(c, datum.simple_coroots)), F(0))
           for i, t in enumerate(x.coords)]
     y = dominant_representative(datum.cochar(up))
-    shift = _solve_in_coroots(datum, draw(st.lists(_SMALL, min_size=dim, max_size=dim)))[1]
+    shift = coroot_split(datum, draw(st.lists(_SMALL, min_size=dim, max_size=dim)))[1]
     return x, y, z, shift
 
 
@@ -1042,16 +1004,6 @@ def test_newton_leq_matches_a_fraction_gauss_solve(case):
     for a, b in ((x, y), (y, x), (x, y_shifted), (y_shifted, x), (x, z), (z, x), (z, y)):
         assert newton_leq(a, b) == _leq_oracle(a, b), (a.coords, b.coords)
 
-
-
-def _fundamental_weights(datum):
-    """Vectors w_i of the root span with <coroot_j, w_i> = delta_ij, by
-    Fraction Gauss-Jordan elimination on the Gram matrix <coroot_j, root_k>."""
-    roots, coroots, n = datum.simple_roots, datum.simple_coroots, datum.rank
-    inverse = _fraction_solve([[_ip(coroots[j], roots[k]) for k in range(n)]
-                               + [F(int(j == i)) for i in range(n)] for j in range(n)])
-    return [[_ip([inverse[k][i] for k in range(n)], [a[s] for a in roots])
-             for s in range(datum.ambient_dim)] for i in range(n)]
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t in _RANKS for n in _RANKS[t]])
@@ -1077,7 +1029,7 @@ def test_enumeration_above_rank_8_stays_small():
     # table of 2^n-bit masks per rank would take tens of MiB here, and GiB by
     # rank 18.
     datum = build_datum("A", 14)
-    mu = _coweight(datum, 7)
+    mu = fundamental_coweight(datum, 7)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -1103,15 +1055,15 @@ def test_maximal_elements_below_the_top_are_chais_length_one(t, n):
     # polygon model here reaches); l is read off coords alone, with no
     # certificate, no newton_leq and no integer kernel.
     datum = build_datum(t, n)
-    weights = _fundamental_weights(datum)
+    weights = fundamental_weights(datum)
     coweights = fundamental_coweights(datum)
     for k in range(1, n + 1):
         for mu in (coweights[k - 1], [a + b for a, b in zip(coweights[k - 1], coweights[0])]):
             ks = enumerate_bgmu(datum.cochar(mu))
-            top = [_ip(ks.mubar.coords, w) for w in weights]
+            top = [ip(ks.mubar.coords, w) for w in weights]
 
             def length(nu):
-                return sum(math.ceil(m - _ip(nu, w)) for m, w in zip(top, weights))
+                return sum(math.ceil(m - ip(nu, w)) for m, w in zip(top, weights))
 
             below = {e.nu.coords for e in maximal_elements(ks, exclude_top=True)}
             assert below == {e.nu.coords for e in ks.elements if length(e.nu.coords) == 1}, \
@@ -1128,9 +1080,9 @@ def test_siegel_polygons_are_points_of_the_kottwitz_set():
     # test_maximal_elements_below_the_top_are_chais_length_one.
     for n in range(2, 9):
         datum = build_datum("C", n)
-        weights = _fundamental_weights(datum)
-        ks = enumerate_bgmu(_coweight(datum, n))
-        top = [_ip(ks.mubar.coords, w) for w in weights]
+        weights = fundamental_weights(datum)
+        ks = enumerate_bgmu(fundamental_coweight(datum, n))
+        top = [ip(ks.mubar.coords, w) for w in weights]
         profiles = {e: profile_from_newton(e.nu, 2 * n) for e in ks.elements}
         assert len(set(profiles.values())) == len(profiles), n
         assert all(q.polarized for q in profiles.values()), n
@@ -1138,7 +1090,7 @@ def test_siegel_polygons_are_points_of_the_kottwitz_set():
         found = {}
         for f in range(1, n + 1):
             (e,) = [e for e, q in profiles.items() if q == next_to_max_profile(ordinary, 1, f)]
-            length = sum(math.ceil(m - _ip(e.nu.coords, w)) for m, w in zip(top, weights))
+            length = sum(math.ceil(m - ip(e.nu.coords, w)) for m, w in zip(top, weights))
             assert length == f * (f + 1) // 2 - f * f // 4, (n, f)
             found[f] = e
         assert maximal_elements(ks, exclude_top=True) == {found[1]}, n
@@ -1170,7 +1122,7 @@ def test_the_kottwitz_set_is_graded_by_chais_length(t, n):
     # bitmask, so E8 node 4 (980 points) is in; E8 with w_k + w_1 is left
     # out, as it costs about 3 s more (node 4 has 2260 points).
     datum = build_datum(t, n)
-    weights = _fundamental_weights(datum)
+    weights = fundamental_weights(datum)
     coweights = fundamental_coweights(datum)
     mus = [(k, coweights[k - 1]) for k in range(1, n + 1)]
     if n < 8:
@@ -1178,12 +1130,12 @@ def test_the_kottwitz_set_is_graded_by_chais_length(t, n):
                 for k in range(1, n + 1)]
     for k, mu in mus:
         ks = enumerate_bgmu(datum.cochar(mu))
-        points = [[_ip(e.nu.coords, w) for w in weights] for e in ks.elements]
-        perps = {tuple(x - _ip(c, [a[s] for a in datum.simple_coroots])
+        points = [[ip(e.nu.coords, w) for w in weights] for e in ks.elements]
+        perps = {tuple(x - ip(c, [a[s] for a in datum.simple_coroots])
                        for s, x in enumerate(e.nu.coords))
                  for e, c in zip(ks.elements, points)}
         assert len(perps) == 1, (t, n, k, mu)
-        top = [_ip(ks.mubar.coords, w) for w in weights]
+        top = [ip(ks.mubar.coords, w) for w in weights]
         length = [sum(math.ceil(m - c) for m, c in zip(top, p)) for p in points]
         up = _up_sets(points)
         with_length = {}

@@ -22,19 +22,15 @@ from newtonkit.rootdata import (
     RootDatum,
     build_datum,
     dominant_representative,
-    fundamental_coweights,
+    fundamental_coweight,
 )
-
-
-def _coweight(datum, node):
-    return datum.cochar(fundamental_coweights(datum)[node - 1])
 
 
 def _orbit_size(v):
     return len(oracles_mod._int_orbit(v)[0])
 
 
-def test_weyl_orbit_sizes():
+def test_int_orbit_sizes():
     a2 = build_datum("A", 2)
     assert _orbit_size(a2.cochar([1, 0, -1])) == 6
     c2 = build_datum("C", 2)
@@ -42,7 +38,7 @@ def test_weyl_orbit_sizes():
     assert _orbit_size(c2.cochar([0, 0])) == 1
 
 
-def test_weyl_orbit_cap(monkeypatch):
+def test_int_orbit_cap(monkeypatch):
     c2 = build_datum("C", 2)
     monkeypatch.setattr(oracles_mod, "WEYL_CAP", 4)
     with pytest.raises(ValueError):
@@ -74,7 +70,7 @@ def test_hull_oracle_central_mismatch():
 
 def test_grid_matches_enumeration_c2():
     c2 = build_datum("C", 2)
-    mu = _coweight(c2, 2)
+    mu = fundamental_coweight(c2, 2)
     grid = grid_enumerate_bgmu(mu)
     assert grid == {(0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2))}
     assert grid == set(p for p in enumerate_bgmu(mu).points())
@@ -88,7 +84,7 @@ def test_grid_mu_zero():
 
 def test_grid_matches_enumeration_a2():
     a2 = build_datum("A", 2)
-    mu = _coweight(a2, 1)
+    mu = fundamental_coweight(a2, 1)
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 
@@ -107,14 +103,15 @@ _NON_MINUSCULE = ([(t, n, (i, j)) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C
                          ids=[f"{t}-{n}-{'-'.join(map(str, nodes))}" for t, n, nodes in _NON_MINUSCULE])
 def test_grid_matches_enumeration_non_minuscule(t, n, nodes):
     datum = build_datum(t, n)
-    mu = datum.cochar([sum(x) for x in zip(*(_coweight(datum, k).coords for k in nodes))])
+    coweights = [fundamental_coweight(datum, k).coords for k in nodes]
+    mu = datum.cochar([sum(x) for x in zip(*coweights)])
     assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
 
 
 def test_grid_rank_cap():
     a4 = build_datum("A", 4)
     with pytest.raises(ValueError):
-        grid_enumerate_bgmu(_coweight(a4, 1))
+        grid_enumerate_bgmu(fundamental_coweight(a4, 1))
 
 
 def test_grid_refuses_a_non_dominant_mu_like_the_enumeration():
@@ -127,7 +124,7 @@ def test_grid_refuses_a_non_dominant_mu_like_the_enumeration():
     for t, n in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("G2", 2)]:
         datum = build_datum(t, n)
         for k in range(1, n + 1):
-            nu = reflect(_coweight(datum, k), k)
+            nu = reflect(fundamental_coweight(datum, k), k)
             for enumerate_ in (enumerate_bgmu, grid_enumerate_bgmu):
                 with pytest.raises(ValueError, match="mu must be dominant"):
                     enumerate_(nu)
@@ -138,7 +135,7 @@ def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
     def no_kernel(datum):
         raise AssertionError("the grid oracle used RootDatum.kernel")
 
-    mu = _coweight(build_datum("A", 2), 1)
+    mu = fundamental_coweight(build_datum("A", 2), 1)
     want = grid_enumerate_bgmu(mu)
     monkeypatch.setattr(RootDatum, "kernel", property(no_kernel))
     a2 = build_datum("A", 2)
@@ -147,9 +144,9 @@ def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
     assert grid_enumerate_bgmu(a2.cochar(mu.coords)) == want
 
 
-def test_default_grid_spec_covers_half_coroot():
+def test_grid_spec_covers_half_a_coroot():
     # the second-largest element mubar - coroot/2 must be on the grid
-    mu = _coweight(build_datum("A", 2), 1)
+    mu = fundamental_coweight(build_datum("A", 2), 1)
     denominator, _ = oracles_mod._grid_spec(mu, *oracles_mod._int_orbit(mu))
     assert denominator % 6 == 0
 
@@ -251,7 +248,7 @@ def test_polygon_vs_dominance_on_symplectic_points():
     from newtonkit.muordinary import profile_from_newton
 
     c3 = build_datum("C", 3)
-    mu = _coweight(c3, 3)
+    mu = fundamental_coweight(c3, 3)
     pts = enumerate_bgmu(mu).points()
     for a in pts:
         for b in pts:
@@ -283,7 +280,7 @@ def test_maximal_elements_reproduced_from_oracles_only():
 
     for t, n, k in [("A", 2, 1), ("C", 2, 2), ("B", 3, 1), ("D", 3, 3)]:
         d = build_datum(t, n)
-        mu = _coweight(d, k)
+        mu = fundamental_coweight(d, k)
         pts = sorted(grid_enumerate_bgmu(mu))
         top = max(pts, key=lambda p: sum(
             convex_hull_membership(d.cochar(q), d.cochar(p)) for q in pts

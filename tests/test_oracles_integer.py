@@ -22,20 +22,13 @@ from newtonkit.kottwitz import enumerate_bgmu
 from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
-    fundamental_coweights,
+    fundamental_coweight,
     special_roots,
 )
+from reference import coroot_split, gauss_jordan, ip
 
 RANK3_DATA = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
               ("C", 2), ("C", 3), ("D", 3), ("G2", 2)]
-
-
-def _coweight(datum, node):
-    return datum.cochar(fundamental_coweights(datum)[node - 1])
-
-
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), F(0))
 
 
 def int_orbit(v):
@@ -54,7 +47,7 @@ def fraction_orbit(v):
     while frontier:
         current = frontier.pop()
         for alpha, coroot in zip(datum.simple_roots, datum.simple_coroots):
-            c = _dot(current, alpha)
+            c = ip(current, alpha)
             image = tuple(x - c * y for x, y in zip(current, coroot))
             if image not in seen:
                 if len(seen) >= cap:
@@ -117,33 +110,13 @@ def fraction_simplex(points, target):
     return cost[-1] == 0
 
 
-def fraction_det(a):
-    n = len(a)
-    m = [[F(x) for x in row] for row in a]
-    sign = 1
-    result = F(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return F(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for cc in range(c, n):
-                m[r][cc] -= f * m[c][cc]
-    return sign * result
-
-
 def fraction_grid_spec(mu):
     datum = mu.datum
     n = datum.rank
     minors = 1
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        d = int(fraction_det([[datum.cartan[a][b] for b in idx] for a in idx]))
+        d = int(gauss_jordan([[datum.cartan[a][b] for b in idx] for a in idx])[1])
         if d:
             minors = lcm(minors, abs(d))
     den_mu = lcm(*[x.denominator for x in mu.coords], 1)
@@ -165,32 +138,15 @@ def fraction_grid(mu):
         start = -((-lo * d).__floor__())
         stop = (hi * d).__floor__()
         axes.append([F(k, d) for k in range(start, stop + 1)])
-    roots, coroots = datum.simple_roots, datum.simple_coroots
-    n = datum.rank
-    m = [[_dot(coroots[i], roots[j]) for i in range(n)] + [F(int(i == j)) for i in range(n)]
-         for j in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    inverse = [row[n:] for row in m]
+    roots = datum.simple_roots
 
     def member(nu):
-        if any(_dot(nu, alpha) < 0 for alpha in roots):
+        if any(ip(nu, alpha) < 0 for alpha in roots):
             return False
-        diff = [a - b for a, b in zip(mu.coords, nu)]
-        c = [_dot(row, [_dot(diff, alpha) for alpha in roots]) for row in inverse]
-        if any(x < 0 for x in c):
+        c, perp = coroot_split(datum, [a - b for a, b in zip(mu.coords, nu)])
+        if any(x < 0 for x in c) or any(perp):
             return False
-        if any(sum(ci * v[t] for ci, v in zip(c, coroots)) != dt
-               for t, dt in enumerate(diff)):
-            return False
-        return all(ci.denominator == 1 or _dot(nu, alpha) == 0
+        return all(ci.denominator == 1 or ip(nu, alpha) == 0
                    for ci, alpha in zip(c, roots))
 
     return {coords for coords in itertools.product(*axes) if member(coords)}
@@ -253,7 +209,7 @@ def element_orders(p, w):
 def test_orbit_matches_fraction_reflections_on_special_nodes(t, n):
     datum = build_datum(t, n)
     rng = random.Random(f"{t}{n}")
-    vectors = [_coweight(datum, k) for k in sorted(special_roots(datum))]
+    vectors = [fundamental_coweight(datum, k) for k in sorted(special_roots(datum))]
     vectors += [datum.cochar([F(rng.randint(-6, 6), rng.randint(1, 6))
                               for _ in range(datum.ambient_dim)]) for _ in range(5)]
     for v in vectors:
@@ -264,7 +220,7 @@ def test_orbit_g2_every_node_and_cap(monkeypatch):
     g2 = build_datum("G2", 2)
     assert oracles._denominator(g2.simple_coroots) == 3
     for k in (1, 2):
-        mu = _coweight(g2, k)
+        mu = fundamental_coweight(g2, k)
         orbit = int_orbit(mu)
         assert orbit == fraction_orbit(mu) and len(orbit) == 6
     v = g2.cochar([F(1, 2), F(-1, 3), F(1, 5)])
@@ -358,7 +314,7 @@ def _degenerate_problems(datum):
     at an orbit point, at the midpoint of two orbit points and at 0, over the
     orbit and over the orbit with repeated points."""
     rng = random.Random(f"degenerate-{datum.type_label}{datum.rank}")
-    vectors = [_coweight(datum, k) for k in range(1, datum.rank + 1)]
+    vectors = [fundamental_coweight(datum, k) for k in range(1, datum.rank + 1)]
     vectors.append(datum.cochar([F(rng.randint(-3, 3), rng.randint(1, 3))
                                  for _ in range(datum.ambient_dim)]))
     zero = tuple(F(0) for _ in range(datum.ambient_dim))
@@ -389,7 +345,7 @@ def test_simplex_matches_fraction_simplex_on_degenerate_orbit_problems(t, n):
 def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
     # the public hull oracle stops at rank 3; its orbit and simplex do not
     datum = build_datum(t, n)
-    mubar = _coweight(datum, k)
+    mubar = fundamental_coweight(datum, k)
     orbit, D = oracles._int_orbit(mubar)
     points = sorted(orbit)
 
@@ -403,7 +359,7 @@ def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
     assert not in_hull(tuple(2 * x for x in mubar.coords))
     for j in range(1, n + 1):
         assert not in_hull(tuple(x + y for x, y in zip(mubar.coords,
-                                                       _coweight(datum, j).coords)))
+                                                       fundamental_coweight(datum, j).coords)))
 
 
 # -- grid ---------------------------------------------------------------------
@@ -412,7 +368,7 @@ def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
 def test_grid_matches_fraction_grid_on_criterion_3(t, n):
     datum = build_datum(t, n)
     for k in sorted(special_roots(datum)):
-        mu = _coweight(datum, k)
+        mu = fundamental_coweight(datum, k)
         assert oracles._grid_spec(mu, *oracles._int_orbit(mu)) == fraction_grid_spec(mu)
         assert oracles.grid_enumerate_bgmu(mu) == fraction_grid(mu), (t, n, k)
 

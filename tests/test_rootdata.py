@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coroot_span_decomposition, reflect
+from conftest import kernel_split, reflect
 from newtonkit import rootdata
 from newtonkit.linalg import invert
 from newtonkit.rationals import dot
@@ -25,6 +25,7 @@ from newtonkit.rootdata import (
     product_datum,
     special_roots,
 )
+from reference import coroot_split, gauss_jordan, ip
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -91,28 +92,6 @@ def test_cartan_shape_all_types():
                     assert d.cartan[i][j] <= 0
 
 
-def _pair(u, v):
-    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
-
-
-def _det(m):
-    """The determinant by Fraction Gaussian elimination."""
-    m = [[F(x) for x in row] for row in m]
-    det = F(1)
-    for c in range(len(m)):
-        p = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if p is None:
-            return F(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 # det of the Cartan matrix (Bourbaki, Lie groups and Lie algebras, Ch. VI,
 # Plates I-IX); A_n has n + 1
 _CARTAN_DET = {"B": 2, "C": 2, "D": 4, "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1}
@@ -123,11 +102,11 @@ def test_coroots_and_cartan_match_fraction_pairings(t, n):
     # the integer Gram construction against 2a/(a,a) and <a_i, a_j^vee>
     # computed here in Fractions
     d = build_datum(t, n)
-    coroots = [tuple(2 * F(x) / _pair(a, a) for x in a) for a in d.simple_roots]
+    coroots = [tuple(2 * F(x) / ip(a, a) for x in a) for a in d.simple_roots]
     assert [list(c) for c in d.simple_coroots] == [list(c) for c in coroots]
     assert all(type(x) is F for c in d.simple_coroots for x in c)
-    assert d.cartan == tuple(tuple(_pair(a, c) for c in coroots) for a in d.simple_roots)
-    assert _det(d.cartan) == (n + 1 if t == "A" else _CARTAN_DET[t])
+    assert d.cartan == tuple(tuple(ip(a, c) for c in coroots) for a in d.simple_roots)
+    assert gauss_jordan(d.cartan)[1] == (n + 1 if t == "A" else _CARTAN_DET[t])
 
 
 def test_product_cartan_is_block_diagonal():
@@ -140,7 +119,7 @@ def test_product_cartan_is_block_diagonal():
             blocks[start + i][start:start + f.rank] = f.cartan[i]
         start += f.rank
     assert d.cartan == tuple(map(tuple, blocks))
-    assert d.cartan == tuple(tuple(_pair(a, c) for c in d.simple_coroots)
+    assert d.cartan == tuple(tuple(ip(a, c) for c in d.simple_coroots)
                              for a in d.simple_roots)
     assert all(type(x) is int for row in d.cartan for x in row)
 
@@ -183,8 +162,8 @@ def test_dual_basis_identities_all_types():
         coweights = fundamental_coweights(d)
         for i in range(n):
             for j in range(n):
-                assert dot(d.simple_coroots[j], weights[i]) == int(i == j)
-                assert dot(coweights[i], d.simple_roots[j]) == int(i == j)
+                assert ip(d.simple_coroots[j], weights[i]) == int(i == j)
+                assert ip(coweights[i], d.simple_roots[j]) == int(i == j)
 
 
 def test_highest_root_classical_tables():
@@ -332,21 +311,6 @@ def test_cochar_reads_ints_strings_and_fractions():
         a2.cochar(("1/0", "0", "0"))
 
 
-def _gauss_solve(a, b):
-    """Solve the square, invertible system a x = b by Fraction elimination."""
-    n = len(a)
-    m = [[F(x) for x in row] + [F(y)] for row, y in zip(a, b)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return tuple(row[n] for row in m)
-
-
 @st.composite
 def _datum_and_vector(draw):
     t, n = draw(st.sampled_from(ALL_TYPES))
@@ -358,20 +322,11 @@ def _datum_and_vector(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_datum_and_vector())
-def test_coroot_span_decomposition_matches_gram_solve(case):
+def test_kernel_split_matches_a_fraction_gram_solve(case):
     datum, v = case
-    roots, coroots = datum.simple_roots, datum.simple_coroots
-
-    def ip(a, b):
-        return sum((x * y for x, y in zip(a, b)), F(0))
-
-    gram = [[ip(coroots[i], roots[j]) for i in range(datum.rank)] for j in range(datum.rank)]
-    expected = _gauss_solve(gram, [ip(v, r) for r in roots])
-    coeffs, perp = coroot_span_decomposition(datum, v)
-    assert coeffs == expected
-    assert perp == tuple(x - sum((c * av[t] for c, av in zip(expected, coroots)), F(0))
-                         for t, x in enumerate(v))
-    assert all(ip(perp, r) == 0 for r in roots)
+    coeffs, perp = kernel_split(datum, v)
+    assert (coeffs, perp) == coroot_split(datum, v)
+    assert all(ip(perp, r) == 0 for r in datum.simple_roots)
 
 
 def _check_inverse(a):
@@ -455,27 +410,10 @@ def test_kernel_split_solves_the_cartan_system(t, n):
         c = [F(v, k.q * k.R * L) for v in C]
         perp = [F(v, k.q * k.R * k.K * L) for v in P]
         for j, root in enumerate(datum.simple_roots):
-            assert dot(perp, root) == 0
-            assert sum(datum.cartan[j][i] * c[i] for i in range(n)) == dot(coords, root)
+            assert ip(perp, root) == 0
+            assert sum(datum.cartan[j][i] * c[i] for i in range(n)) == ip(coords, root)
         assert [sum((ci * a[s] for ci, a in zip(c, datum.simple_coroots)), perp[s])
                 for s in range(datum.ambient_dim)] == coords
-
-
-def _rank(rows):
-    """The rank of a list of rational rows, by Gaussian elimination over Fractions."""
-    rows = [[F(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # every datum up to rank 8, and a product; the ids keep the form
@@ -499,8 +437,8 @@ def test_the_complement_basis_spans_the_roots_orthogonal_complement(t, n):
     Z = k.complement
     assert len(Z) == datum.ambient_dim - datum.rank
     assert all(isinstance(x, int) for z in Z for x in z)
-    assert all(dot(z, root) == 0 for z in Z for root in datum.simple_roots)
-    assert _rank(Z) == len(Z)
+    assert all(ip(z, root) == 0 for z in Z for root in datum.simple_roots)
+    assert gauss_jordan(Z)[0] == len(Z)
     rng = random.Random(datum.ambient_dim * 100 + datum.rank)
     verdicts = set()
     for _ in range(30):
