@@ -9,8 +9,9 @@ A point nu belongs to the set attached to a dominant mu exactly when
   * for every simple root a with <nu, a> != 0 the coroot coefficient
     c_a = <mubar - nu, w_a> is a non-negative integer.
 
-The certificate (c, J) stores the coefficient vector and the set of simple
-roots pairing to zero against nu, where integrality is not required.
+The certificate (c, J) stores the coefficient vector, as integer numerators
+over one denominator, and the set of simple roots pairing to zero against
+nu, where integrality is not required.
 
 Every root datum here is split (Frobenius acts trivially on it), so mubar,
 the Galois average of mu, is mu itself.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter, le, mul, sub
 
 from .linalg import invert
@@ -28,18 +30,32 @@ from .rootdata import (
     RationalCocharacter,
     RootDatum,
     fundamental_coweight,
-    is_dominant,
     special_roots,
 )
 
 
 @dataclass(frozen=True)
 class KottwitzElement:
-    """A member nu with its membership certificate."""
+    """A member nu with its membership certificate (c, J): the coroot
+    coefficients c = C / den, integer numerators over one denominator in
+    lowest terms (den > 0, gcd(den, *C) = 1), so equality and hashing are by
+    value.  The Fraction view c is cached on first read."""
 
     nu: RationalCocharacter
-    c: tuple[Fraction, ...]
+    C: tuple[int, ...]
+    den: int
     J: frozenset[int]  # 1-based simple-root indices with <nu, alpha> = 0
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"denominator {self.den} is not positive")
+        g = math.gcd(self.den, *self.C)
+        object.__setattr__(self, "C", tuple(self.C) if g == 1 else tuple([t // g for t in self.C]))
+        object.__setattr__(self, "den", self.den // g)
+
+    @cached_property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.den) for t in self.C)
 
 
 @dataclass(frozen=True)
@@ -122,8 +138,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     coordinate per level from that greatest value down, settling the later
     ones for each value; a level ends at the first failure that every lower
     value shares (an earlier pairing, a later coordinate below 0).
-    The walk's pairing rows and steps depend on J and the Cartan matrix
-    alone and are computed once per process (_BLOCKS).
+    The walk's pairing rows, steps and zero set depend on J and the Cartan
+    matrix alone and are computed once per process (_BLOCKS).
 
     The zero sets that hold a point are closed upward.  Take nu in the set
     with zero set J, any J' containing J, and d = B' <nu, alpha_J'> with B'
@@ -148,17 +164,18 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
     sum_g P_g Q[:, g] / (D q q'): two vector updates per free node, over
     shared denominators L S K q' and q' R L S K q' (S the lcm of the
     leaves' D q).  The points are sorted on these numerators (the order of
-    their Fraction tuples) and become cocharacters on them, one Fraction
-    per distinct certificate numerator.  The certificates are relative to
-    the returned mubar, which is what maximal_elements reads the order off.
+    their Fraction tuples), and the elements take them as they are: nu over
+    the first, the certificate's numerators over the second, and J from the
+    block.  No Fraction is built.  The certificates are relative to the
+    returned mubar, which is what maximal_elements reads the order off.
     """
     datum = mu.datum
-    if not is_dominant(mu):
-        raise ValueError("mu must be dominant")
     mubar = mu
     n, k = datum.rank, datum.kernel
     x, L = mubar.x, mubar.L
     pairings = k.root_pairings(x)  # R L <mubar, alpha_g>
+    if min(pairings) < 0:
+        raise ValueError("mu must be dominant")
     g = math.gcd(k.R * L, *pairings)
     D = k.R * L // g
     M = [p // g for p in pairings]  # D <mubar, alpha_g>
@@ -175,17 +192,16 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
         if rest:
             continue
         block = blocks[j_mask] = blocks[j_mask] or _principal_block(datum.cartan, j_mask)
-        J = frozenset([i + 1 for i in range(n) if j_mask >> i & 1])  # every leaf's zero set
         for P in _walk(block, M, D, bounds):
-            leaves.append((P, block, J))
+            leaves.append((P, block))
             live[j_mask] = True
-    S = math.lcm(*(D * block[1] for _, block, _ in leaves))
+    S = math.lcm(*(D * block[1] for _, block in leaves))
     den = L * S * k.K * k.q
     C_mubar, P_mubar = k.split([t * (den // L) for t in x], [p * (den // L) for p in pairings])
     nu_0 = [p // k.qRK for p in P_mubar]  # mubar's orthogonal part over den (D divides S)
     cols, coweights = tuple(zip(*k.Q)), k.coweights
     members = []
-    for P, (free, qb, *_), J in leaves:
+    for P, (free, qb, _, _, J) in leaves:
         f = L * S // (D * qb)  # over den, P_g w_g / (D qb) is P_g f coweights[g]
         x_nu, C = nu_0, C_mubar
         for g, p in zip(free, P):
@@ -194,10 +210,8 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
             C = [c - h * u for c, u in zip(C, cols[g])]
         members.append((x_nu, C, J))
     members.sort(key=itemgetter(0))  # den > 0: the order of the points nu
-    coefficients = {c: Fraction(c, k.q * k.R * den) for c in {c for _, C, _ in members for c in C}}
     return KottwitzSet(mu, mubar, tuple(
-        KottwitzElement(RationalCocharacter(x_nu, den, datum),
-                        tuple(map(coefficients.__getitem__, C)), J)
+        KottwitzElement(RationalCocharacter(x_nu, den, datum), C, k.q * k.R * den, J)
         for x_nu, C, J in members))
 
 
@@ -208,8 +222,9 @@ _BLOCKS: dict[tuple[tuple[int, ...], ...], list] = {}
 
 def _principal_block(cartan, j_mask):
     """The walk's data for J = the bits of j_mask: (free, q, pairing rows,
-    steps), q the common denominator of B.  The pairing rows, over (M, D
-    c_free), are formed from the rows of C_J, which the sign-fact check
+    steps, zero set), q the common denominator of B and the zero set J, in
+    1-based indices, shared by every leaf on J.  The pairing rows, over (M,
+    D c_free), are formed from the rows of C_J, which the sign-fact check
     also reads; steps[i] is the change of the free pairings as D c_free[i]
     grows by 1.  Raises AssertionError if a sign fact fails."""
     n = len(cartan)
@@ -227,7 +242,7 @@ def _principal_block(cartan, j_mask):
     if any(x < 0 for row in rows for x in row) or any(
             (d < 0) != (i == h) for i, step in enumerate(steps) for h, d in enumerate(step)):
         raise AssertionError(f"principal block {J} of {cartan} breaks a sign fact")
-    return free, q, tuple(map(tuple, pairing_rows)), steps
+    return free, q, tuple(map(tuple, pairing_rows)), steps, frozenset([a + 1 for a in J])
 
 
 def _settle(values, point, steps, fixed):
@@ -253,7 +268,7 @@ def _settle(values, point, steps, fixed):
 def _walk(block, M, D, bounds):
     """The candidates with the zero set J of block (see enumerate_bgmu and
     _principal_block), each as its free pairings D q <nu, alpha_g>."""
-    free, _, pairing_rows, steps = block
+    free, _, pairing_rows, steps, _ = block
     # D times the unit steps (D = 1 for every coweight, so no product there)
     steps = steps if D == 1 else [[D * d for d in step] for step in steps]
     point = [bounds[a] for a in free]
@@ -301,8 +316,8 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
     The elements must be those of one set, each with its certificate
     mubar - nu = sum_a c_a coroot_a relative to ks.mubar, as enumerate_bgmu
     returns them.  The coroots are independent, so e <= f (newton_leq)
-    exactly when c_e >= c_f componentwise: the certificates, put over one
-    common denominator, are compared as integer numerators.
+    exactly when c_e >= c_f componentwise: the stored numerators C, put over
+    the lcm of their denominators, are compared as integers.
 
     Only the maxima need to be compared against.  f > e makes the
     coefficient sum of f strictly smaller than that of e, and every element
@@ -317,8 +332,8 @@ def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[Kottwitz
         pool = [e for e in pool if e.nu != ks.mubar]
     if not pool:
         raise ValueError("empty element set")
-    L = math.lcm(*(c.denominator for e in pool for c in e.c))
-    certificates = [([c.numerator * (L // c.denominator) for c in e.c], e) for e in pool]
+    L = math.lcm(*{e.den for e in pool})
+    certificates = [([c * (L // e.den) for c in e.C], e) for e in pool]
     certificates.sort(key=lambda ce: sum(ce[0]))  # stable: pool order on ties
     maxima, out = [], set()  # the certificates and the elements kept so far
     for c, e in certificates:

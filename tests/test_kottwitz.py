@@ -387,15 +387,17 @@ MAXIMA_CASES = ([("A", n, k) for n in (6, 7, 8) for k in range(1, n + 1)]
 
 
 def _rebuilt(e):
-    """A copy of e whose nu comes through datum.cochar."""
-    return KottwitzElement(e.nu.datum.cochar(list(e.nu.coords)), e.c, e.J)
+    """A copy of e whose nu comes through datum.cochar, and whose certificate
+    is given as its numerators and denominator times 3."""
+    return KottwitzElement(e.nu.datum.cochar(list(e.nu.coords)), [3 * t for t in e.C],
+                           3 * e.den, e.J)
 
 
 @pytest.mark.parametrize("t,n", sorted({(t, n) for t, n, _ in MAXIMA_CASES}))
 def test_maximal_elements_match_the_pairwise_scan_on_random_pools(t, n):
     # sub-pools of a set have many maximal elements, unlike the set itself;
     # every other pool mixes enumerated elements with copies rebuilt through
-    # datum.cochar
+    # datum.cochar and the certificate's unreduced numerators
     datum = build_datum(t, n)
     rng = random.Random(f"{t}{n}")
     for k in [k for t_, n_, k in MAXIMA_CASES if (t_, n_) == (t, n)]:
@@ -413,13 +415,48 @@ def test_maximal_elements_match_the_pairwise_scan_on_random_pools(t, n):
                 assert maximal_elements(sub, exclude_top) == want, (t, n, k, size)
 
 
+@pytest.mark.parametrize("den", [0, -1, -6])
+def test_certificate_denominator_must_be_positive(den):
+    c2 = build_datum("C", 2)
+    with pytest.raises(ValueError, match="not positive"):
+        KottwitzElement(c2.cochar(("1/2", "0")), (1, 0), den, frozenset())
+
+
+def test_certificate_is_stored_in_lowest_terms():
+    # like a cocharacter, a certificate has one stored form: equality and
+    # hashing are by value, and c is its Fraction view
+    c2 = build_datum("C", 2)
+    nu = c2.cochar(("1/2", "0"))
+    forms = [KottwitzElement(nu, (3 * m, -2 * m), 6 * m, frozenset({2})) for m in (1, 2, 5, 12)]
+    assert {(e.C, e.den) for e in forms} == {((3, -2), 6)}
+    assert len(set(forms)) == 1 and len({hash(e) for e in forms}) == 1
+    assert all(e.c == (F(1, 2), F(-1, 3)) for e in forms)
+    zero = [KottwitzElement(nu, [0, 0], den, frozenset()) for den in (1, 4, 9)]
+    assert {(e.C, e.den) for e in zero} == {((0, 0), 1)} and len(set(zero)) == 1
+    assert zero[0].c == (F(0), F(0))
+    assert KottwitzElement(nu, (1, 0), 2, frozenset()) != \
+        KottwitzElement(nu, (1, 0), 3, frozenset())
+
+
+def test_enumeration_and_maxima_build_no_certificate_fractions():
+    # the certificates stay integer numerators through enumerate_bgmu and
+    # maximal_elements: the Fraction view c is built only when it is read
+    e7 = build_datum("E7", 7)
+    ks = enumerate_bgmu(fundamental_coweight(e7, 7))
+    assert len(maximal_elements(ks, exclude_top=True)) == 1
+    assert ks.elements and all("c" not in e.__dict__ for e in ks.elements)
+    e = ks.elements[-1]
+    assert e.c == tuple(F(t, e.den) for t in e.C) and "c" in e.__dict__
+
+
 def test_elements_with_the_same_nu_are_one_point():
     # a point that is maximal is returned once, as the first element in the
     # pool that carries it
     c2 = build_datum("C", 2)
     ks = enumerate_bgmu(fundamental_coweight(c2, 2))
     (top,) = [e for e in ks.elements if e.nu == ks.mubar]
-    copy = KottwitzElement(c2.cochar(list(top.nu.coords)), top.c, top.J)
+    copy = KottwitzElement(c2.cochar(list(top.nu.coords)), [2 * t for t in top.C],
+                           2 * top.den, top.J)
     assert copy == top and copy is not top
     for pool, first in (((top, copy), top), ((copy, top), copy)):
         (got,) = maximal_elements(KottwitzSet(ks.mu, ks.mubar, pool))
@@ -603,8 +640,9 @@ def test_every_principal_block_has_the_sign_facts_of_the_walk(t, n):
     datum = build_datum(t, n)
     cartan = datum.cartan
     for j_mask in range(1 << n):
-        free, q, _, steps = kottwitz._principal_block(cartan, j_mask)
+        free, q, _, steps, zero_set = kottwitz._principal_block(cartan, j_mask)
         J = [a for a in range(n) if a not in free]
+        assert zero_set == {a + 1 for a in J}, (t, n, j_mask)
         B = gram_inverse(datum, tuple(J))
         assert all(x >= 0 and (q * x).denominator == 1 for row in B for x in row), (t, n, j_mask)
         assert all(-sum(x * cartan[b][a] for b, x in zip(J, row)) >= 0
