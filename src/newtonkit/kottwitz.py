@@ -77,9 +77,10 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     """Decide membership of nu relative to mubar: (True, (c, J)) with the
     certificate, or (False, reason).  nu and mubar are put over one common
     denominator L and tested on those integer numerators: the root pairings
-    of nu give the dominance test and the zero set J, the complement basis
-    the coroot-span test of mubar - nu, and Q times its root pairings its
-    coroot coefficients C = c q R L; no orthogonal part is formed.
+    of nu give the dominance test and the zero set J, and the kernel's split
+    of mubar - nu its coroot coefficients C = c q R L and its orthogonal
+    part.  mubar - nu is in the coroot span exactly when split leaves no
+    orthogonal part.
     """
     datum = nu.datum
     if mubar.datum != datum:
@@ -90,10 +91,9 @@ def is_in_bgmu(nu: RationalCocharacter, mubar: RationalCocharacter):
     p_nu = k.root_pairings(x_nu)
     if min(p_nu) < 0:
         return False, "nu is not dominant"
-    d = list(map(sub, mubar.over(L), x_nu))
-    if not k.in_coroot_span(d):
+    C, P = k.split(list(map(sub, mubar.over(L), x_nu)))
+    if any(P):
         return False, "mubar - nu is not in the coroot span"
-    C = k.coefficients(k.root_pairings(d))
     if min(C) < 0:
         return False, "mubar - nu has a negative coroot coefficient"
     den = k.q * k.R * L  # c = C / den, integral where nu pairs nonzero
@@ -197,7 +197,7 @@ def enumerate_bgmu(mu: RationalCocharacter) -> KottwitzSet:
             live[j_mask] = True
     S = math.lcm(*(D * block[1] for _, block in leaves))
     den = L * S * k.K * k.q
-    C_mubar, P_mubar = k.split([t * (den // L) for t in x], [p * (den // L) for p in pairings])
+    C_mubar, P_mubar = k.split([t * (den // L) for t in x])
     nu_0 = [p // k.qRK for p in P_mubar]  # mubar's orthogonal part over den (D divides S)
     cols, coweights = tuple(zip(*k.Q)), k.coweights
     members = []
@@ -299,15 +299,16 @@ def _walk(block, M, D, bounds):
 
 def newton_leq(x: RationalCocharacter, y: RationalCocharacter) -> bool:
     """Dominance order: y - x is a non-negative combination of simple coroots.
-    Over one common denominator the kernel's complement basis kills y - x,
-    and Q times its root pairings is >= 0.  Callers pass dominant points.
+    Over one common denominator the kernel's split of y - x leaves no
+    orthogonal part (y - x is in the coroot span) and its coroot
+    coefficients are >= 0.  Callers pass dominant points.
     """
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
     k = x.datum.kernel
     L = math.lcm(x.L, y.L)
-    d = list(map(sub, y.over(L), x.over(L)))
-    return k.in_coroot_span(d) and min(k.coefficients(k.root_pairings(d))) >= 0
+    C, P = k.split(list(map(sub, y.over(L), x.over(L))))
+    return not any(P) and min(C) >= 0
 
 
 def maximal_elements(ks: KottwitzSet, exclude_top: bool = False) -> set[KottwitzElement]:

@@ -9,9 +9,9 @@ the grid test run on integer numerators of their own (the oracle's own
 reflection, a fraction-free tableau, one Gram inverse scaled to integers);
 none of them uses the fast paths' integer kernel (RootDatum.kernel) or
 their linear algebra.  The simplex enters on the largest reduced cost and
-falls back to Bland's rule after a degenerate pivot; the grid test takes
-one set of root pairings per point and gets those of mubar - nu from
-mubar's by linearity.  These routines back the test suite and the CLI
+leaves by the lexicographic ratio rule; the grid test takes one set of
+root pairings per point and gets those of mubar - nu from mubar's by
+linearity.  These routines back the test suite and the CLI
 verify mode only.
 """
 
@@ -99,15 +99,18 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
 
     Pivot rule: the entering column has the largest positive reduced cost
     (the cost row is one integer row over one positive factor, so comparing
-    its entries is the rational order; ties go to the lowest column).  After
-    a degenerate pivot (min ratio 0) the entering column is the lowest one
-    with a positive reduced cost (Bland's rule) until a pivot moves the
-    objective.  The leaving row has the minimum ratio, ties to the lowest
-    basis index.  Termination: a pivot with a positive ratio strictly lowers
-    the objective, so no basis repeats across it and only finitely many such
-    pivots occur.  Once they stop, every pivot is degenerate, and every one
-    after the first follows Bland's rule with its leaving rule, which cannot
-    cycle (Bland, Math. Oper. Res. 1977).
+    its entries is the rational order; ties go to the lowest column).  The
+    leaving row is the lexicographic minimum, over the rows with a positive
+    entry in that column, of the row's right-hand side and then its
+    artificial columns (its row of the basis inverse), each divided by that
+    entry.  The rows of the basis inverse are independent, so there is no
+    tie.  Termination: each such row starts lexicographically positive and
+    stays so, and each pivot moves the objective row strictly in the
+    lexicographic order, so no basis repeats (Dantzig, Orden and Wolfe,
+    Pacific J. Math. 1955).  Degenerate pivots (min ratio 0) keep the
+    largest reduced cost; the lowest-index entering rule of Bland stalls
+    there on large orbits (thousands of pivots at the barycentre of a
+    5040-point A6 orbit, against 11 with this rule).
     """
     m = len(target) + 1
     n = len(points)
@@ -120,26 +123,20 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
     tableau = [row[:-1] + [denominator * (i == j) for j in range(m)] + row[-1:]
                for i, row in enumerate(rows)]
     ncols = n + m
-    basis = list(range(n, ncols))
+    keys = [ncols, *range(n, ncols)]  # the right-hand side, then the basis inverse
     cost = [sum(column) for column in zip(*tableau)]
     for t in range(n, ncols):
         cost[t] -= denominator
-    bland = False
     while cost[-1]:
         improving = [j for j in range(ncols) if cost[j] > 0]
         if not improving:
             break
-        enter = improving[0] if bland else max(improving, key=cost.__getitem__)
+        enter = max(improving, key=cost.__getitem__)
         leave = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                rhs = tableau[i][-1]
-                if leave is None or rhs * best_a < best_rhs * a or (
-                    rhs * best_a == best_rhs * a and basis[i] < basis[leave]
-                ):
-                    best_rhs, best_a = rhs, a
-                    leave = i
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0 and (leave is None or _lex_below(row, a, tableau[leave], best_a, keys)):
+                leave, best_a = i, a
         if leave is None:
             raise AssertionError("unbounded phase-1 objective")
         pivot_row = tableau[leave]
@@ -150,17 +147,24 @@ def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
                 tableau[i] = _primitive([x * piv - f * y for x, y in zip(tableau[i], pivot_row)])
         f = cost[enter]
         cost = _primitive([x * piv - f * y for x, y in zip(cost, pivot_row)])
-        basis[leave] = enter
-        bland = best_rhs == 0
     return cost[-1] == 0
 
 
+def _lex_below(r, a, s, b, keys) -> bool:
+    """Is (r[c] / a) below (s[c] / b), c over keys, in the lexicographic order?
+    a, b > 0, so each ratio is compared by cross-multiplication."""
+    for c in keys:
+        u, v = r[c] * b, s[c] * a
+        if u != v:
+            return u < v
+    return False
+
+
 def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bool:
-    """Does x lie in the convex hull of the Weyl orbit of y?  Rank <= 3 only."""
+    """Does x lie in the convex hull of the Weyl orbit of y?  At any rank; an
+    orbit of y of more than WEYL_CAP points raises ValueError."""
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
-    if x.datum.rank > 3:
-        raise ValueError("rank too large for the hull oracle (max 3)")
     orbit, D = _int_orbit(y)
     M = lcm(D, _denominator([x.coords]))
     points = [[t * (M // D) for t in pt] for pt in sorted(orbit)]
@@ -192,15 +196,13 @@ def _gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]]
     return det, [row[n:] for row in m]
 
 
-def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> tuple[int, Fraction]:
-    """(denominator, box): grid bounds that provably cover every member,
-    from the integer orbit of mu over D.
+def _grid_spec(mu: RationalCocharacter) -> int:
+    """The grid denominator: every member's coordinates lie in (1/d) Z.
 
     Every datum is split, so mubar is mu.  Coroot coefficients arise from
     solving principal Cartan submatrices against integer data, so
     denominators divide lcm(den(mu coords), principal minors * coroot
     denominators).
-    The box is the coordinate range of the orbit hull of mu.
     """
     datum = mu.datum
     n = datum.rank
@@ -210,31 +212,29 @@ def _grid_spec(mu: RationalCocharacter, orbit, D: int) -> tuple[int, Fraction]:
         d = int(_gauss_jordan([[datum.cartan[a][b] for b in idx] for a in idx])[0])
         if d:
             minors = lcm(minors, abs(d))
-    denominator = lcm(_denominator([mu.coords]),
-                      minors * _denominator(datum.simple_coroots))
-    box = Fraction(max(abs(t) for y in orbit for t in y), D)
-    return denominator, box if box > 0 else Fraction(1)
+    return lcm(_denominator([mu.coords]), minors * _denominator(datum.simple_coroots))
 
 
 def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
     """Re-derive the Kottwitz set by scanning every grid point.
 
-    All vectors with coordinates in (1/D) Z inside the orbit bounding box
-    are tested against the membership criterion directly, by a test of its
-    own (_grid_member) on their integer numerators.  Rank <= 3 only.  The
-    datum is split, so mubar is mu itself, which must be dominant (by the
+    All vectors with coordinates in (1/d) Z inside the bounding box of mu's
+    Weyl orbit (each axis the orbit's own coordinate range, which holds
+    every member, as members lie in the orbit's convex hull) are tested
+    against the membership criterion directly, by a test of its own
+    (_grid_member) on their integer numerators.  Rank <= 3 only.  The datum
+    is split, so mubar is mu itself, which must be dominant (by the
     oracle's own pairing test, as enumerate_bgmu requires).
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
     orbit, D = _int_orbit(mu)
-    d, bound = _grid_spec(mu, orbit, D)
+    d = _grid_spec(mu)
     member = _grid_member(datum, mu.coords, d)
     axes = []
     for j in range(datum.ambient_dim):
-        lo = max(Fraction(min(y[j] for y in orbit), D), -bound)
-        hi = min(Fraction(max(y[j] for y in orbit), D), bound)
+        lo, hi = Fraction(min(y[j] for y in orbit), D), Fraction(max(y[j] for y in orbit), D)
         axes.append(range(ceil(lo * d), floor(hi * d) + 1))
     return {tuple(Fraction(t, d) for t in pt)
             for pt in itertools.product(*axes) if member(pt)}

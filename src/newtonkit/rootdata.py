@@ -18,8 +18,9 @@ the simple roots' numerators, each Cartan entry checked to be an integer.
 
 All arithmetic is exact: a cocharacter holds integer numerators over one
 denominator, and the linear algebra runs on them (IntegerKernel: split gives
-coroot coefficients plus orthogonal part, complement decides the coroot span
-for the tests in kottwitz); nothing here ever touches a float.
+coroot coefficients plus orthogonal part, and a vector is in the coroot span
+exactly when split leaves no orthogonal part); nothing here ever touches a
+float.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class IntegerKernel:
     here.  A cocharacter enters as its numerators x over its denominator L,
     so every product is an integer mat-vec product, and callers build their
     results from integers.  ``split`` is the one place that cuts x / L into
-    coroot coefficients and a part orthogonal to the roots; ``complement``
-    decides coroot-span membership without forming that part.
+    coroot coefficients and a part orthogonal to the roots: x / L is in the
+    coroot span exactly when split leaves no orthogonal part.
     """
 
     def __init__(self, datum: "RootDatum"):
@@ -169,38 +170,13 @@ class IntegerKernel:
         one row per node: coroot_sum of column i of Q."""
         return tuple(tuple(self.coroot_sum(col)) for col in zip(*self.Q))
 
-    @cached_property
-    def complement(self) -> tuple[tuple[int, ...], ...]:
-        """An integer basis Z of the roots' orthogonal complement (ambient_dim -
-        rank rows, echelon form) from split's P of the unit vectors: coroots are
-        positive multiples of roots, so x / L is in the coroot span iff Z x = 0."""
-        dim, basis = len(self._root_cols), []  # (pivot, row), zero at earlier pivots
-        for i in range(dim):
-            z = self.split([int(i == j) for j in range(dim)])[1]
-            for h, b in basis:
-                z = [b[h] * t - z[h] * u for t, u in zip(z, b)]
-            if any(z):
-                g = math.gcd(*z)
-                basis.append((next(h for h, t in enumerate(z) if t), [t // g for t in z]))
-        return tuple(tuple(b) for _, b in basis)
-
-    def in_coroot_span(self, x: Sequence[int]) -> bool:
-        """Z x = 0 for x over any L; a loop, as it runs on every membership and order test."""
-        for z in self.complement:
-            if sum(map(mul, z, x)):
-                return False
-        return True
-
-    def split(self, x: Sequence[int],
-              pairings: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    def split(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
         """(C, P) for a numerator vector x over L: C = coefficients(root_pairings(x)),
         the coroot coefficients of x / L over q R L, and P the numerators over
         q R K L of the rest, x / L - sum_k C_k coroot_k / (q R L), which pairs
-        to zero with every root.  A caller that already holds
-        root_pairings(x) passes it as pairings."""
-        if pairings is None:
-            pairings = self.root_pairings(x)
-        C = self.coefficients(pairings)
+        to zero with every root.  x / L is in the coroot span exactly when
+        split leaves no orthogonal part (P = 0)."""
+        C = self.coefficients(self.root_pairings(x))
         return C, [t * self.qRK - s for t, s in zip(x, self.coroot_sum(C))]
 
 

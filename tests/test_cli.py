@@ -581,6 +581,14 @@ _PINNED = [
     (["leq", "--type", "A", "--rank", "2", "--x", '["1","0","0"]',
       "--y", '["1/3","1/3","1/3"]'], 0,
      "678b3396f76d38edc0ae2169f8eff45328fe19d68fa6eb567e11f6af94f08b56"),
+    # off the coroot span (the central parts differ): neither the order nor the hull
+    (["leq", "--type", "A", "--rank", "2", "--x", '["1","0","0"]', "--y", '["2","0","0"]',
+      "--verify"], 0,
+     "e27a43cc3a5dfae6f4da7d24e8e43efa7a3e340cde88fde07d9a5fab5afa6813"),
+    # the hull oracle at rank 8: 0 <= omega_8, whose orbit is the 240 roots
+    (["leq", "--type", "E8", "--rank", "8", "--x", "[0,0,0,0,0,0,0,0]",
+      "--y", '["0","0","0","0","0","0","1","1"]', "--verify"], 0,
+     "5be1aa27c0b0a591eb0e6324214982cd2000ae951abcd4f868e185c62978d383"),
     (["slopes", "--nu", '["1/2","0"]', "--dim", "4"], 0,
      "b470fe64f620740dc348b9700e835fb775fea10ab389437fb6a006627df41df7"),
     (["slopes", "--nu", '["1","2/3","1/3","0"]', "--dim", "4"], 0,

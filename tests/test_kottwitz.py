@@ -264,18 +264,22 @@ SPAN_CASES = [("A", 1, 1), ("A", 4, 2), ("A", 8, 5), ("G2", 2, 1), ("E6", 6, 1),
 
 @pytest.mark.parametrize("t,n,node", SPAN_CASES)
 def test_a_point_off_the_coroot_span_is_refused_with_its_reason(t, n, node):
-    # nu = e + s z, e an element of the set and z a combination of the
-    # complement rows: nu pairs with every root as e does, so it is dominant,
-    # and its coroot coefficients are e's, but mubar - nu is off the span
+    # nu = e + s z, e an element of the set and z a nonzero orthogonal part
+    # of a unit vector (by the Fraction reference) or their sum: nu pairs
+    # with every root as e does, so it is dominant, and its coroot
+    # coefficients are e's, but mubar - nu is off the span
     if t == "A2xG2xE6":
         datum = product_datum([build_datum("A", 2), build_datum("G2", 2), build_datum("E6", 6)])
     else:
         datum = build_datum(t, n)
     assert datum.rank == n
     ks = enumerate_bgmu(fundamental_coweight(datum, node))
-    Z = datum.kernel.complement
+    dim = datum.ambient_dim
+    parts = [coroot_split(datum, [int(i == j) for j in range(dim)])[1] for i in range(dim)]
+    Z = list(dict.fromkeys(perp for perp in parts if any(perp)))
     assert Z
-    moves = list(Z) + [[sum(col) for col in zip(*Z)]]
+    moves = Z + [[sum(col) for col in zip(*Z)]]
+    assert all(any(z) for z in moves)
     for e in (ks.elements[0], ks.elements[-1]):
         for z in moves:
             for scale in (F(1, 3), -2):
@@ -287,10 +291,15 @@ def test_a_point_off_the_coroot_span_is_refused_with_its_reason(t, n, node):
 
 
 def test_only_types_a_e6_e7_and_g2_have_a_complement():
-    # the roots of B, C, D, E8 and F4 span the ambient space, so "mubar - nu
-    # is not in the coroot span" is never their reason
+    # the roots of B, C, D, E8 and F4 span the ambient space, so no unit
+    # vector has an orthogonal part and "mubar - nu is not in the coroot
+    # span" is never their reason; split and the Fraction reference agree
     for t, n in SIGN_FACT_TYPES:
-        assert bool(build_datum(t, n).kernel.complement) == (t in ("A", "E6", "E7", "G2")), (t, n)
+        datum = build_datum(t, n)
+        units = [[int(i == j) for j in range(datum.ambient_dim)] for i in range(datum.ambient_dim)]
+        has = t in ("A", "E6", "E7", "G2")
+        assert any(any(datum.kernel.split(e)[1]) for e in units) == has, (t, n)
+        assert any(any(coroot_split(datum, e)[1]) for e in units) == has, (t, n)
 
 
 def test_enumerate_product_datum():

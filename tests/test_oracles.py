@@ -53,11 +53,49 @@ def test_hull_membership_examples():
     assert not convex_hull_membership(c2.cochar([1, 0]), y)
 
 
-def test_hull_membership_rank_cap():
+def test_hull_membership_rank_cap(monkeypatch):
+    # no rank refusal: A4 gets an answer, and WEYL_CAP on the orbit of y is
+    # the hull oracle's one bound
     a4 = build_datum("A", 4)
     v = a4.cochar([0] * 5)
-    with pytest.raises(ValueError):
-        convex_hull_membership(v, v)
+    y = fundamental_coweight(a4, 2)  # an orbit of 10 points
+    assert convex_hull_membership(v, v) and convex_hull_membership(v, y)
+    assert not convex_hull_membership(y, v)
+    monkeypatch.setattr(oracles_mod, "WEYL_CAP", 9)
+    with pytest.raises(ValueError, match="Weyl orbit exceeds cap of 9 elements"):
+        convex_hull_membership(v, y)
+
+
+# past rank 3, where the orbit of y fits under WEYL_CAP: generic y up to
+# 5040 orbit points (A6), and multiples of omega_8 (240 points) on E8
+_HULL_PAST_RANK_3 = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F4", 4), ("D", 5), ("A", 6),
+                     ("E8", 8)]
+
+
+@pytest.mark.parametrize("t, n", _HULL_PAST_RANK_3, ids=[f"{t}-{n}" for t, n in _HULL_PAST_RANK_3])
+def test_hull_matches_newton_leq_past_rank_3(t, n):
+    # for dominant x and y, x lies in the hull of the orbit of y exactly when
+    # x <= y; x is y moved by a small step and made dominant, with the same
+    # central part as y on every other type A pair, so both answers occur
+    datum = build_datum(t, n)
+    rng = random.Random(f"hull-{t}{n}")
+    answers = set()
+    for i in range(12):
+        if t == "E8":
+            y, x = (datum.cochar([s * c for c in fundamental_coweight(datum, k).coords])
+                    for s, k in [(F(rng.randint(1, 6), 3), 8),
+                                 (F(rng.randint(0, 3), 3), rng.randint(1, 8))])
+        else:
+            y = dominant_representative(datum.cochar(
+                [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(datum.ambient_dim)]))
+            step = [F(rng.randint(-3, 3), rng.randint(2, 6)) for _ in range(datum.ambient_dim)]
+            if t == "A" and i % 2:
+                step[-1] = -sum(step[:-1])
+            x = dominant_representative(datum.cochar([a - b for a, b in zip(y.coords, step)]))
+        want = newton_leq(x, y)
+        assert convex_hull_membership(x, y) == want, (x.coords, y.coords)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_hull_oracle_central_mismatch():
@@ -147,8 +185,7 @@ def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
 def test_grid_spec_covers_half_a_coroot():
     # the second-largest element mubar - coroot/2 must be on the grid
     mu = fundamental_coweight(build_datum("A", 2), 1)
-    denominator, _ = oracles_mod._grid_spec(mu, *oracles_mod._int_orbit(mu))
-    assert denominator % 6 == 0
+    assert oracles_mod._grid_spec(mu) % 6 == 0
 
 
 def test_coset_count_examples():
