@@ -220,12 +220,10 @@ def _cmd_mepsilon(args):
         raise ValueError("--full must be non-empty, and of even length for --shape siegel")
     if args.shape == "siegel":
         roots = hecke.siegel_radical_roots(len(full) // 2, lower=not args.upper)
-    elif args.shape == "gl":
+    else:
         if args.upper:
             raise ValueError("--upper applies to --shape siegel only")
         roots = hecke.gl_upper_roots(len(full))
-    else:
-        raise ValueError(f"unknown radical shape {args.shape!r}")
     val = hecke.m_epsilon_valuation(full, roots)
     count = None
     if val.denominator == 1:
@@ -281,7 +279,7 @@ _SUBCOMMANDS = {
     "uniqueness": (_cmd_uniqueness, (("--profile", {"required": True}),
                                      ("--i", {"type": int, "required": True}))),
     "mepsilon": (_cmd_mepsilon, (("--full", {"required": True}),
-                                 ("--shape", {"default": "siegel"}),
+                                 ("--shape", {"choices": ["siegel", "gl"], "default": "siegel"}),
                                  ("--upper", {"action": "store_true"}), _P)),
     "lambdag": (_cmd_lambdag, (("--t", {"required": True}), ("--s", {"default": "1"}), _P)),
     "hasse": (_cmd_hasse, (("--w", {"type": int, "required": True}),

@@ -115,12 +115,9 @@ def epsilon_prime_valuations(h_i: int, deg_i: Fraction,
 
 
 def _perturbed_filtration(profile_data: Sequence[tuple[int, Fraction]],
-                          dim_v: int | None, p: int) -> list[HeckeValuation]:
-    """dim V defaults to twice the largest height present."""
+                          dim_v: int, p: int) -> list[HeckeValuation]:
     if not profile_data:
         raise ValueError("no filtration steps: profile has a single slope")
-    if dim_v is None:
-        dim_v = 2 * max(h for h, _ in profile_data)
     out = []
     for h_i, d_i in profile_data:
         base = filtration_element(h_i, dim_v, p)
@@ -129,12 +126,11 @@ def _perturbed_filtration(profile_data: Sequence[tuple[int, Fraction]],
 
 
 def n_g_constant(profile_data: Sequence[tuple[int, Fraction]], p: int,
-                 dim_v: int | None = None) -> Fraction:
+                 dim_v: int) -> Fraction:
     """Smallest first-block valuation of the perturbed filtration elements.
 
     profile_data lists the proper canonical steps (h_i, d_i), i < r, of a
-    polarized ordinary profile; dim V defaults to twice the largest height
-    present only when not given explicitly.
+    polarized ordinary profile, and dim_v is dim V.
     """
     vals = [lambda_g_valuation(e) for e in _perturbed_filtration(profile_data, dim_v, p)]
     return min(vals)
@@ -142,7 +138,7 @@ def n_g_constant(profile_data: Sequence[tuple[int, Fraction]], p: int,
 
 def c_constant(profile_data: Sequence[tuple[int, Fraction]],
                parabolic_roots: Sequence[Sequence], p: int,
-               dim_v: int | None = None) -> Fraction:
+               dim_v: int) -> Fraction:
     """Largest unipotent-index valuation of the perturbed filtration elements."""
     vals = [
         m_epsilon_valuation(e, parabolic_roots)

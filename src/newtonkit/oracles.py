@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -33,32 +33,26 @@ if TYPE_CHECKING:
 WEYL_CAP = 50_000
 
 
-def _denominator(vectors) -> int:
-    """The lcm of the denominators of every entry of the vectors."""
-    return lcm(*(x.denominator for v in vectors for x in v))
-
-
-def _scaled(vector, D: int) -> list[int]:
-    """D * vector as integers, for a D that every denominator divides."""
-    return [x.numerator * (D // x.denominator) for x in vector]
+def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows) with vectors = rows / d, d the lcm of every entry's denominator."""
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in v]) for v in vectors])
 
 
 def _int_orbit(v: RationalCocharacter) -> tuple[set[tuple[int, ...]], int]:
     """The Weyl orbit of v as a set of integer vectors over one denominator D.
 
-    L, R and K are the common denominators of v, of the simple roots and of
-    the simple coroots, D = L R K, a_i = R root_i and b_i = K coroot_i.  Every
-    pairing <w v, root_i> lies in (1/(L R)) Z, because the Cartan entries are
-    integers, so every orbit point y = D w v is integral and the reflection
-    s_i y = y - ((y . a_i) / (R K)) b_i divides exactly.  An orbit of more
-    than WEYL_CAP points raises ValueError.
+    v = x / L as stored, R and K the common denominators of the simple roots
+    and coroots, a_i = R root_i, b_i = K coroot_i, D = L R K, start x R K.
+    Every pairing <w v, root_i> lies in (1/(L R)) Z, as the Cartan entries
+    are integers, so every orbit point y = D w v is integral and s_i y =
+    y - ((y . a_i) / (R K)) b_i divides exactly.  An orbit of more than
+    WEYL_CAP points raises ValueError.
     """
-    datum = v.datum
-    R, K = _denominator(datum.simple_roots), _denominator(datum.simple_coroots)
-    D = _denominator([v.coords]) * R * K
-    a = [_scaled(alpha, R) for alpha in datum.simple_roots]
-    b = [_scaled(coroot, K) for coroot in datum.simple_coroots]
-    start = tuple(_scaled(v.coords, D))
+    R, a = _integer_rows(v.datum.simple_roots)
+    K, b = _integer_rows(v.datum.simple_coroots)
+    D = v.L * R * K
+    start = tuple([t * R * K for t in v.x])
     seen = {start}
     frontier = [start]
     while frontier:
@@ -166,9 +160,9 @@ def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bo
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
     orbit, D = _int_orbit(y)
-    M = lcm(D, _denominator([x.coords]))
+    M = lcm(D, x.L)
     points = [[t * (M // D) for t in pt] for pt in sorted(orbit)]
-    target = _scaled(x.coords, M)
+    target = [t * (M // x.L) for t in x.x]
     return _simplex_feasible(points, target, M)
 
 
@@ -201,8 +195,8 @@ def _grid_spec(mu: RationalCocharacter) -> int:
 
     Every datum is split, so mubar is mu.  Coroot coefficients arise from
     solving principal Cartan submatrices against integer data, so
-    denominators divide lcm(den(mu coords), principal minors * coroot
-    denominators).
+    denominators divide lcm(mu's stored denominator L, principal minors *
+    coroot denominators).
     """
     datum = mu.datum
     n = datum.rank
@@ -212,64 +206,61 @@ def _grid_spec(mu: RationalCocharacter) -> int:
         d = int(_gauss_jordan([[datum.cartan[a][b] for b in idx] for a in idx])[0])
         if d:
             minors = lcm(minors, abs(d))
-    return lcm(_denominator([mu.coords]), minors * _denominator(datum.simple_coroots))
+    return lcm(mu.L, minors * _integer_rows(datum.simple_coroots)[0])
 
 
 def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
     """Re-derive the Kottwitz set by scanning every grid point.
 
     All vectors with coordinates in (1/d) Z inside the bounding box of mu's
-    Weyl orbit (each axis the orbit's own coordinate range, which holds
-    every member, as members lie in the orbit's convex hull) are tested
-    against the membership criterion directly, by a test of its own
-    (_grid_member) on their integer numerators.  Rank <= 3 only.  The datum
-    is split, so mubar is mu itself, which must be dominant (by the
-    oracle's own pairing test, as enumerate_bgmu requires).
+    Weyl orbit (each axis the orbit's own coordinate range, rounded inward
+    to (1/d) Z by integer division; it holds every member, as members lie in
+    the orbit's convex hull) are tested against the membership criterion
+    directly, by a test of its own (_grid_member) on their integer
+    numerators.  Rank <= 3 only.  The datum is split, so mubar is mu itself,
+    which must be dominant (by the oracle's own pairing test).
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
     orbit, D = _int_orbit(mu)
     d = _grid_spec(mu)
-    member = _grid_member(datum, mu.coords, d)
-    axes = []
-    for j in range(datum.ambient_dim):
-        lo, hi = Fraction(min(y[j] for y in orbit), D), Fraction(max(y[j] for y in orbit), D)
-        axes.append(range(ceil(lo * d), floor(hi * d) + 1))
+    member = _grid_member(datum, mu, d)
+    axes = [range(-(-min(column) * d // D), max(column) * d // D + 1)
+            for column in zip(*orbit)]
     return {tuple(Fraction(t, d) for t in pt)
             for pt in itertools.product(*axes) if member(pt)}
 
 
-def _grid_member(datum, mubar: Sequence[Fraction], d: int):
-    """The membership criterion for nu = pt / d against mubar, on integers.
+def _grid_member(datum, mu: RationalCocharacter, d: int):
+    """The membership criterion for nu = pt / d against mubar = mu = x / L0
+    (its stored fields), on integers.
 
     The Gram matrix <coroot_i, root_j> is inverted once, by the oracle's own
-    elimination, and scaled to integers I / g.  With L the common
-    denominator of mubar and 1/d, mubar - nu = diff / L, a_j = R root_j and
-    b_i = K coroot_i, the coroot coefficients of mubar - nu are C / (g L R)
-    with C = I (diff . a_j)_j.  Per point pt the pairings pt . a_j are taken
-    over the full integer rows a_j, and diff . a_j = top . a_j - step pt . a_j
-    by linearity, with top = L mubar and step = L / d.  The test is:
-    pt . a_j >= 0 (nu dominant), every C_i >= 0, sum_i C_i b_i = diff * g R K
-    exactly (mubar - nu lies in the coroot span), and C_i divisible by g L R
+    elimination, and scaled to integers I / g.  With L = lcm(L0, d),
+    mubar - nu = diff / L, a_j = R root_j and b_i = K coroot_i, the coroot
+    coefficients of mubar - nu are C / (g L R) with C = I (diff . a_j)_j.
+    Per point pt the pairings pt . a_j are taken over the full integer rows
+    a_j, and diff . a_j = top . a_j - step pt . a_j by linearity, with
+    top = x (L / L0) and step = L / d.  The test is: pt . a_j >= 0 (nu
+    dominant), every C_i >= 0, sum_i C_i b_i = diff * g R K exactly
+    (mubar - nu lies in the coroot span), and C_i divisible by g L R
     wherever pt . a_i != 0 (c_i integral where <nu, root_i> != 0).  Raises
     ValueError unless top . a_j >= 0 for every j (mubar dominant).
     """
     roots, coroots = datum.simple_roots, datum.simple_coroots
     n = datum.rank
-    _, inverse = _gauss_jordan([[dot(coroots[i], roots[j]) for i in range(n)]
-                                for j in range(n)])
-    g = _denominator(inverse)
-    inverse = [[int(x * g) for x in row] for row in inverse]
-    R, K = _denominator(roots), _denominator(coroots)
-    L = lcm(_denominator([mubar]), d)
-    top = _scaled(mubar, L)
+    g, inverse = _integer_rows(_gauss_jordan([[dot(coroots[i], roots[j]) for i in range(n)]
+                                              for j in range(n)])[1])
+    R, a = _integer_rows(roots)
+    K, b = _integer_rows(coroots)
+    L = lcm(mu.L, d)
+    top = [t * (L // mu.L) for t in mu.x]
     step = L // d
-    a = [_scaled(alpha, R) for alpha in roots]
     top_pairs = [sum(map(mul, top, aj)) for aj in a]
     if any(p < 0 for p in top_pairs):
         raise ValueError("mu must be dominant")
-    coroot_columns = list(zip(*(_scaled(coroot, K) for coroot in coroots)))
+    coroot_columns = list(zip(*b))
     span_scale, modulus = g * R * K, g * L * R
 
     def member(pt) -> bool:
@@ -323,27 +314,18 @@ def upper_unipotent_shape(n: int) -> UnipotentShape:
 def siegel_shape(n: int, lower: bool = True) -> UnipotentShape:
     """Block radical of the rank-n symplectic group with antidiagonal form.
 
-    The lower radical ties entry (n+a, b) to (n + (n+1-b), n+1-a); with the
-    antidiagonal Gram matrix the tied entries are equal.
+    The lower radical ties entry (n+a, b) to (n + (n+1-b), n+1-a), equal under
+    the antidiagonal Gram matrix; each group is emitted from its entry with
+    a + b <= n + 1 (the mirror has a + b >= n + 1).  upper: the transpose.
     """
-    size = 2 * n
     groups = []
-    seen = set()
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            pos = (n + a, b)
-            mirror = (n + (n + 1 - b), n + 1 - a)
-            if pos in seen or mirror in seen:
-                continue
-            seen.add(pos)
-            seen.add(mirror)
-            entries = [(pos, 1)]
-            if mirror != pos:
-                entries.append((mirror, 1))
-            groups.append(tuple(entries))
+        for b in range(1, n + 2 - a):
+            pos, mirror = (n + a, b), (2 * n + 1 - b, n + 1 - a)
+            groups.append(((pos, 1),) if pos == mirror else ((pos, 1), (mirror, 1)))
     if not lower:
         groups = [tuple((((j, i), s) for (i, j), s in g)) for g in groups]
-    return UnipotentShape(size, tuple(groups))
+    return UnipotentShape(2 * n, tuple(groups))
 
 
 def _flat_element(shape: UnipotentShape, params: Sequence[int], mod: int) -> tuple[int, ...]:
@@ -363,10 +345,9 @@ def _conjugator(eps_entries: Sequence[Fraction]) -> tuple[tuple[int, ...],
     diagonal matrices, held by their diagonals, and q = d f.
     """
     eps = [Fraction(v) for v in eps_entries]
-    inv = [1 / x for x in eps]
-    d = lcm(*(x.denominator for x in eps))
-    f = lcm(*(x.denominator for x in inv))
-    return tuple(int(x * d) for x in eps), tuple(int(x * f) for x in inv), d * f
+    d, (e,) = _integer_rows([eps])
+    f, (inv,) = _integer_rows([[1 / x for x in eps]])
+    return e, inv, d * f
 
 
 def _conjugate(conjugator, m: Sequence[int]) -> list[int]:

@@ -266,6 +266,18 @@ def test_mepsilon_full_must_fit_its_shape(capsys):
     assert code == 0 and _payload(out)[1]["count"] == "1"
 
 
+def test_mepsilon_shape_is_siegel_or_gl(tmp_path, capsys):
+    # on the command line an unknown shape is a usage error
+    assert run(["mepsilon", "--full", '["1","0"]', "--shape", "bogus"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error") and "--shape" in err and "bogus" in err
+    # in an --in file it stays a domain error
+    code, (status, payload) = _run_with_file(tmp_path, capsys, ["mepsilon"],
+                                             {"full": ["1", "0"], "shape": "bogus"})
+    assert (code, status) == (2, "error") and "--in file" in payload["error"]
+    assert "invalid choice" in payload["error"] and "bogus" in payload["error"]
+
+
 def test_mepsilon_p_must_be_a_prime(capsys):
     for p in ("0", "1", "-3", "4", "2", "3317044064679887385961981"):
         code, out = _capture(capsys, ["mepsilon", "--full", '["1","0"]', "--shape", "gl",
@@ -289,6 +301,20 @@ def test_lambdag_names_an_empty_first_block(capsys):
     assert code == 2
     assert _payload(out) == ("error", {"error": "first-block valuations must be non-empty",
                                        "schema": "newtonkit/1"})
+
+
+def test_verify_all_with_a_failing_check_exits_2(monkeypatch, capsys):
+    import newtonkit.verify
+
+    def failing():
+        yield "x", False
+
+    monkeypatch.setattr(newtonkit.verify, "CHECKS", (failing,))
+    code, out = _capture(capsys, ["verify-all"])
+    assert code == 2 and len(out.splitlines()) == 1
+    status, payload = _payload(out)
+    assert status == "ok" and payload["all_pass"] is False and payload["failures"] == 1
+    assert payload["checks"] == [{"name": "x", "pass": False}]
 
 
 def test_input_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
@@ -604,6 +630,8 @@ _PINNED = [
     (["uniqueness", "--profile", _PROFILE, "--i", "2"], 0,
      "1425b23f5d18f3acba3c370e098792f8112df491f425a9f7aa8f883260cac0ea"),
     (["mepsilon", "--full", '["0","0","1","1"]', "--p", "3"], 0,
+     "1644ffa3175156bb5a687b24c26f13fb918619e808f9b97853fa601dd8a2f696"),
+    (["mepsilon", "--full", '["1","1","0","0"]', "--upper"], 0,
      "1644ffa3175156bb5a687b24c26f13fb918619e808f9b97853fa601dd8a2f696"),
     (["mepsilon", "--full", '["2","1","0"]', "--shape", "gl", "--p", "5"], 0,
      "07f54ee6df5a2d7744bc78a87f198262138a523e5b5e59e2b3d990db0c161452"),

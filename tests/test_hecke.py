@@ -256,3 +256,14 @@ def test_siegel_roots_count():
     lower = siegel_radical_roots(2, lower=True)
     upper = siegel_radical_roots(2, lower=False)
     assert {tuple(-x for x in r) for r in lower} == set(upper)
+
+
+def test_dim_v_has_no_default():
+    # dim V is not a function of the steps: the slopes (1, 1/2, 0) with
+    # mults (1, 2, 1) have the steps below, dim V = 4 and largest height 3
+    steps = [(1, F(1)), (3, F(2))]
+    with pytest.raises(TypeError):
+        n_g_constant(steps, 3)
+    with pytest.raises(TypeError):
+        c_constant(steps, siegel_radical_roots(2), 3)
+    assert n_g_constant(steps, 3, dim_v=4) == 1

@@ -235,6 +235,28 @@ def test_coset_count_matches_valuation_formula_sample():
         assert count == 3 ** int(v)
 
 
+def test_coset_count_matches_valuation_formula_on_the_upper_siegel_radical():
+    # the oracle behind mepsilon --upper: every symplectic valuation with
+    # t1 <= t2 <= 2 and s <= 4 that is dominant for the upper radical
+    roots = siegel_radical_roots(2, lower=False)
+    shape = siegel_shape(2, lower=False)
+    cases = 0
+    for t1 in range(3):
+        for t2 in range(t1, 3):
+            for s in range(5):
+                full = [t1, t2, s - t2, s - t1]
+                if min(full) < 0 or any(sum(r * v for r, v in zip(root, full)) < 0
+                                        for root in roots):
+                    continue
+                for p in (3, 5):
+                    k = max(full) - min(full) + 1
+                    if p ** k <= 625:
+                        count = coset_count_bruteforce(full, shape, p, k)
+                        assert count == p ** m_epsilon_valuation(full, roots), (full, p)
+                        cases += 1
+    assert cases == 14
+
+
 def test_shape_constructions():
     sh = siegel_shape(2)
     assert sh.size == 4 and len(sh.groups) == 3
