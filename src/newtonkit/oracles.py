@@ -1,18 +1,16 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately independent of the fast paths it checks:
-convex-hull membership runs an exact phase-1 simplex over the materialized
-Weyl orbit, the Kottwitz set is re-derived by scanning a denominator grid,
-unipotent indices are counted from actual matrix conjugation, and polygon
-comparison scans every integer height.  The orbit, the simplex tableau and
-the grid test run on integer numerators of their own (the oracle's own
-reflection, a fraction-free tableau, one Gram inverse scaled to integers);
-none of them uses the fast paths' integer kernel (RootDatum.kernel) or
-their linear algebra.  The simplex enters on the largest reduced cost and
-leaves by the lexicographic ratio rule; the grid test takes one set of
-root pairings per point and gets those of mubar - nu from mubar's by
-linearity.  These routines back the test suite and the CLI
-verify mode only.
+convex-hull membership runs an exact phase-1 simplex priced by the support
+function of the Weyl orbit, the Kottwitz set is re-derived by scanning a
+denominator grid, unipotent indices are counted from actual matrix
+conjugation, and polygon comparison scans every integer height.  No oracle
+builds an orbit: the support function descends to the dominant chamber by
+the oracle's own reflections.  It, the simplex and the grid test run on
+integer numerators of their own (a fraction-free basis inverse, one Gram
+inverse scaled to integers); none of them uses the fast paths' integer
+kernel (RootDatum.kernel) or their linear algebra.  PIVOT_CAP bounds the
+simplex.  These routines back the test suite and the CLI verify mode only.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .rationals import dot, integer, vec_parse
 
@@ -30,7 +28,7 @@ if TYPE_CHECKING:
     from .muordinary import SlopeProfile
     from .rootdata import RationalCocharacter
 
-WEYL_CAP = 50_000
+PIVOT_CAP = 10_000
 
 
 def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -39,36 +37,50 @@ def _integer_rows(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple([tuple([x.numerator * (d // x.denominator) for x in v]) for v in vectors])
 
 
-def _int_orbit(v: RationalCocharacter) -> tuple[set[tuple[int, ...]], int]:
-    """The Weyl orbit of v as a set of integer vectors over one denominator D.
+def _support(v: RationalCocharacter) -> tuple[int, Callable[[Sequence[int]], list[int]]]:
+    """(D, best): the support function of the Weyl orbit of v, over one denominator D.
 
-    v = x / L as stored, R and K the common denominators of the simple roots
-    and coroots, a_i = R root_i, b_i = K coroot_i, D = L R K, start x R K.
-    Every pairing <w v, root_i> lies in (1/(L R)) Z, as the Cartan entries
-    are integers, so every orbit point y = D w v is integral and s_i y =
-    y - ((y . a_i) / (R K)) b_i divides exactly.  An orbit of more than
-    WEYL_CAP points raises ValueError.
+    v = x / L as stored, a_i = R root_i and b_i = K coroot_i integral, D = L R K.
+    Every pairing <w v, root_i> lies in (1/(L R)) Z (the Cartan entries are
+    integers), so each orbit point y = D w v is integral and s_i y =
+    y - ((y . a_i) / (R K)) b_i divides exactly.  Each coroot is 2 root /
+    (root, root), so each s_i is orthogonal for the dot product: max_w <u, w v>
+    is <u_dom, v_dom>, reached at s_1 ... s_k v_dom when s_k ... s_1 brings u
+    down to u_dom (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 13.2).  best(u) returns D times that point; u descends by R K s_i
+    and division by a gcd, positive factors that keep its chamber.
     """
     R, a = _integer_rows(v.datum.simple_roots)
     K, b = _integer_rows(v.datum.simple_coroots)
-    D = v.L * R * K
-    start = tuple([t * R * K for t in v.x])
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        y = frontier.pop()
-        for ai, bi in zip(a, b):
-            c, r = divmod(sum(map(mul, y, ai)), R * K)
-            if r:
-                raise AssertionError("a reflection left the integer orbit lattice")
-            if c:
-                image = tuple([t - c * s for t, s in zip(y, bi)])
-                if image not in seen:
-                    if len(seen) >= WEYL_CAP:
-                        raise ValueError(f"Weyl orbit exceeds cap of {WEYL_CAP} elements")
-                    seen.add(image)
-                    frontier.append(image)
-    return seen, D
+    RK = R * K
+
+    def reflect(y, i):
+        c, r = divmod(sum(map(mul, y, a[i])), RK)
+        if r:
+            raise AssertionError("a reflection left the integer orbit lattice")
+        return [t - c * s for t, s in zip(y, b[i])]
+
+    def lower(u, i):  # R K s_i u, divided by its gcd
+        p = sum(map(mul, u, a[i]))
+        return _primitive([RK * t - p * s for t, s in zip(u, b[i])])
+
+    def descend(y, step):
+        """y made dominant by step at its first negative pairing, and the word."""
+        word = []
+        while (i := next((j for j, aj in enumerate(a) if sum(map(mul, y, aj)) < 0), -1)) >= 0:
+            y = step(y, i)
+            word.append(i)
+        return y, word
+
+    top = descend([t * RK for t in v.x], reflect)[0]
+
+    def best(u):
+        y = top
+        for i in reversed(descend(u, lower)[1]):
+            y = reflect(y, i)
+        return y
+
+    return v.L * RK, best
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -77,71 +89,59 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _simplex_feasible(points: Sequence[Sequence[int]], target: Sequence[int],
+def _simplex_feasible(best: Callable[[Sequence[int]], Sequence[int]], target: Sequence[int],
                       denominator: int) -> bool:
-    """Is target a convex combination of the points?  Exact phase-1 simplex.
+    """Is target a convex combination of the points best prices?  Exact
+    revised phase-1 simplex with column generation.
 
     Feasibility of  sum_k x_k P_k = target,  sum_k x_k = 1,  x >= 0, decided
-    by minimizing the sum of artificial variables, which is feasible exactly
-    when that minimum is 0; the loop stops as soon as the sum reaches 0.  The
-    points and the target are integer vectors over one common denominator.
-    The tableau is fraction-free: each row is held as integers that a
-    positive row factor, never formed, turns into the rational row.  A pivot
-    replaces a row r by r * piv - r[enter] * pivot_row and divides it by the
-    gcd of its entries, and ratios are compared by cross-multiplication, so
-    every sign, ratio and tie is the rational one.
-
-    Pivot rule: the entering column has the largest positive reduced cost
-    (the cost row is one integer row over one positive factor, so comparing
-    its entries is the rational order; ties go to the lowest column).  The
-    leaving row is the lexicographic minimum, over the rows with a positive
-    entry in that column, of the row's right-hand side and then its
-    artificial columns (its row of the basis inverse), each divided by that
-    entry.  The rows of the basis inverse are independent, so there is no
-    tie.  Termination: each such row starts lexicographically positive and
-    stays so, and each pivot moves the objective row strictly in the
-    lexicographic order, so no basis repeats (Dantzig, Orden and Wolfe,
-    Pacific J. Math. 1955).  Degenerate pivots (min ratio 0) keep the
-    largest reduced cost; the lowest-index entering rule of Bland stalls
-    there on large orbits (thousands of pivots at the barycentre of a
-    5040-point A6 orbit, against 11 with this rule).
+    by minimizing the sum of artificial variables, stopping once it is 0.
+    Points and target are integers over one denominator; the points are
+    never listed: best(u) returns one that maximizes <u, P>, so the column
+    that enters has the largest reduced cost, and enters when it is
+    positive.  Only the basis inverse and the right-hand side are held,
+    fraction-free (each row is integers over a positive row factor, never
+    formed); the cost row pi - 1 over the artificial columns, for the duals
+    pi, and the objective pi . b are integers over one explicit factor.
+    Signs and ratios are compared by cross-multiplication, so each is the
+    rational one.  The leaving row is the lexicographic minimum, over the
+    rows with a positive entry in the column, of its right-hand side and
+    then its row of the basis inverse, each divided by that entry: no ties,
+    and no basis repeats (Dantzig, Orden and Wolfe, Pacific J. Math. 1955).
+    More than PIVOT_CAP pivots raise ValueError.  When no column enters,
+    pi . P <= 0 at every point and pi . b > 0, a Farkas certificate: the
+    answer is the rational one whatever the pivot path.
     """
-    m = len(target) + 1
-    n = len(points)
-    rows = [[pt[j] for pt in points] + [target[j]] for j in range(len(target))]
-    rows.append([denominator] * (n + 1))
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-x for x in row]
-    # tableau with artificial basis; the rational tableau is this one / denominator
-    tableau = [row[:-1] + [denominator * (i == j) for j in range(m)] + row[-1:]
-               for i, row in enumerate(rows)]
-    ncols = n + m
-    keys = [ncols, *range(n, ncols)]  # the right-hand side, then the basis inverse
-    cost = [sum(column) for column in zip(*tableau)]
-    for t in range(n, ncols):
-        cost[t] -= denominator
-    while cost[-1]:
-        improving = [j for j in range(ncols) if cost[j] > 0]
-        if not improving:
-            break
-        enter = max(improving, key=cost.__getitem__)
+    signs = [1 if t >= 0 else -1 for t in target] + [1]
+    m = len(signs)
+    rows = [[int(i == j) for j in range(m)] + [s * t]
+            for i, (s, t) in enumerate(zip(signs, [*target, denominator]))]
+    keys = [m, *range(m)]  # the right-hand side, then the basis inverse
+    factor, *cost = [1] + [0] * m + [sum(row[-1] for row in rows)]
+    for pivots in itertools.count():
+        if not cost[-1]:
+            return True
+        u = [s * (c + factor) for s, c in zip(signs, cost)]  # pi, over factor
+        point = [*best(u[:-1]), denominator]
+        reduced = sum(map(mul, u, point))
+        if reduced <= 0:
+            return False
+        if pivots == PIVOT_CAP:
+            raise ValueError(f"simplex exceeds cap of {PIVOT_CAP} pivots")
+        column = list(map(mul, signs, point))
+        entries = [sum(map(mul, row, column)) for row in rows]
         leave = None
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0 and (leave is None or _lex_below(row, a, tableau[leave], best_a, keys)):
-                leave, best_a = i, a
+        for i, (row, e) in enumerate(zip(rows, entries)):
+            if e > 0 and (leave is None or _lex_below(row, e, rows[leave], entries[leave], keys)):
+                leave = i
         if leave is None:
             raise AssertionError("unbounded phase-1 objective")
-        pivot_row = tableau[leave]
-        piv = pivot_row[enter]
-        for i in range(m):
-            f = tableau[i][enter]
-            if i != leave and f != 0:
-                tableau[i] = _primitive([x * piv - f * y for x, y in zip(tableau[i], pivot_row)])
-        f = cost[enter]
-        cost = _primitive([x * piv - f * y for x, y in zip(cost, pivot_row)])
-    return cost[-1] == 0
+        pivot_row, piv = rows[leave], entries[leave]
+        for i, e in enumerate(entries):
+            if i != leave and e:
+                rows[i] = _primitive([x * piv - e * y for x, y in zip(rows[i], pivot_row)])
+        factor, *cost = _primitive([factor * piv] + [x * piv - reduced * y
+                                                     for x, y in zip(cost, pivot_row)])
 
 
 def _lex_below(r, a, s, b, keys) -> bool:
@@ -155,15 +155,13 @@ def _lex_below(r, a, s, b, keys) -> bool:
 
 
 def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bool:
-    """Does x lie in the convex hull of the Weyl orbit of y?  At any rank; an
-    orbit of y of more than WEYL_CAP points raises ValueError."""
+    """Does x lie in the convex hull of the Weyl orbit of y?  At any rank;
+    a simplex run past PIVOT_CAP pivots raises ValueError."""
     if x.datum != y.datum:
         raise ValueError("cocharacters live over different root data")
-    orbit, D = _int_orbit(y)
+    D, best = _support(y)
     M = lcm(D, x.L)
-    points = [[t * (M // D) for t in pt] for pt in sorted(orbit)]
-    target = [t * (M // x.L) for t in x.x]
-    return _simplex_feasible(points, target, M)
+    return _simplex_feasible(lambda u: [t * (M // D) for t in best(u)], x.over(M), M)
 
 
 def _gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]] | None]:
@@ -212,22 +210,22 @@ def _grid_spec(mu: RationalCocharacter) -> int:
 def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
     """Re-derive the Kottwitz set by scanning every grid point.
 
-    All vectors with coordinates in (1/d) Z inside the bounding box of mu's
-    Weyl orbit (each axis the orbit's own coordinate range, rounded inward
-    to (1/d) Z by integer division; it holds every member, as members lie in
-    the orbit's convex hull) are tested against the membership criterion
-    directly, by a test of its own (_grid_member) on their integer
-    numerators.  Rank <= 3 only.  The datum is split, so mubar is mu itself,
-    which must be dominant (by the oracle's own pairing test).
+    Every vector in (1/d) Z inside the bounding box of mu's Weyl orbit is
+    tested by the oracle's own criterion (_grid_member) on its integer
+    numerators.  Axis i runs from best(-e_i)[i] to best(e_i)[i] (_support),
+    rounded inward to (1/d) Z by integer division; members lie in the
+    orbit's convex hull, so in the box.  Rank <= 3 only.  The datum is
+    split, so mubar is mu, which must be dominant.
     """
     datum = mu.datum
     if datum.rank > 3:
         raise ValueError("rank too large for the grid oracle (max 3)")
-    orbit, D = _int_orbit(mu)
+    D, best = _support(mu)
     d = _grid_spec(mu)
     member = _grid_member(datum, mu, d)
-    axes = [range(-(-min(column) * d // D), max(column) * d // D + 1)
-            for column in zip(*orbit)]
+    units = [[int(i == j) for j in range(datum.ambient_dim)] for i in range(datum.ambient_dim)]
+    axes = [range(-(-best([-t for t in e])[i] * d // D), best(e)[i] * d // D + 1)
+            for i, e in enumerate(units)]
     return {tuple(Fraction(t, d) for t in pt)
             for pt in itertools.product(*axes) if member(pt)}
 

@@ -581,6 +581,7 @@ def test_documents_carry_the_library_values(capsys):
 # Every byte the CLI prints, pinned by its sha256: the documents are built in
 # newtonkit.cli alone, and moving code there must not change one of them.
 _PROFILE = '{"mults":[1,2,1],"polarized":true,"slopes":["1/1","1/2","0/1"]}'
+_E7_RHO = '["0","1","2","3","4","5","-17/2","17/2"]'
 
 _PINNED = [
     (["datum", "--type", "C", "--rank", "2"], 0,
@@ -615,6 +616,14 @@ _PINNED = [
     (["leq", "--type", "E8", "--rank", "8", "--x", "[0,0,0,0,0,0,0,0]",
       "--y", '["0","0","0","0","0","0","1","1"]', "--verify"], 0,
      "5be1aa27c0b0a591eb0e6324214982cd2000ae951abcd4f868e185c62978d383"),
+    # the hull oracle at a regular E7 point, y = rho^vee, whose Weyl orbit has
+    # |W(E7)| = 2903040 points: 0 <= y, and x = y + (e_8 - e_7) / 2 is not below y
+    (["leq", "--type", "E7", "--rank", "7", "--x", "[0,0,0,0,0,0,0,0]",
+      "--y", _E7_RHO, "--verify"], 0,
+     "5be1aa27c0b0a591eb0e6324214982cd2000ae951abcd4f868e185c62978d383"),
+    (["leq", "--type", "E7", "--rank", "7", "--x", '["0","1","2","3","4","5","-9","9"]',
+      "--y", _E7_RHO, "--verify"], 0,
+     "e27a43cc3a5dfae6f4da7d24e8e43efa7a3e340cde88fde07d9a5fab5afa6813"),
     (["slopes", "--nu", '["1/2","0"]', "--dim", "4"], 0,
      "b470fe64f620740dc348b9700e835fb775fea10ab389437fb6a006627df41df7"),
     (["slopes", "--nu", '["1","2/3","1/3","0"]', "--dim", "4"], 0,

@@ -26,23 +26,33 @@ from newtonkit.rootdata import (
 )
 
 
-def _orbit_size(v):
-    return len(oracles_mod._int_orbit(v)[0])
+def _support_points(v, count=200):
+    """The support points of the Weyl orbit of v at 2 dim +- e_i and count
+    seeded integer directions, as Fraction vectors."""
+    D, best = oracles_mod._support(v)
+    dim = v.datum.ambient_dim
+    rng = random.Random(f"support-{v.x}")
+    directions = [[s * (i == j) for j in range(dim)] for i in range(dim) for s in (1, -1)]
+    directions += [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(count)]
+    return {tuple(F(t, D) for t in best(u)) for u in directions}
 
 
 def test_int_orbit_sizes():
+    # no orbit is built: its vertices are reached as support points
     a2 = build_datum("A", 2)
-    assert _orbit_size(a2.cochar([1, 0, -1])) == 6
+    assert len(_support_points(a2.cochar([1, 0, -1]))) == 6
     c2 = build_datum("C", 2)
-    assert _orbit_size(c2.cochar([2, 1])) == 8
-    assert _orbit_size(c2.cochar([0, 0])) == 1
+    assert len(_support_points(c2.cochar([2, 1]))) == 8
+    assert _support_points(c2.cochar([0, 0])) == {(0, 0)}
 
 
 def test_int_orbit_cap(monkeypatch):
     c2 = build_datum("C", 2)
-    monkeypatch.setattr(oracles_mod, "WEYL_CAP", 4)
-    with pytest.raises(ValueError):
-        _orbit_size(c2.cochar([2, 1]))
+    y = c2.cochar([2, 1])
+    assert convex_hull_membership(c2.cochar([1, 1]), y)
+    monkeypatch.setattr(oracles_mod, "PIVOT_CAP", 1)
+    with pytest.raises(ValueError, match="simplex exceeds cap of 1 pivots"):
+        convex_hull_membership(c2.cochar([1, 1]), y)
 
 
 def test_hull_membership_examples():
@@ -54,34 +64,40 @@ def test_hull_membership_examples():
 
 
 def test_hull_membership_rank_cap(monkeypatch):
-    # no rank refusal: A4 gets an answer, and WEYL_CAP on the orbit of y is
+    # no rank refusal: A4 gets an answer, and PIVOT_CAP on the simplex is
     # the hull oracle's one bound
     a4 = build_datum("A", 4)
     v = a4.cochar([0] * 5)
-    y = fundamental_coweight(a4, 2)  # an orbit of 10 points
+    y = fundamental_coweight(a4, 2)  # 0 is the barycentre of its 10 orbit points
     assert convex_hull_membership(v, v) and convex_hull_membership(v, y)
     assert not convex_hull_membership(y, v)
-    monkeypatch.setattr(oracles_mod, "WEYL_CAP", 9)
-    with pytest.raises(ValueError, match="Weyl orbit exceeds cap of 9 elements"):
+    monkeypatch.setattr(oracles_mod, "PIVOT_CAP", 6)
+    with pytest.raises(ValueError, match="simplex exceeds cap of 6 pivots"):
         convex_hull_membership(v, y)
 
 
-# past rank 3, where the orbit of y fits under WEYL_CAP: generic y up to
-# 5040 orbit points (A6), and multiples of omega_8 (240 points) on E8
-_HULL_PAST_RANK_3 = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F4", 4), ("D", 5), ("A", 6),
-                     ("E8", 8)]
+# past rank 3: generic y moved by a small step, multiples of omega_8 on E8,
+# and generic y up to E8 against midpoints of y and a Weyl image of it
+_HULL_PAST_RANK_3 = ([(t, n, "step") for t, n in [("A", 4), ("B", 4), ("C", 4), ("D", 4),
+                                                  ("F4", 4), ("D", 5), ("A", 6)]]
+                     + [("E8", 8, "omega_8")]
+                     + [(t, n, "midpoint") for t, n in [("A", 7), ("E6", 6), ("E7", 7), ("E8", 8)]])
+_HULL_IDS = [f"{t}-{n}" + ("-generic" if t == "E8" and kind == "midpoint" else "")
+             for t, n, kind in _HULL_PAST_RANK_3]
 
 
-@pytest.mark.parametrize("t, n", _HULL_PAST_RANK_3, ids=[f"{t}-{n}" for t, n in _HULL_PAST_RANK_3])
-def test_hull_matches_newton_leq_past_rank_3(t, n):
+@pytest.mark.parametrize("t, n, kind", _HULL_PAST_RANK_3, ids=_HULL_IDS)
+def test_hull_matches_newton_leq_past_rank_3(t, n, kind):
     # for dominant x and y, x lies in the hull of the orbit of y exactly when
     # x <= y; x is y moved by a small step and made dominant, with the same
-    # central part as y on every other type A pair, so both answers occur
+    # central part as y on every other type A pair, or on every other
+    # midpoint case the midpoint of y and w y (w a seeded word of 2n simple
+    # reflections), so both answers occur
     datum = build_datum(t, n)
     rng = random.Random(f"hull-{t}{n}")
     answers = set()
     for i in range(12):
-        if t == "E8":
+        if kind == "omega_8":
             y, x = (datum.cochar([s * c for c in fundamental_coweight(datum, k).coords])
                     for s, k in [(F(rng.randint(1, 6), 3), 8),
                                  (F(rng.randint(0, 3), 3), rng.randint(1, 8))])
@@ -91,11 +107,53 @@ def test_hull_matches_newton_leq_past_rank_3(t, n):
             step = [F(rng.randint(-3, 3), rng.randint(2, 6)) for _ in range(datum.ambient_dim)]
             if t == "A" and i % 2:
                 step[-1] = -sum(step[:-1])
+            if kind == "midpoint" and i % 2:
+                image = y
+                for _ in range(2 * n):
+                    image = reflect(image, rng.randint(1, n))
+                step = [(a - b) / 2 for a, b in zip(y.coords, image.coords)]
             x = dominant_representative(datum.cochar([a - b for a, b in zip(y.coords, step)]))
         want = newton_leq(x, y)
         assert convex_hull_membership(x, y) == want, (x.coords, y.coords)
         answers.add(want)
     assert answers == {True, False}
+
+
+_WEYL_IMAGE_DATA = [("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("F4", 4), ("D", 5), ("E6", 6)]
+
+
+@pytest.mark.parametrize("t, n", _WEYL_IMAGE_DATA, ids=[f"{t}-{n}" for t, n in _WEYL_IMAGE_DATA])
+def test_hull_answer_is_the_same_at_weyl_images(t, n, monkeypatch):
+    # the orbit of y, and so its hull, is W-stable: w x against w' y answers
+    # as x against y, for seeded words w, w'.  w' y is not dominant, so the
+    # support function descends it first; none of it reads the kernel.
+    datum = build_datum(t, n)
+    rng = random.Random(f"images-{t}{n}")
+
+    def image(v):
+        for _ in range(rng.randint(1, 3 * n)):
+            v = reflect(v, rng.randint(1, n))
+        return v
+
+    cases = []
+    for i in range(8):
+        y = dominant_representative(datum.cochar(
+            [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(datum.ambient_dim)]))
+        z = image(y) if i % 2 else datum.cochar(
+            [a + F(rng.randint(-3, 3), rng.randint(2, 6)) for a in y.coords])
+        x = dominant_representative(datum.cochar([(a + b) / 2 for a, b in zip(y.coords, z.coords)]))
+        cases.append((x, y, newton_leq(x, y)))
+    assert {want for _, _, want in cases} == {True, False}
+    images = [(x, y, want, [(image(x), image(y)) for _ in range(4)]) for x, y, want in cases]
+
+    def no_kernel(datum):
+        raise AssertionError("the hull oracle used RootDatum.kernel")
+
+    monkeypatch.setattr(RootDatum, "kernel", property(no_kernel))
+    for x, y, want, pairs in images:
+        assert convex_hull_membership(x, y) == want, (x.coords, y.coords)
+        for wx, wy in pairs:
+            assert convex_hull_membership(wx, wy) == want, (wx.coords, wy.coords)
 
 
 def test_hull_oracle_central_mismatch():

@@ -2,7 +2,8 @@
 Fraction versions.
 
 Each copy below does an oracle's work in Fractions: the Weyl orbit closed
-under Fraction reflections, the phase-1 simplex on a Fraction tableau, the
+under Fraction reflections (against which the support function's points are
+checked), the phase-1 simplex on a Fraction tableau, the
 grid test on Fraction coordinates, coset marking with Fraction conjugates,
 and one multiplicative order walk per element.  The integer oracles must
 return exactly what these return.
@@ -12,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +33,30 @@ RANK3_DATA = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
               ("C", 2), ("C", 3), ("D", 3), ("G2", 2)]
 
 
-def int_orbit(v):
-    """The oracle's integer orbit of v, as sorted Fraction vectors."""
-    orbit, D = oracles._int_orbit(v)
-    return sorted(tuple(F(t, D) for t in y) for y in orbit)
+ORBIT_CAP = 50_000
+
+
+def support_checks(v, rng, count=40):
+    """The support points best(u) of v at +-e_i and count seeded integer
+    directions u: each must lie in the Fraction orbit of v and maximize
+    <u, P> over it.  Returns the set of points reached."""
+    D, best = oracles._support(v)
+    orbit = fraction_orbit(v)
+    dim = v.datum.ambient_dim
+    directions = [[s * (i == j) for j in range(dim)] for i in range(dim) for s in (1, -1)]
+    directions += [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(count)]
+    reached = set()
+    for u in directions:
+        point = tuple(F(t, D) for t in best(u))
+        assert point in orbit and ip(u, point) == max(ip(u, q) for q in orbit), (v.coords, u)
+        reached.add(point)
+    return reached
 
 
 # -- test-local Fraction copies ----------------------------------------------
 
-def fraction_orbit(v):
+def fraction_orbit(v, cap=ORBIT_CAP):
     datum = v.datum
-    cap = oracles.WEYL_CAP
     seen = {v.coords}
     frontier = [v.coords]
     while frontier:
@@ -201,7 +216,7 @@ def element_orders(p, w):
     return orders
 
 
-# -- Weyl orbit ---------------------------------------------------------------
+# -- support function ---------------------------------------------------------
 
 @pytest.mark.parametrize("t,n", RANK3_DATA)
 def test_orbit_matches_fraction_reflections_on_special_nodes(t, n):
@@ -211,27 +226,26 @@ def test_orbit_matches_fraction_reflections_on_special_nodes(t, n):
     vectors += [datum.cochar([F(rng.randint(-6, 6), rng.randint(1, 6))
                               for _ in range(datum.ambient_dim)]) for _ in range(5)]
     for v in vectors:
-        assert int_orbit(v) == fraction_orbit(v), v.coords
+        support_checks(v, rng)
 
 
 def test_orbit_g2_every_node_and_cap(monkeypatch):
     g2 = build_datum("G2", 2)
     assert oracles._integer_rows(g2.simple_coroots)[0] == 3
+    rng = random.Random("G2")
     for k in (1, 2):
         mu = fundamental_coweight(g2, k)
-        orbit = int_orbit(mu)
-        assert orbit == fraction_orbit(mu) and len(orbit) == 6
+        assert len(support_checks(mu, rng)) == len(fraction_orbit(mu)) == 6
     v = g2.cochar([F(1, 2), F(-1, 3), F(1, 5)])
-    assert int_orbit(v) == fraction_orbit(v) and len(int_orbit(v)) == 12
-    for cap in (1, 5, 11, 12):
-        monkeypatch.setattr(oracles, "WEYL_CAP", cap)
-        outcomes = []
-        for orbit in (int_orbit, fraction_orbit):
-            try:
-                outcomes.append(orbit(v))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], cap
+    assert len(support_checks(v, rng, count=200)) == len(fraction_orbit(v)) == 12
+    with pytest.raises(ValueError, match="Weyl orbit exceeds cap of 11 elements"):
+        fraction_orbit(v, cap=11)
+    a, b = fraction_orbit(v)[:2]
+    x = g2.cochar([(s + t) / 2 for s, t in zip(a, b)])
+    assert oracles.convex_hull_membership(x, v)
+    monkeypatch.setattr(oracles, "PIVOT_CAP", 1)
+    with pytest.raises(ValueError, match="simplex exceeds cap of 1 pivots"):
+        oracles.convex_hull_membership(x, v)
 
 
 # -- simplex ------------------------------------------------------------------
@@ -255,8 +269,11 @@ def test_hull_matches_fraction_simplex_on_criterion_4_pairs(t, n):
 
 
 def _integer_problem(points, target):
+    """(best, target, M): the points over M, priced by a max over the list."""
     M = lcm(*(x.denominator for v in [*points, target] for x in v))
-    return ([[int(x * M) for x in v] for v in points], [int(x * M) for x in target], M)
+    columns = [[int(x * M) for x in v] for v in points]
+    return (lambda u: max(columns, key=lambda p: sum(map(mul, u, p))),
+            [int(x * M) for x in target], M)
 
 
 _coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -337,9 +354,8 @@ def test_simplex_matches_fraction_simplex_on_degenerate_orbit_problems(t, n):
     assert answers == {True, False}
 
 
-# E8 node 1 (2160 orbit points, 84 elements) is left out: it takes about 6 s
-# on a two-core x86-64 machine, against about 0.3 s for the four cases below.
-@pytest.mark.parametrize("t,n,k", [("E6", 6, 1), ("A", 7, 4), ("E7", 7, 7), ("E8", 8, 8)])
+@pytest.mark.parametrize("t,n,k", [("E6", 6, 1), ("A", 7, 4), ("E7", 7, 7), ("E8", 8, 8),
+                                   ("E8", 8, 1)])
 def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
     # the public hull oracle at ranks 6 to 8: every element lies in the hull
     # of the orbit of mubar, and 2 mubar and mubar + omega_j do not
