@@ -2,13 +2,13 @@
 
 Everything here is deliberately independent of the fast paths it checks:
 convex-hull membership runs an exact phase-1 simplex priced by the support
-function of the Weyl orbit, the Kottwitz set is re-derived by scanning a
-denominator grid, unipotent indices are counted from actual matrix
-conjugation, and polygon comparison scans every integer height.  No oracle
-builds an orbit: the support function descends to the dominant chamber by
-the oracle's own reflections.  It, the simplex and the grid test run on
-integer numerators of their own (a fraction-free basis inverse, one Gram
-inverse scaled to integers); none of them uses the fast paths' integer
+function of the Weyl orbit, the Kottwitz set is re-derived by scanning the
+root pairings of each zero set, unipotent indices are counted from actual
+matrix conjugation, and polygon comparison scans every integer height.  No
+oracle builds an orbit: the support function descends to the dominant
+chamber by the oracle's own reflections.  It, the simplex and the grid test
+run on integer numerators of their own (a fraction-free basis inverse, one
+fraction-free Gram inverse); none of them uses the fast paths' integer
 kernel (RootDatum.kernel) or their linear algebra.  PIVOT_CAP bounds the
 simplex.  These routines back the test suite and the CLI verify mode only.
 """
@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rationals import dot, integer, vec_parse
+from .rationals import integer, vec_parse
 
 if TYPE_CHECKING:
     from .muordinary import SlopeProfile
@@ -164,79 +164,136 @@ def convex_hull_membership(x: RationalCocharacter, y: RationalCocharacter) -> bo
     return _simplex_feasible(lambda u: [t * (M // D) for t in best(u)], x.over(M), M)
 
 
-def _gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """(det a, a^-1) by Gauss-Jordan elimination over Fractions; the inverse
-    is None when a is singular."""
+def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(q, B) with q = |det a| and a^-1 = B / q, for a square integer
+    matrix a, by fraction-free Gauss-Jordan elimination: each step scales
+    the other rows by the pivot and divides exactly by the previous pivot
+    (Bareiss, Math. Comp. 22, 1968), so every entry stays an integer minor
+    and the left block ends as p I, p = +-det a.  q is 0 when a is
+    singular, and B is then empty."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    det = Fraction(1)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
+            return 0, []
+        m[col], m[pivot] = m[pivot], m[col]
         p = m[col][col]
-        det *= p
-        m[col] = [x / p for x in m[col]]
         for r in range(n):
-            if r != col and m[r][col] != 0:
+            if r != col:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det, [row[n:] for row in m]
+                m[r] = [(x * p - f * y) // prev for x, y in zip(m[r], m[col])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return abs(prev), [[sign * x for x in row[n:]] for row in m]
 
 
-def _grid_spec(mu: RationalCocharacter) -> int:
-    """The grid denominator: every member's coordinates lie in (1/d) Z.
+def _highest_roots(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The highest root of each irreducible factor, as coefficients over
+    every simple root.
 
-    Every datum is split, so mubar is mu.  Coroot coefficients arise from
-    solving principal Cartan submatrices against integer data, so
-    denominators divide lcm(mu's stored denominator L, principal minors *
-    coroot denominators).
+    Each simple root b is raised by simple reflections, b_j -= <b, coroot_j>
+    = sum_k b_k cartan[k][j] while that pairing is negative, to the dominant
+    root of its orbit.  That root's support is the whole factor (a dominant
+    nonzero root has every coefficient on its factor positive), and the
+    highest root is the one of greatest height: the one a long simple root
+    reaches.
     """
-    datum = mu.datum
-    n = datum.rank
-    minors = 1
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        d = int(_gauss_jordan([[datum.cartan[a][b] for b in idx] for a in idx])[0])
-        if d:
-            minors = lcm(minors, abs(d))
-    return lcm(mu.L, minors * _integer_rows(datum.simple_coroots)[0])
+    n = len(cartan)
+    columns = list(zip(*cartan))
+    best: dict[tuple[int, ...], list[int]] = {}
+    for i in range(n):
+        b = [int(i == j) for j in range(n)]
+        while (j := next((j for j, c in enumerate(columns) if sum(map(mul, b, c)) < 0), -1)) >= 0:
+            b[j] -= sum(map(mul, b, columns[j]))
+        support = tuple(j for j in range(n) if b[j])
+        if sum(b) > sum(best.get(support, ())):
+            best[support] = b
+    return list(best.values())
 
 
 def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
-    """Re-derive the Kottwitz set by scanning every grid point.
+    """Re-derive the Kottwitz set by scanning zero sets and root pairings.
 
-    Every vector in (1/d) Z inside the bounding box of mu's Weyl orbit is
-    tested by the oracle's own criterion (_grid_member) on its integer
-    numerators.  Axis i runs from best(-e_i)[i] to best(e_i)[i] (_support),
-    rounded inward to (1/d) Z by integer division; members lie in the
-    orbit's convex hull, so in the box.  Rank <= 3 only.  The datum is
-    split, so mubar is mu, which must be dominant.
+    The datum is split, so mubar is mu, which must be dominant.  A member
+    nu with zero set J = {g : <nu, root_g> = 0} is mu's part orthogonal to
+    the roots plus sum_{g not in J} p_g omega_g, with p_g = <nu, root_g> > 0
+    and omega_g the fundamental coweights, since mu - nu is a coroot
+    combination sum_i c_i coroot_i.  The scan is complete:
+
+    * Pairings.  The c_i off J are integers, and <mu, root_j> lies in
+      (1/D) Z, D the denominator of mu's root pairings.  On J the pairings
+      of nu vanish, so the Cartan block on J sends c_J into (1/D) Z, and
+      Cramer's rule puts c_J in (1/(q_J D)) Z, q_J = |det| of that block.
+      So each p_g = <mu, root_g> - sum_i c_i <coroot_i, root_g> lies in
+      (1/(q_J D)) Z as well: p_g = k_g / (q_J D) with k_g >= 1.
+    * Bound.  Each irreducible factor has a highest root theta = sum n_g
+      root_g (_highest_roots), dominant, so <mu - nu, theta> =
+      sum_i c_i <coroot_i, theta> >= 0, that is sum n_g p_g <= <mu, theta>
+      over the factor's nodes.  One theta for a product would bound no
+      pairing off its factor.
+
+    So the k_g of each J range over the lattice points of one simplex per
+    factor, finitely many.  The Gram matrix <coroot_i, root_j> (the Cartan
+    matrix) is inverted, and each block on J reduced to its determinant, by
+    the oracle's own elimination (_gauss_jordan), once each.  Each candidate
+    gets integer numerators over one denominator d from that inverse,
+    omega_h being sum_i G^-1[i][h] coroot_i, and the oracle's own criterion
+    (_grid_member) decides it.
     """
-    datum = mu.datum
-    if datum.rank > 3:
-        raise ValueError("rank too large for the grid oracle (max 3)")
-    D, best = _support(mu)
-    d = _grid_spec(mu)
-    member = _grid_member(datum, mu, d)
-    units = [[int(i == j) for j in range(datum.ambient_dim)] for i in range(datum.ambient_dim)]
-    axes = [range(-(-best([-t for t in e])[i] * d // D), best(e)[i] * d // D + 1)
-            for i, e in enumerate(units)]
-    return {tuple(Fraction(t, d) for t in pt)
-            for pt in itertools.product(*axes) if member(pt)}
+    R, a = _integer_rows(mu.datum.simple_roots)
+    K, b = _integer_rows(mu.datum.simple_coroots)
+    n, RK, LR = len(a), R * K, mu.L * R
+    gram = [[sum(map(mul, bi, aj)) // RK for bi in b] for aj in a]  # <coroot_i, root_j>
+    g, inverse = _gauss_jordan(gram)
+    top = [sum(map(mul, mu.x, aj)) for aj in a]  # <mu, root_j> = top_j / (L R)
+    D = LR // gcd(LR, *top)
+    M = [t // (LR // D) for t in top]  # <mu, root_j> = M_j / D
+    scans = []  # (free nodes, q_J) per zero set J
+    for mask in range(1 << n):
+        J = [i for i in range(n) if mask >> i & 1]
+        scans.append(([i for i in range(n) if not mask >> i & 1],
+                      _gauss_jordan([[gram[i][j] for j in J] for i in J])[0]))
+    d = g * K * lcm(LR, D * lcm(*(q for _, q in scans)))
+    member = _grid_member(mu, d, (R, a, K, b, g, inverse))
+    IM = [sum(map(mul, row, top)) for row in inverse]
+    base = [(g * RK * t - sum(c * bi[s] for c, bi in zip(IM, b))) * (d // (g * K * LR))
+            for s, t in enumerate(mu.x)]  # mu's orthogonal part, over d
+    coweights = [[sum(row[h] * bi[s] for row, bi in zip(inverse, b)) for s in range(len(mu.x))]
+                 for h in range(n)]  # omega_h = coweights[h] / (g K)
+    thetas = _highest_roots(gram)
+
+    def walk(pt, nodes, left, factors):
+        """pt plus every sum of k_h step_h, k_h >= 1, over nodes (step_h, n_h)
+        with sum k_h n_h <= left, and then over each (nodes, budget) of
+        factors in turn."""
+        if not nodes:
+            yield from walk(pt, *factors[0], factors[1:]) if factors else [pt]
+            return
+        (step, w), *rest = nodes
+        for _ in range((left - sum(r for _, r in rest)) // w):
+            pt = [s + t for s, t in zip(pt, step)]
+            left -= w
+            yield from walk(pt, rest, left, factors)
+
+    found = set()
+    for F, q in scans:
+        scale = d // (g * K * q * D)
+        factors = [([([t * scale for t in coweights[h]], theta[h]) for h in F if theta[h]],
+                    q * sum(map(mul, theta, M))) for theta in thetas]
+        found.update(tuple(Fraction(t, d) for t in pt)
+                     for pt in walk(base, [], 0, factors) if member(pt))
+    return found
 
 
-def _grid_member(datum, mu: RationalCocharacter, d: int):
+def _grid_member(mu: RationalCocharacter, d: int, rows: tuple):
     """The membership criterion for nu = pt / d against mubar = mu = x / L0
     (its stored fields), on integers.
 
-    The Gram matrix <coroot_i, root_j> is inverted once, by the oracle's own
-    elimination, and scaled to integers I / g.  With L = lcm(L0, d),
-    mubar - nu = diff / L, a_j = R root_j and b_i = K coroot_i, the coroot
+    rows holds a_j = R root_j, b_i = K coroot_i and the inverse I / g of
+    the Gram matrix <coroot_i, root_j> (grid_enumerate_bgmu's, rows by
+    coroot).  With L = lcm(L0, d), mubar - nu = diff / L, the coroot
     coefficients of mubar - nu are C / (g L R) with C = I (diff . a_j)_j.
     Per point pt the pairings pt . a_j are taken over the full integer rows
     a_j, and diff . a_j = top . a_j - step pt . a_j by linearity, with
@@ -246,12 +303,7 @@ def _grid_member(datum, mu: RationalCocharacter, d: int):
     wherever pt . a_i != 0 (c_i integral where <nu, root_i> != 0).  Raises
     ValueError unless top . a_j >= 0 for every j (mubar dominant).
     """
-    roots, coroots = datum.simple_roots, datum.simple_coroots
-    n = datum.rank
-    g, inverse = _integer_rows(_gauss_jordan([[dot(coroots[i], roots[j]) for i in range(n)]
-                                              for j in range(n)])[1])
-    R, a = _integer_rows(roots)
-    K, b = _integer_rows(coroots)
+    R, a, K, b, g, inverse = rows
     L = lcm(mu.L, d)
     top = [t * (L // mu.L) for t in mu.x]
     step = L // d

@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-import newtonkit
+import pytest
 
+import newtonkit
+import newtonkit.oracles as oracles
 from newtonkit.hecke import HeckeValuation
 from newtonkit.muordinary import SlopeProfile
 from reference import ip
@@ -49,6 +51,27 @@ def reflect(v, i):
     datum = v.datum
     c = ip(v.coords, datum.simple_roots[i - 1])
     return datum.cochar([a - c * b for a, b in zip(v.coords, datum.simple_coroots[i - 1])])
+
+
+def scanned_points(mu):
+    """(d, points): the denominator of grid_enumerate_bgmu's scan of mu, and
+    the numerators over d of every candidate the scan tests, in its order."""
+    real, seen = oracles._grid_member, []
+
+    def spy(mu, d, rows):
+        member = real(mu, d, rows)
+        seen.append(d)
+
+        def test(pt):
+            seen.append(tuple(pt))
+            return member(pt)
+
+        return test
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_grid_member", spy)
+        oracles.grid_enumerate_bgmu(mu)
+    return seen[0], seen[1:]
 
 
 def valuation_product(e1, e2):

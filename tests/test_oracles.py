@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import newtonkit.oracles as oracles_mod
-from conftest import reflect
+from conftest import reflect, scanned_points
 from newtonkit.hecke import gl_upper_roots, m_epsilon_valuation, siegel_radical_roots
 from newtonkit.kottwitz import enumerate_bgmu, newton_leq
 from newtonkit.muordinary import SlopeProfile, next_to_max_profile
@@ -23,6 +24,7 @@ from newtonkit.rootdata import (
     build_datum,
     dominant_representative,
     fundamental_coweight,
+    product_datum,
 )
 
 
@@ -185,14 +187,15 @@ def test_grid_matches_enumeration_a2():
 
 
 # mu is the sum of the fundamental coweights at nodes: every sum of two at
-# rank <= 3, every sum of three at rank 2, and omega_1 + omega_2 + omega_3 at
-# rank 3 (the other sums of three at rank 3 agree too, but take about 25 s)
+# rank <= 3, and every sum of three at ranks 2 and 3 (the 40 at rank 3 take
+# about 0.1 s together)
 _NON_MINUSCULE = ([(t, n, (i, j)) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2),
                                                ("A", 3), ("B", 3), ("C", 3), ("D", 3)]
                    for i in range(1, n + 1) for j in range(i, n + 1)]
                   + [(t, 2, nodes) for t in ("A", "B", "C", "G2")
                      for nodes in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))]
-                  + [(t, 3, (1, 2, 3)) for t in ("A", "B", "C", "D")])
+                  + [(t, 3, nodes) for t in ("A", "B", "C", "D")
+                     for nodes in itertools.combinations_with_replacement((1, 2, 3), 3)])
 
 
 @pytest.mark.parametrize("t, n, nodes", _NON_MINUSCULE,
@@ -205,9 +208,61 @@ def test_grid_matches_enumeration_non_minuscule(t, n, nodes):
 
 
 def test_grid_rank_cap():
-    a4 = build_datum("A", 4)
-    with pytest.raises(ValueError):
-        grid_enumerate_bgmu(fundamental_coweight(a4, 1))
+    # no rank refusal: the scan over root pairings answers at rank 4
+    mu = fundamental_coweight(build_datum("A", 4), 1)
+    assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
+
+
+# every node of F4, E6 and E7, and the E8 nodes whose scans stay under a
+# second (nodes 3-6 run in CI instead)
+_PAST_RANK_3 = ([(t, n, k) for t, n in [("F4", 4), ("E6", 6), ("E7", 7)] for k in range(1, n + 1)]
+                + [("E8", 8, k) for k in (1, 2, 7, 8)])
+
+
+@pytest.mark.parametrize("t, n, k", _PAST_RANK_3, ids=[f"{t}-{k}" for t, _, k in _PAST_RANK_3])
+def test_grid_matches_enumeration_past_rank_3(t, n, k):
+    mu = fundamental_coweight(build_datum(t, n), k)
+    assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points())
+
+
+# products, each factor bounded by its own highest root: every sum of two
+# fundamental coweights, and on A1 x A2 the mu (1, 0, 1, 0, 0), which pairs
+# to zero with the second factor's second root
+_PRODUCTS = [(("A", 1), ("A", 1)), (("A", 1), ("A", 2)), (("A", 1), ("G2", 2)),
+             (("A", 2), ("B", 2))]
+
+
+@pytest.mark.parametrize("factors", _PRODUCTS,
+                         ids=["x".join(t if t[-1].isdigit() else f"{t}{n}" for t, n in f)
+                              for f in _PRODUCTS])
+def test_grid_matches_enumeration_on_products(factors):
+    datum = product_datum([build_datum(t, n) for t, n in factors])
+    mus = [datum.cochar([a + b for a, b in zip(fundamental_coweight(datum, i).coords,
+                                               fundamental_coweight(datum, j).coords)])
+           for i in range(1, datum.rank + 1) for j in range(i, datum.rank + 1)]
+    if factors == (("A", 1), ("A", 2)):
+        mus.append(datum.cochar([1, 0, 1, 0, 0]))
+        assert len(grid_enumerate_bgmu(mus[-1])) == 6
+    for mu in mus:
+        assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points()), mu.coords
+
+
+def test_grid_matches_enumeration_at_rational_mu():
+    # pairings in (1/D) Z put the coroot coefficients on J in (1/(q_J D)) Z:
+    # on C2, mu = (1/2, 0) has D = 2 and q = 2 on J = {1}, and nu = (1/4, 1/4)
+    # is a member (mu - nu = coroot_1 / 4, <nu, root_1> = 0) that a grid
+    # over lcm(2, q) = 2 misses
+    c2 = build_datum("C", 2)
+    assert grid_enumerate_bgmu(c2.cochar([F(1, 2), 0])) == {(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), 0)}
+    rng = random.Random(5)
+    data = [build_datum(t, n) for t, n in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2),
+                                           ("A", 3), ("B", 3), ("C", 3), ("D", 3)]]
+    data.append(product_datum([build_datum("A", 1), build_datum("G2", 2)]))
+    for datum in data:
+        for _ in range(3):
+            mu = dominant_representative(datum.cochar(
+                [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(datum.ambient_dim)]))
+            assert grid_enumerate_bgmu(mu) == set(enumerate_bgmu(mu).points()), mu.coords
 
 
 def test_grid_refuses_a_non_dominant_mu_like_the_enumeration():
@@ -241,9 +296,14 @@ def test_grid_dominance_test_is_the_oracles_own(monkeypatch):
 
 
 def test_grid_spec_covers_half_a_coroot():
-    # the second-largest element mubar - coroot/2 must be on the grid
-    mu = fundamental_coweight(build_datum("A", 2), 1)
-    assert oracles_mod._grid_spec(mu) % 6 == 0
+    # the second-largest element mubar - coroot/2 must be on the scan's grid,
+    # and among the points it tests
+    a2 = build_datum("A", 2)
+    mu = fundamental_coweight(a2, 1)
+    d, points = scanned_points(mu)
+    half = [d * (m - c / 2) for m, c in zip(mu.coords, a2.simple_coroots[0])]
+    assert d % 6 == 0 and all(t.denominator == 1 for t in half)
+    assert tuple(map(int, half)) in points
 
 
 def test_coset_count_examples():

