@@ -7,8 +7,8 @@ lowest terms; elapsed time goes to stderr.  Exit codes: 0 success, 1 usage
 error, 2 domain error.
 
 This module is the only one that builds or parses a ``newtonkit/1``
-document: the library layers return Fractions and dataclasses, and the
-handlers below turn them into JSON.
+document: the library layers return Fractions and immutable value types,
+and the handlers below turn them into JSON.
 
 Each process loads only the layers its subcommand runs, inside its handler:
 ``datum`` imports ``rootdata``; ``bgmu``, ``maximal`` and ``leq`` also

@@ -14,23 +14,16 @@ meaningful when v is a non-negative integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import dot, integer, rat, vec_parse
+from .rationals import Value, dot, integer, rat, vec_parse
 
 
-@dataclass(frozen=True)
-class HeckeValuation:
-    full: tuple[Fraction, ...]
-    s: Fraction
-    p: int
-
-    def __post_init__(self):
-        require_prime(self.p)
-        object.__setattr__(self, "full", vec_parse(self.full))
-        object.__setattr__(self, "s", rat(self.s))
+class HeckeValuation(Value, fields=("full", "s", "p")):
+    def __init__(self, full, s, p: int):
+        require_prime(p)
+        self._store(vec_parse(full), rat(s), p)
         if len(self.full) % 2 != 0 or not self.full:
             raise ValueError("full valuation vector must have positive even length")
 

@@ -20,12 +20,13 @@ the Galois average of mu, is mu itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, le, mul, sub
+from typing import Sequence
 
 from .linalg import invert
+from .rationals import Value
 from .rootdata import (
     RationalCocharacter,
     RootDatum,
@@ -34,35 +35,41 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class KottwitzElement:
+class KottwitzElement(Value, fields=("nu", "C", "den", "J")):
     """A member nu with its membership certificate (c, J): the coroot
     coefficients c = C / den, integer numerators over one denominator in
     lowest terms (den > 0, gcd(den, *C) = 1), so equality and hashing are by
-    value.  The Fraction view c is cached on first read."""
+    value.  J holds the 1-based simple-root indices with <nu, alpha> = 0.
+    The Fraction view c is cached on first read."""
 
-    nu: RationalCocharacter
-    C: tuple[int, ...]
-    den: int
-    J: frozenset[int]  # 1-based simple-root indices with <nu, alpha> = 0
+    def __init__(self, nu: RationalCocharacter, C: Sequence[int], den: int, J: frozenset[int]):
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(den, *C)
+        # set directly, and equality spelled out below: enumerate_bgmu builds
+        # one per member
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "C", tuple(C) if g == 1 else tuple([t // g for t in C]))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "J", J)
 
-    def __post_init__(self):
-        if self.den <= 0:
-            raise ValueError(f"denominator {self.den} is not positive")
-        g = math.gcd(self.den, *self.C)
-        object.__setattr__(self, "C", tuple(self.C) if g == 1 else tuple([t // g for t in self.C]))
-        object.__setattr__(self, "den", self.den // g)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nu, self.C, self.den, self.J) == (other.nu, other.C, other.den, other.J)
+
+    def __hash__(self):
+        return hash((self.nu, self.C, self.den, self.J))
 
     @cached_property
     def c(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, self.den) for t in self.C)
 
 
-@dataclass(frozen=True)
-class KottwitzSet:
-    mu: RationalCocharacter
-    mubar: RationalCocharacter
-    elements: tuple[KottwitzElement, ...]
+class KottwitzSet(Value, fields=("mu", "mubar", "elements")):
+    def __init__(self, mu: RationalCocharacter, mubar: RationalCocharacter,
+                 elements: tuple[KottwitzElement, ...]):
+        self._store(mu, mubar, elements)
 
     def points(self) -> list[tuple[Fraction, ...]]:
         return [e.nu.coords for e in self.elements]

@@ -10,22 +10,19 @@ h -> max degree at height h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import integer, vec_parse
+from .rationals import Value, integer, vec_parse
 
 
-@dataclass(frozen=True)
-class SlopeProfile:
-    slopes: tuple[Fraction, ...]
-    mults: tuple[int, ...]
-    polarized: bool = False
-    # provenance of a next-to-maximal profile: (original, i0, dh)
-    origin: tuple["SlopeProfile", int, int] | None = field(default=None, compare=False)
+class SlopeProfile(Value, fields=("slopes", "mults", "polarized", "origin"),
+                   compare=("slopes", "mults", "polarized")):
+    """origin is the provenance of a next-to-maximal profile, (original, i0,
+    dh); equality and hashing leave it out."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", vec_parse(self.slopes))
+    def __init__(self, slopes, mults: tuple[int, ...], polarized: bool = False,
+                 origin: tuple[SlopeProfile, int, int] | None = None):
+        self._store(vec_parse(slopes), mults, polarized, origin)
         if len(self.slopes) != len(self.mults) or not self.slopes:
             raise ValueError("slopes and multiplicities must be non-empty and aligned")
         for m in self.mults:
@@ -63,11 +60,11 @@ class SlopeProfile:
         return sum(self.mults)
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    profile: SlopeProfile
-    d: tuple[Fraction, ...]
-    delta: Fraction | None  # absent when there is a single slope
+class DegreeData(Value, fields=("profile", "d", "delta")):
+    """delta is absent (None) when there is a single slope."""
+
+    def __init__(self, profile: SlopeProfile, d: tuple[Fraction, ...], delta: Fraction | None):
+        self._store(profile, d, delta)
 
 
 def profile_from_newton(nu, embedding_dim: int) -> SlopeProfile:

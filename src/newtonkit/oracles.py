@@ -16,13 +16,12 @@ simplex.  These routines back the test suite and the CLI verify mode only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rationals import integer, vec_parse
+from .rationals import Value, integer, vec_parse
 
 if TYPE_CHECKING:
     from .muordinary import SlopeProfile
@@ -235,9 +234,12 @@ def grid_enumerate_bgmu(mu: RationalCocharacter) -> set[tuple[Fraction, ...]]:
       pairing off its factor.
 
     So the k_g of each J range over the lattice points of one simplex per
-    factor, finitely many.  The Gram matrix <coroot_i, root_j> (the Cartan
-    matrix) is inverted, and each block on J reduced to its determinant, by
-    the oracle's own elimination (_gauss_jordan), once each.  Each candidate
+    factor, finitely many, but their number grows as (q_J D)^(free nodes):
+    at non-integral pairings the scan is slow (an E6 mu with D = 12 and 143
+    members took 32 s on a two-core x86-64 machine).  The Gram matrix
+    <coroot_i, root_j> (the Cartan matrix) is inverted, and each block on J
+    reduced to its determinant, by the oracle's own elimination
+    (_gauss_jordan), once each.  Each candidate
     gets integer numerators over one denominator d from that inverse,
     omega_h being sum_i G^-1[i][h] coroot_i, and the oracle's own criterion
     (_grid_member) decides it.
@@ -332,16 +334,15 @@ def _grid_member(mu: RationalCocharacter, d: int, rows: tuple):
     return member
 
 
-@dataclass(frozen=True)
-class UnipotentShape:
+class UnipotentShape(Value, fields=("size", "groups")):
     """A unipotent subgroup scheme given by its free matrix entries.
 
     groups lists the parameter groups; each is a tuple of ((i, j), sign)
     entries (1-based positions) tied to one free parameter.
     """
 
-    size: int
-    groups: tuple[tuple[tuple[tuple[int, int], int], ...], ...]
+    def __init__(self, size: int, groups: tuple[tuple[tuple[tuple[int, int], int], ...], ...]):
+        self._store(size, groups)
 
     def flat(self, params: Sequence[int]) -> list[int]:
         """The matrix at params, row-major in one list of size^2 entries."""

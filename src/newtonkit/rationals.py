@@ -5,13 +5,15 @@ caller of rat_str and vec_str: every rational it prints is rendered as
 "p/q" with q > 0 and gcd(p, q) = 1, so identical values always produce
 identical bytes.  rat and vec_parse coerce input to Fractions, in the CLI
 and in the library's constructors, and integer decides every integer
-argument of the library: an int, never a bool, within its range.
+argument of the library: an int, never a bool, within its range.  Value
+is the base of the library's immutable value types.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 # An optional sign, digits, optionally "/digits".  Fraction() alone would also
@@ -70,3 +72,42 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass names its fields in constructor order, as in ``class
+    V(Value, fields=("a", "b"))``, and the ones equality reads as
+    ``compare`` when that is fewer.  Its __init__ checks the arguments and
+    stores each field once (_store); assigning or deleting an attribute
+    after that raises AttributeError.  The instance __dict__ stays, so
+    cached_property views work.  Instances of one class are equal when
+    their compared fields are, and then hash alike; the repr shows every
+    field.
+    """
+
+    def __init_subclass__(cls, fields, compare=None):
+        cls._fields = fields
+        cls._key = attrgetter(*(compare or fields))  # a tuple: every type has two or more
+
+    def _store(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -26,14 +26,13 @@ float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
 from .linalg import invert
-from .rationals import dot, integer, vec_parse
+from .rationals import Value, dot, integer, vec_parse
 
 INDECOMPOSABLE_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -50,17 +49,15 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Value, fields=("type_label", "rank", "ambient_dim", "simple_roots",
+                              "simple_coroots", "cartan", "factors")):
     """An immutable root datum: simple roots/coroots in a rational ambient space."""
 
-    type_label: str
-    rank: int
-    ambient_dim: int
-    simple_roots: tuple[tuple[Fraction, ...], ...]
-    simple_coroots: tuple[tuple[Fraction, ...], ...]
-    cartan: tuple[tuple[int, ...], ...]
-    factors: tuple["RootDatum", ...] = ()
+    def __init__(self, type_label: str, rank: int, ambient_dim: int,
+                 simple_roots: tuple[tuple[Fraction, ...], ...],
+                 simple_coroots: tuple[tuple[Fraction, ...], ...],
+                 cartan: tuple[tuple[int, ...], ...], factors: tuple[RootDatum, ...] = ()):
+        self._store(type_label, rank, ambient_dim, simple_roots, simple_coroots, cartan, factors)
 
     def __hash__(self):
         # equal data agree on these fields, and hashing them touches no Fraction
@@ -84,28 +81,33 @@ class RootDatum:
         return v
 
 
-@dataclass(frozen=True)
-class RationalCocharacter:
+class RationalCocharacter(Value, fields=("x", "L", "datum")):
     """The exact rational vector x / L in the cocharacter space of a fixed datum,
     in lowest terms: L > 0 and gcd(L, *x) = 1 (zero is stored over 1), so each
     vector has one stored form, and equality and hashing are the vector's.
     The Fraction view coords is cached on first read."""
 
-    x: tuple[int, ...]
-    L: int
-    datum: RootDatum
-
-    def __post_init__(self):
-        if len(self.x) != self.datum.ambient_dim:
+    def __init__(self, x: Sequence[int], L: int, datum: RootDatum):
+        if len(x) != datum.ambient_dim:
             raise ValueError(
-                f"coordinate length {len(self.x)} != ambient dimension "
-                f"{self.datum.ambient_dim}"
+                f"coordinate length {len(x)} != ambient dimension {datum.ambient_dim}"
             )
-        if self.L <= 0:
-            raise ValueError(f"denominator {self.L} is not positive")
-        g = math.gcd(self.L, *self.x)
-        object.__setattr__(self, "x", tuple(self.x) if g == 1 else tuple([t // g for t in self.x]))
-        object.__setattr__(self, "L", self.L // g)
+        if L <= 0:
+            raise ValueError(f"denominator {L} is not positive")
+        g = math.gcd(L, *x)
+        # set directly, and equality spelled out below: enumerate_bgmu builds
+        # one per member, and maximal_elements compares each with mubar
+        object.__setattr__(self, "x", tuple(x) if g == 1 else tuple([t // g for t in x]))
+        object.__setattr__(self, "L", L // g)
+        object.__setattr__(self, "datum", datum)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.L, self.datum) == (other.x, other.L, other.datum)
+
+    def __hash__(self):
+        return hash((self.x, self.L, self.datum))
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:

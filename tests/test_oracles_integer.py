@@ -139,7 +139,10 @@ def fraction_grid_spec(mu):
     den_coroots = 1
     for av in datum.simple_coroots:
         den_coroots = lcm(den_coroots, *[x.denominator for x in av], 1)
-    return lcm(den_mu, minors * den_coroots)
+    # D, the denominator of mu's root pairings: a member's coroot
+    # coefficients on its zero set are in (1 / (minor D)) Z
+    D = lcm(*[ip(mu.coords, alpha).denominator for alpha in datum.simple_roots])
+    return lcm(den_mu, minors * den_coroots * D)
 
 
 def fraction_grid(mu):
@@ -388,6 +391,15 @@ def test_grid_matches_fraction_grid_on_criterion_3(t, n):
         half = [d * (m - c / 2) for m, c in zip(mu.coords, datum.simple_coroots[k - 1])]
         assert all(x.denominator == 1 for x in half) and tuple(map(int, half)) in points
         assert oracles.grid_enumerate_bgmu(mu) == fraction_grid(mu), (t, n, k)
+
+
+def test_fraction_grid_reaches_members_at_a_rational_mu():
+    # mu = (1/2, 0) in C2 pairs to 1/2 with alpha_1, so nu = mu - coroot_1 / 4
+    # has a coordinate denominator 4 that no Cartan minor or coroot supplies
+    mu = build_datum("C", 2).cochar(["1/2", "0"])
+    expected = set(enumerate_bgmu(mu).points())
+    assert (F(1, 4), F(1, 4)) in expected
+    assert fraction_grid(mu) == expected == oracles.grid_enumerate_bgmu(mu)
 
 
 # -- cosets -------------------------------------------------------------------

@@ -113,7 +113,7 @@ LAYERS = {
     "__init__": set(),
     "cli": {"rationals"},
     "hecke": {"rationals"},
-    "kottwitz": {"linalg", "rootdata"},
+    "kottwitz": {"linalg", "rationals", "rootdata"},
     "linalg": set(),
     "muordinary": {"rationals"},
     "oracles": {"rationals"},

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -13,6 +12,7 @@ from newtonkit.linalg import invert
 from newtonkit.rationals import dot
 from newtonkit.rootdata import (
     RationalCocharacter,
+    RootDatum,
     _ambient_root,
     _root_vectors,
     build_datum,
@@ -38,14 +38,15 @@ ALL_TYPES = (
 
 def _equal_pairs():
     """Pairs of equal root data built apart: every type, a product and a
-    dataclasses.replace copy."""
+    copy built field by field."""
     pairs = [(build_datum(t, n), build_datum(t, n)) for t, n in ALL_TYPES]
     factors = [build_datum("A", 2), build_datum("G2", 2), build_datum("D", 4)]
     pairs.append((product_datum(factors), product_datum([build_datum("A", 2),
                                                          build_datum("G2", 2),
                                                          build_datum("D", 4)])))
     e7 = build_datum("E7", 7)
-    pairs.append((e7, dataclasses.replace(e7)))
+    pairs.append((e7, RootDatum(e7.type_label, e7.rank, e7.ambient_dim, e7.simple_roots,
+                                e7.simple_coroots, e7.cartan, e7.factors)))
     return pairs
 
 
