@@ -46,8 +46,8 @@ class KottwitzElement(Value, fields=("nu", "C", "den", "J")):
         if den <= 0:
             raise ValueError(f"denominator {den} is not positive")
         g = math.gcd(den, *C)
-        # set directly, and equality spelled out below: enumerate_bgmu builds
-        # one per member
+        # set directly, and equality spelled out below, as in
+        # RationalCocharacter: enumerate_bgmu builds one per member
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "C", tuple(C) if g == 1 else tuple([t // g for t in C]))
         object.__setattr__(self, "den", den // g)
